@@ -9,13 +9,13 @@ flight downstream, so
 * batch **admission cadence** = ``plan.bottleneck_seconds``;
 * batch **completion** = admission + ``plan.fill_latency_seconds``.
 
-:class:`ClusterService` is the virtual-time router implementing that
-policy above the same admission queue / batch window / deadline
-semantics as the single-board scheduler, producing the same
-:class:`~repro.serve.records.ServeReport` (outcome ``"cluster"``).
-There is no LoLa degradation here — an under-filled batch still rides
-the pipeline; degrading would require a second, latency-oriented
-deployment next to the fleet.
+:class:`ClusterService` is the pipeline executor of the shared
+:class:`~repro.serve.loop.ServeLoop`: the same admission queue, key-aware
+batch window and deadline semantics as the single-board scheduler,
+producing the same :class:`~repro.serve.records.ServeReport` (outcome
+``"cluster"``).  There is no LoLa degradation here — an under-filled
+batch still rides the pipeline; degrading would require a second,
+latency-oriented deployment next to the fleet.
 
 Every dispatched batch publishes cluster probes: per-stage occupancy,
 transfer bytes on every link, and end-to-end batch latency.
@@ -28,22 +28,15 @@ from typing import Any
 from ..hecnn.batched import cryptonets_mnist_batched, max_batch_lanes
 from ..obs.alerts import AlertEngine
 from ..obs.probes import (
-    record_batch_dispatch,
     record_cluster_batch,
     record_cluster_stage,
     record_cluster_transfer,
     record_flight,
-    record_queue_depth,
-    record_request_latency,
-    record_request_outcome,
-    record_throughput,
-    record_timeseries_flush,
-    record_timeseries_tick,
 )
 from ..obs.tracing import emit_virtual, trace_span
 from ..serve.costs import CostLedger
-from ..serve.scheduler import BATCH_TID, _request_tid
-from ..serve.records import BatchRecord, RequestResult, ServeReport
+from ..serve.loop import BATCH_TID, ServeLoop
+from ..serve.records import BatchRecord, ServeReport
 from ..serve.request import InferenceRequest
 from ..serve.scheduler import SchedulerConfig
 from .dse import FleetPlanner
@@ -75,16 +68,6 @@ class ClusterService:
         #: Optional alert engine ticked along the virtual clock.
         self.alerts = alerts
 
-    def _obs_tick(self, now_s: float) -> None:
-        record_timeseries_tick(now_s)
-        if self.alerts is not None:
-            self.alerts.tick(now_s)
-
-    def _obs_flush(self, now_s: float) -> None:
-        record_timeseries_flush(now_s)
-        if self.alerts is not None:
-            self.alerts.tick(now_s)
-
     @classmethod
     def cryptonets_mnist(
         cls,
@@ -110,143 +93,32 @@ class ClusterService:
             "cluster.serve", category="cluster",
             fleet=self.plan.fleet.name, window=self.config.batch_window_s,
         ) as span:
-            report = self._run(requests)
+            report = ServeLoop(
+                requests, self, self.config, self.capacity,
+                queue="cluster", alerts=self.alerts,
+            ).run(cluster=self._plan_summary())
             span.set(completed=report.completed,
                      throughput=report.throughput_images_per_s)
         return report
 
-    def _run(self, requests: list[InferenceRequest]) -> ServeReport:
-        interval = self.plan.bottleneck_seconds
-        transit = self.plan.fill_latency_seconds
-        pending = sorted(requests, key=lambda r: (r.arrival_s, r.request_id))
-        queue: list[InferenceRequest] = []
-        results: list[RequestResult] = []
-        batches: list[BatchRecord] = []
-        admit_free_at = 0.0  # when the pipeline can accept the next batch
-        end_s = 0.0
-        i = 0
+    # -- the executor ---------------------------------------------------------
 
-        def admit_until(t: float) -> None:
-            nonlocal i, end_s
-            end_s = max(end_s, t)
-            self._obs_tick(t)
-            while i < len(pending) and pending[i].arrival_s <= t:
-                req = pending[i]
-                i += 1
-                if len(queue) >= self.config.queue_capacity:
-                    results.append(RequestResult(
-                        request_id=req.request_id, outcome="rejected",
-                        arrival_s=req.arrival_s,
-                    ))
-                    record_request_outcome(
-                        "rejected", request_id=req.request_id,
-                        trace_id=req.trace_ref, queue="cluster",
-                    )
-                else:
-                    queue.append(req)
-                    record_flight(
-                        "admit", request_id=req.request_id,
-                        trace_id=req.trace_ref, queue="cluster",
-                        depth=len(queue),
-                    )
-                record_queue_depth(len(queue), queue="cluster")
+    def execute(
+        self, batch: list[InferenceRequest], at_s: float
+    ) -> tuple[str, list[float], float]:
+        """The pipeline frees an admission slot one bottleneck interval
+        after a dispatch, while the batch is still in flight downstream."""
+        finish = at_s + self.plan.fill_latency_seconds
+        next_at = at_s + self.plan.bottleneck_seconds
+        return "cluster", [finish] * len(batch), next_at
 
-        while i < len(pending) or queue:
-            if not queue:
-                admit_until(pending[i].arrival_s)
-                continue
-            oldest = queue[0]
-            window_close = oldest.arrival_s + self.config.batch_window_s
-            if len(queue) < self.capacity and (
-                i < len(pending) and pending[i].arrival_s <= window_close
-            ):
-                admit_until(pending[i].arrival_s)
-                continue
-            if len(queue) >= self.capacity:
-                dispatch_at = max(admit_free_at, oldest.arrival_s)
-            else:
-                dispatch_at = max(admit_free_at, window_close)
-            admit_until(dispatch_at)
-
-            alive: list[InferenceRequest] = []
-            for req in queue:
-                if req.expired(dispatch_at):
-                    results.append(RequestResult(
-                        request_id=req.request_id, outcome="expired",
-                        arrival_s=req.arrival_s,
-                    ))
-                    record_request_outcome(
-                        "expired", request_id=req.request_id,
-                        trace_id=req.trace_ref, queue="cluster",
-                    )
-                    emit_virtual(
-                        "expired", "request", req.arrival_s,
-                        dispatch_at - req.arrival_s,
-                        tid=_request_tid(req.request_id),
-                        args={"trace_id": req.trace_ref,
-                              "request_id": req.request_id},
-                    )
-                else:
-                    alive.append(req)
-            queue = alive
-            record_queue_depth(len(queue), queue="cluster")
-            if not queue:
-                continue
-
-            batch = queue[: self.capacity]
-            queue = queue[len(batch):]
-            record_queue_depth(len(queue), queue="cluster")
-            finish = dispatch_at + transit
-            batch_id = len(batches)
-            for req in batch:
-                results.append(RequestResult(
-                    request_id=req.request_id, outcome="cluster",
-                    arrival_s=req.arrival_s, start_s=dispatch_at,
-                    finish_s=finish, batch_id=batch_id,
-                ))
-                record_request_outcome("cluster")
-                record_request_latency(finish - req.arrival_s, "cluster")
-                journey = {"trace_id": req.trace_ref,
-                           "request_id": req.request_id,
-                           "batch_id": batch_id}
-                emit_virtual(
-                    "queue_wait", "request", req.arrival_s,
-                    dispatch_at - req.arrival_s,
-                    tid=_request_tid(req.request_id), args=journey,
-                )
-                emit_virtual(
-                    "response", "request", finish, 0.0,
-                    tid=_request_tid(req.request_id),
-                    args={**journey, "latency_s": finish - req.arrival_s},
-                )
-            batches.append(BatchRecord(
-                batch_id=batch_id, mode="cluster", lanes=len(batch),
-                capacity=self.capacity, start_s=dispatch_at, finish_s=finish,
-            ))
-            record_batch_dispatch(len(batch), self.capacity, "cluster")
-            record_cluster_batch(len(batch), transit)
-            self._charge_batch(batch)
-            self._emit_batch_journey(batch, batch_id, dispatch_at)
-            self._publish_stages()
-            end_s = max(end_s, finish)
-            self._obs_tick(finish)
-            # The pipeline frees an admission slot one interval later,
-            # even though this batch is still in flight downstream.
-            admit_free_at = dispatch_at + interval
-
-        self._obs_flush(end_s)
-        results.sort(key=lambda r: r.request_id)
-        report = ServeReport(
-            results=tuple(results),
-            batches=tuple(batches),
-            config={
-                **self.config.as_dict(),
-                "capacity": self.capacity,
-                "cluster": self._plan_summary(),
-            },
-        )
-        record_throughput(report.throughput_images_per_s)
-        return report
+    def on_batch(
+        self, batch: list[InferenceRequest], record: BatchRecord
+    ) -> None:
+        record_cluster_batch(record.lanes, self.plan.fill_latency_seconds)
+        self._charge_batch(batch)
+        self._emit_batch_journey(batch, record.batch_id, record.start_s)
+        self._publish_stages()
 
     # -- cost attribution -----------------------------------------------------
 

@@ -1,11 +1,10 @@
 """SLO-driven elastic fleet autoscaling in virtual time.
 
-PR 4–5 built the data plane (``ClusterService``, ``FleetPlanner``, the
-DP partitioner) and the sensors (``SloMonitor``, the flight recorder);
-this module closes the loop.  A :class:`FleetAutoscaler` replays a
-request stream through a pipelined fleet exactly like
-:class:`~repro.cluster.serving.ClusterService`, but every
-``evaluate_every_s`` of virtual time it runs a **control tick**:
+A :class:`FleetAutoscaler` replays a request stream through the shared
+serving loop (:mod:`repro.serve.loop`) on a pipelined fleet, exactly like
+:class:`~repro.cluster.serving.ClusterService`, but its control plane
+owns the loop's clock: every ``evaluate_every_s`` of virtual time it runs
+a **control tick**:
 
 1. feed the sliding-window :class:`~repro.serve.slo.SloMonitor` every
    terminal request that has *finished by the tick* (causality: the
@@ -40,14 +39,12 @@ own track).
 
 from __future__ import annotations
 
-import heapq
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import TYPE_CHECKING, Any
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..cluster.dse import FleetPlanner
     from ..cluster.fleet import Link
-    from ..cluster.plan import ClusterPlan
     from ..cluster.serving import ClusterService
 
 from ..fpga.device import FpgaDevice
@@ -55,25 +52,18 @@ from ..hecnn.batched import cryptonets_mnist_batched, max_batch_lanes
 from ..obs.alerts import AlertEngine
 from ..obs.probes import (
     record_autoscale_decision,
-    record_batch_dispatch,
-    record_cluster_batch,
     record_fleet_size,
     record_flight,
-    record_queue_depth,
-    record_request_latency,
-    record_request_outcome,
     record_spin_up_cost,
-    record_throughput,
-    record_timeseries_flush,
-    record_timeseries_tick,
 )
 from ..obs.registry import REGISTRY
 from ..obs.tracing import emit_virtual, trace_span
 from .cache import ContextCache
 from .costs import CostLedger
-from .records import BatchRecord, RequestResult, ServeReport
+from .loop import ServeLoop
+from .records import BatchRecord, ServeReport
 from .request import InferenceRequest
-from .scheduler import SchedulerConfig, _request_tid
+from .scheduler import SchedulerConfig
 from .slo import Slo, SloMonitor, _percentile
 
 #: Virtual-trace track for autoscaler spans (spin-up, drain) — far above
@@ -130,18 +120,7 @@ class AutoscalerConfig:
             raise ValueError("step must be >= 1")
 
     def as_dict(self) -> dict[str, Any]:
-        return {
-            "min_nodes": self.min_nodes,
-            "max_nodes": self.max_nodes,
-            "evaluate_every_s": self.evaluate_every_s,
-            "cooldown_s": self.cooldown_s,
-            "scale_up_after": self.scale_up_after,
-            "scale_down_after": self.scale_down_after,
-            "queue_high": self.queue_high,
-            "queue_low": self.queue_low,
-            "p99_slack": self.p99_slack,
-            "step": self.step,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -197,11 +176,7 @@ class SpinUpCostModel:
         return cost
 
     def as_dict(self) -> dict[str, Any]:
-        return {
-            "node_warm_s": self.node_warm_s,
-            "keygen_s": self.keygen_s,
-            "design_warm_s": self.design_warm_s,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -223,17 +198,7 @@ class ScaleDecision:
     warm: bool | None = None
 
     def as_dict(self) -> dict[str, Any]:
-        return {
-            "at_s": self.at_s,
-            "action": self.action,
-            "from_nodes": self.from_nodes,
-            "to_nodes": self.to_nodes,
-            "reason": self.reason,
-            "spin_up_s": self.spin_up_s,
-            "effective_s": self.effective_s,
-            "drain_until_s": self.drain_until_s,
-            "warm": self.warm,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -393,7 +358,7 @@ class FleetAutoscaler:
             n: Fleet.homogeneous(device, n, link=link)
             for n in range(self.policy.min_nodes, self.policy.max_nodes + 1)
         }
-        self._plans: dict[int, ClusterPlan] = {}
+        #: The pipeline executor of each planned fleet size.
         self._services: dict[int, ClusterService] = {}
         if prewarm:
             self.warm()
@@ -409,27 +374,22 @@ class FleetAutoscaler:
         runtime resizes hit only warm caches (what a capacity-planned
         deployment does before taking traffic)."""
         for n in self._fleets:
-            self._plan_for(n)
+            self._service_for(n)
         self.contexts.get_or_create(self._context_key, lambda: object())
 
-    def _plan_for(self, n: int) -> ClusterPlan:
-        plan = self._plans.get(n)
-        if plan is None:
-            plan = self.planner.plan(
-                self.trace, self._fleets[n], method=self.method
-            )
-            self._plans[n] = plan
-        return plan
-
     def _service_for(self, n: int) -> ClusterService:
+        """The pipeline executor of an ``n``-node fleet, planned on first
+        use (charging this autoscaler's ledger)."""
         from ..cluster.serving import ClusterService
 
         svc = self._services.get(n)
         if svc is None:
             svc = ClusterService(
-                self._plan_for(n),
+                self.planner.plan(
+                    self.trace, self._fleets[n], method=self.method
+                ),
                 batch_capacity=max_batch_lanes(self.poly_degree),
-                config=self.config,
+                config=self.config, ledger=self.ledger,
             )
             self._services[n] = svc
         return svc
@@ -448,7 +408,31 @@ class FleetAutoscaler:
             device=self.device.name, min_nodes=self.policy.min_nodes,
             max_nodes=self.policy.max_nodes,
         ) as span:
-            report = self._run(requests)
+            elastic = _ElasticRun(self)
+            loop = ServeLoop(
+                requests, elastic, self.config, self.capacity,
+                queue="autoscale", alerts=self.alerts, control=elastic,
+            )
+            serve = loop.run(autoscale={
+                "device": self.device.name,
+                "policy": self.policy.as_dict(),
+                "spin_up": self.spin_up.as_dict(),
+                "slos": [s.as_dict() for s in self.slos],
+            })
+            node_seconds = _integrate(elastic.billing, loop.end_s)
+            if self.ledger is not None:
+                # Billed node-seconds (spin-up and drain intervals
+                # included) settle onto tenants by their slot-time weight.
+                self.ledger.settle(node_seconds=node_seconds)
+            report = AutoscaleReport(
+                serve=serve,
+                decisions=tuple(elastic.decisions),
+                timeline=tuple(elastic.timeline),
+                node_seconds=node_seconds,
+                end_s=loop.end_s,
+                policy=self.policy.as_dict(),
+                spin_up=self.spin_up.as_dict(),
+            )
             span.set(
                 completed=report.serve.completed,
                 resizes=len(report.resizes),
@@ -456,382 +440,204 @@ class FleetAutoscaler:
             )
         return report
 
-    def _run(self, requests: list[InferenceRequest]) -> AutoscaleReport:
-        policy = self.policy
-        pending = sorted(requests, key=lambda r: (r.arrival_s, r.request_id))
-        queue: list[InferenceRequest] = []
-        results: list[RequestResult] = []
-        batches: list[BatchRecord] = []
-        monitor = SloMonitor(self.slos)
-        p99_slo = next(
-            (s for s in self.slos if s.objective == "p99_latency_s"), None
-        )
-        #: (finish_s, seq, outcome, latency) — fed to the monitor causally.
-        terminals: list[tuple[float, int, str, float | None]] = []
-        seq = 0
 
-        size = policy.min_nodes
-        plan = self._plan_for(size)
+class _ElasticRun:
+    """One autoscaled replay: the control plane that owns the loop's clock,
+    and the pipeline executor whose plan its decisions swap."""
+
+    def __init__(self, scaler: FleetAutoscaler) -> None:
+        self.scaler = scaler
+        self.monitor = SloMonitor(scaler.slos)
+        self.p99_slo = next(
+            (s for s in scaler.slos if s.objective == "p99_latency_s"), None
+        )
+        policy = scaler.policy
+        self.size = policy.min_nodes
+        scaler._service_for(self.size)  # plan it before any traffic
         #: (effective_s, new_size) while a spin-up is in flight.
-        activation: tuple[float, int] | None = None
-        next_tick = policy.evaluate_every_s
-        cooldown_until = 0.0
-        breach_streak = idle_streak = 0
-        suppressed_this_streak = False
-        decisions: list[ScaleDecision] = []
-        timeline: list[tuple[float, int]] = [(0.0, size)]
+        self.activation: tuple[float, int] | None = None
+        self.next_tick = policy.evaluate_every_s
+        self.cooldown_until = 0.0
+        self.breach_streak = self.idle_streak = 0
+        self.suppressed_this_streak = False
+        self.decisions: list[ScaleDecision] = []
+        self.timeline: list[tuple[float, int]] = [(0.0, self.size)]
         #: (at_s, node_delta) — billed capacity changes (spin-up from
         #: decision time; retiring nodes until drain).
-        billing: list[tuple[float, int]] = [(0.0, size)]
-        admit_free_at = 0.0
-        last_finish = 0.0
-        i = 0
-        record_fleet_size(size)
+        self.billing: list[tuple[float, int]] = [(0.0, self.size)]
+        self.last_finish = 0.0
+        record_fleet_size(self.size)
 
-        def push_terminal(
-            finish: float, outcome: str, latency: float | None
-        ) -> None:
-            nonlocal seq
-            heapq.heappush(terminals, (finish, seq, outcome, latency))
-            seq += 1
+    # -- the executor: the pipeline serving new dispatches --------------------
 
-        def admit_until(t: float) -> None:
-            nonlocal i
-            while i < len(pending) and pending[i].arrival_s <= t:
-                req = pending[i]
-                i += 1
-                if len(queue) >= self.config.queue_capacity:
-                    results.append(RequestResult(
-                        request_id=req.request_id, outcome="rejected",
-                        arrival_s=req.arrival_s,
-                    ))
-                    record_request_outcome(
-                        "rejected", request_id=req.request_id,
-                        trace_id=req.trace_ref, queue="autoscale",
-                    )
-                    push_terminal(req.arrival_s, "rejected", None)
-                else:
-                    queue.append(req)
-                    record_flight(
-                        "admit", request_id=req.request_id,
-                        trace_id=req.trace_ref, queue="autoscale",
-                        depth=len(queue),
-                    )
-                record_queue_depth(len(queue), queue="autoscale")
+    def execute(
+        self, batch: list[InferenceRequest], at_s: float
+    ) -> tuple[str, list[float], float]:
+        return self.scaler._service_for(self.size).execute(batch, at_s)
 
-        def decide(t: float) -> bool:
-            """One control decision at tick ``t``; True if the plan
-            serving new dispatches changed."""
-            nonlocal size, plan, activation, cooldown_until
-            nonlocal breach_streak, idle_streak, suppressed_this_streak
-            if activation is not None:
-                return False  # a resize is already in flight
-            want_up = (
-                breach_streak >= policy.scale_up_after
-                and size < policy.max_nodes
-            )
-            want_down = (
-                idle_streak >= policy.scale_down_after
-                and size > policy.min_nodes
-            )
-            if not want_up and not want_down:
-                suppressed_this_streak = False
-                return False
-            if t < cooldown_until:
-                if not suppressed_this_streak:
-                    suppressed_this_streak = True
-                    action = "scale_up" if want_up else "scale_down"
-                    decisions.append(ScaleDecision(
-                        at_s=t, action="flap_suppressed",
-                        from_nodes=size, to_nodes=size,
-                        reason=f"cooldown until {cooldown_until:.1f}s "
-                               f"vetoed {action}",
-                    ))
-                    record_autoscale_decision(
-                        "flap_suppressed", size, at_s=t,
-                        wanted=action, cooldown_until_s=cooldown_until,
-                    )
-                return False
-            suppressed_this_streak = False
-            if want_up:
-                new = min(size + policy.step, policy.max_nodes)
-                design_warm, context_warm = self._probe_warmth()
-                cost = self.spin_up.charge(design_warm, context_warm)
-                warm = design_warm and context_warm
-                record_spin_up_cost(cost, warm=warm)
-                # Re-partition for the grown fleet through the DP
-                # partitioner; warm design caches make this free.
-                self._plan_for(new)
-                self.contexts.get_or_create(
-                    self._context_key, lambda: object()
-                )
-                activation = (t + cost, new)
-                billing.append((t, new - size))
-                reason = (
-                    f"breach streak {breach_streak} "
-                    f"(queue or SLO) at {size} nodes"
-                )
-                decisions.append(ScaleDecision(
-                    at_s=t, action="scale_up", from_nodes=size,
-                    to_nodes=new, reason=reason, spin_up_s=cost,
-                    effective_s=t + cost, warm=warm,
-                ))
-                record_autoscale_decision(
-                    "scale_up", new, at_s=t, from_nodes=size,
-                    spin_up_s=cost, warm=warm, reason=reason,
-                )
-                emit_virtual(
-                    f"spin_up {size}->{new}", "autoscale", t, cost,
-                    tid=AUTOSCALE_TID,
-                    args={"from_nodes": size, "to_nodes": new,
-                          "spin_up_s": cost, "warm": warm},
-                )
-                cooldown_until = t + policy.cooldown_s
-                breach_streak = 0
-                return False  # old plan serves until activation
-            # Scale-down: new dispatches use the shrunk plan at once;
-            # the retiring node is billed until its pipeline drains.
-            new = max(size - policy.step, policy.min_nodes)
-            drain_until = max(t, last_finish)
-            reason = f"idle streak {idle_streak} at {size} nodes"
-            decisions.append(ScaleDecision(
-                at_s=t, action="scale_down", from_nodes=size,
-                to_nodes=new, reason=reason, effective_s=t,
-                drain_until_s=drain_until,
-            ))
-            record_autoscale_decision(
-                "scale_down", new, at_s=t, from_nodes=size,
-                drain_until_s=drain_until, reason=reason,
-            )
-            emit_virtual(
-                f"drain {size}->{new}", "autoscale", t,
-                max(0.0, drain_until - t), tid=AUTOSCALE_TID,
-                args={"from_nodes": size, "to_nodes": new,
-                      "drain_until_s": drain_until},
-            )
-            billing.append((drain_until, new - size))
-            size = new
-            plan = self._plan_for(size)
-            timeline.append((t, size))
-            record_fleet_size(size)
-            cooldown_until = t + policy.cooldown_s
-            idle_streak = 0
-            return True
+    def on_batch(
+        self, batch: list[InferenceRequest], record: BatchRecord
+    ) -> None:
+        self.last_finish = max(self.last_finish, record.finish_s)
+        self.scaler._service_for(self.size).on_batch(batch, record)
 
-        def ticks_until(t_limit: float) -> bool:
-            """Fire activations and control ticks up to ``t_limit``;
-            True if the serving plan changed."""
-            nonlocal size, plan, activation, next_tick
-            nonlocal breach_streak, idle_streak
-            changed = False
-            while True:
-                act_at = activation[0] if activation else float("inf")
-                event_at = min(next_tick, act_at)
-                if event_at > t_limit:
-                    break
-                if act_at <= next_tick and activation is not None:
-                    size = activation[1]
-                    activation = None
-                    plan = self._plan_for(size)
-                    timeline.append((act_at, size))
-                    record_fleet_size(size)
-                    record_flight(
-                        "fleet_resized", fleet_size=size, at_s=act_at,
-                        fleet=plan.fleet.name,
-                    )
-                    changed = True
-                    continue
-                t = next_tick
-                next_tick += policy.evaluate_every_s
-                admit_until(t)
-                while terminals and terminals[0][0] <= t:
-                    _, _, outcome, latency = heapq.heappop(terminals)
-                    monitor.observe(outcome, latency)
-                statuses = monitor.evaluate()
-                record_timeseries_tick(t)
-                if self.alerts is not None:
-                    self.alerts.tick(t)
-                depth = len(queue)
-                breach = (
-                    any(not s.ok for s in statuses)
-                    or depth > policy.queue_high
-                )
-                slack_ok = True
-                if p99_slo is not None:
-                    p99_value = next(
-                        s.value for s in statuses if s.slo is p99_slo
-                    )
-                    slack_ok = (
-                        p99_value <= policy.p99_slack * p99_slo.threshold
-                    )
-                idle = (
-                    not breach
-                    and depth <= policy.queue_low
-                    and slack_ok
-                )
-                breach_streak = breach_streak + 1 if breach else 0
-                idle_streak = idle_streak + 1 if idle else 0
-                if decide(t):
-                    changed = True
-            return changed
+    # -- the control plane ----------------------------------------------------
 
-        while i < len(pending) or queue:
-            if not queue:
-                ticks_until(pending[i].arrival_s)
-                admit_until(pending[i].arrival_s)
-                continue
-            interval = plan.bottleneck_seconds
-            transit = plan.fill_latency_seconds
-            oldest = queue[0]
-            window_close = oldest.arrival_s + self.config.batch_window_s
-            if len(queue) < self.capacity and (
-                i < len(pending) and pending[i].arrival_s <= window_close
-            ):
-                next_arrival = pending[i].arrival_s
-                if ticks_until(next_arrival):
-                    continue
-                admit_until(next_arrival)
-                continue
-            if len(queue) >= self.capacity:
-                dispatch_at = max(admit_free_at, oldest.arrival_s)
-            else:
-                dispatch_at = max(admit_free_at, window_close)
-            if ticks_until(dispatch_at):
-                continue  # plan changed — recompute the dispatch
-            admit_until(dispatch_at)
-
-            alive: list[InferenceRequest] = []
-            for req in queue:
-                if req.expired(dispatch_at):
-                    results.append(RequestResult(
-                        request_id=req.request_id, outcome="expired",
-                        arrival_s=req.arrival_s,
-                    ))
-                    record_request_outcome(
-                        "expired", request_id=req.request_id,
-                        trace_id=req.trace_ref, queue="autoscale",
-                    )
-                    push_terminal(dispatch_at, "expired", None)
-                    emit_virtual(
-                        "expired", "request", req.arrival_s,
-                        dispatch_at - req.arrival_s,
-                        tid=_request_tid(req.request_id),
-                        args={"trace_id": req.trace_ref,
-                              "request_id": req.request_id},
-                    )
-                else:
-                    alive.append(req)
-            queue = alive
-            record_queue_depth(len(queue), queue="autoscale")
-            if not queue:
-                continue
-
-            batch = queue[: self.capacity]
-            queue = queue[len(batch):]
-            record_queue_depth(len(queue), queue="autoscale")
-            finish = dispatch_at + transit
-            last_finish = max(last_finish, finish)
-            batch_id = len(batches)
-            for req in batch:
-                latency = finish - req.arrival_s
-                results.append(RequestResult(
-                    request_id=req.request_id, outcome="cluster",
-                    arrival_s=req.arrival_s, start_s=dispatch_at,
-                    finish_s=finish, batch_id=batch_id,
-                ))
-                record_request_outcome("cluster")
-                record_request_latency(latency, "cluster")
-                push_terminal(finish, "cluster", latency)
-                journey = {"trace_id": req.trace_ref,
-                           "request_id": req.request_id,
-                           "batch_id": batch_id}
-                emit_virtual(
-                    "queue_wait", "request", req.arrival_s,
-                    dispatch_at - req.arrival_s,
-                    tid=_request_tid(req.request_id), args=journey,
-                )
-                emit_virtual(
-                    "response", "request", finish, 0.0,
-                    tid=_request_tid(req.request_id),
-                    args={**journey, "latency_s": latency},
-                )
-            batches.append(BatchRecord(
-                batch_id=batch_id, mode="cluster", lanes=len(batch),
-                capacity=self.capacity, start_s=dispatch_at,
-                finish_s=finish,
-            ))
-            record_batch_dispatch(len(batch), self.capacity, "cluster")
-            record_cluster_batch(len(batch), transit)
-            if self.ledger is not None:
-                # Slot time is the batch's stage-compute occupancy of
-                # the *current* plan; wire bytes and per-inference
-                # energy likewise follow the plan serving the dispatch.
-                self.ledger.note_batch(
-                    [r.key_group for r in batch],
-                    sum(s.compute_seconds for s in plan.stages),
-                    wire_bytes=plan.total_transfer_bytes,
-                )
-                for stage in plan.stages:
-                    if stage.transfer_bytes:
-                        self.ledger.note_stage_wire(
-                            f"stage{stage.index}:{stage.device.name}",
-                            stage.transfer_bytes,
-                        )
-                self.ledger.settle(
-                    energy_joules=(
-                        len(batch) * plan.energy_per_inference_joules
-                    )
-                )
-            svc = self._service_for(size)
-            svc._emit_batch_journey(batch, batch_id, dispatch_at)
-            svc._publish_stages()
-            admit_free_at = dispatch_at + interval
-
+    def drain(self, loop: ServeLoop) -> float:
         # Keep ticking while completions are still in flight, so the
         # monitor sees the tail (SLO recovery events, final scale-down).
-        while terminals:
-            ticks_until(next_tick)
+        while loop.terminals:
+            self.advance(loop, self.next_tick)
+        return max(
+            self.last_finish, max(t for t, _ in self.billing),
+            self.timeline[-1][0],
+        )
 
-        end_s = max(
-            last_finish, max(t for t, _ in billing),
-            timeline[-1][0],
+    def decide(self, t: float) -> bool:
+        """One control decision at tick ``t``; True if the plan serving
+        new dispatches changed."""
+        scaler, policy = self.scaler, self.scaler.policy
+        size = self.size
+        if self.activation is not None:
+            return False  # a resize is already in flight
+        want_up = (
+            self.breach_streak >= policy.scale_up_after
+            and size < policy.max_nodes
         )
-        # End-of-run telemetry flush: the drain's terminal events must
-        # reach the time-series history and get one last alert pass.
-        record_timeseries_flush(end_s)
-        if self.alerts is not None:
-            self.alerts.tick(end_s)
-        node_seconds = _integrate(billing, end_s)
-        if self.ledger is not None:
-            # Billed node-seconds (spin-up and drain intervals included)
-            # settle onto tenants by their slot-time weight.
-            self.ledger.settle(node_seconds=node_seconds)
+        want_down = (
+            self.idle_streak >= policy.scale_down_after
+            and size > policy.min_nodes
+        )
+        if not want_up and not want_down:
+            self.suppressed_this_streak = False
+            return False
+        if t < self.cooldown_until:
+            if not self.suppressed_this_streak:
+                self.suppressed_this_streak = True
+                action = "scale_up" if want_up else "scale_down"
+                self.decisions.append(ScaleDecision(
+                    at_s=t, action="flap_suppressed",
+                    from_nodes=size, to_nodes=size,
+                    reason=f"cooldown until {self.cooldown_until:.1f}s "
+                           f"vetoed {action}",
+                ))
+                record_autoscale_decision(
+                    "flap_suppressed", size, at_s=t,
+                    wanted=action, cooldown_until_s=self.cooldown_until,
+                )
+            return False
+        self.suppressed_this_streak = False
+        if want_up:
+            new = min(size + policy.step, policy.max_nodes)
+            design_warm, context_warm = scaler._probe_warmth()
+            cost = scaler.spin_up.charge(design_warm, context_warm)
+            warm = design_warm and context_warm
+            record_spin_up_cost(cost, warm=warm)
+            # Re-partition for the grown fleet through the DP
+            # partitioner; warm design caches make this free.
+            scaler._service_for(new)
+            scaler.contexts.get_or_create(
+                scaler._context_key, lambda: object()
+            )
+            self.activation = (t + cost, new)
+            self.billing.append((t, new - size))
+            reason = (
+                f"breach streak {self.breach_streak} "
+                f"(queue or SLO) at {size} nodes"
+            )
+            self.decisions.append(ScaleDecision(
+                at_s=t, action="scale_up", from_nodes=size,
+                to_nodes=new, reason=reason, spin_up_s=cost,
+                effective_s=t + cost, warm=warm,
+            ))
+            record_autoscale_decision(
+                "scale_up", new, at_s=t, from_nodes=size,
+                spin_up_s=cost, warm=warm, reason=reason,
+            )
+            emit_virtual(
+                f"spin_up {size}->{new}", "autoscale", t, cost,
+                tid=AUTOSCALE_TID,
+                args={"from_nodes": size, "to_nodes": new,
+                      "spin_up_s": cost, "warm": warm},
+            )
+            self.cooldown_until = t + policy.cooldown_s
+            self.breach_streak = 0
+            return False  # old plan serves until activation
+        # Scale-down: new dispatches use the shrunk plan at once;
+        # the retiring node is billed until its pipeline drains.
+        new = max(size - policy.step, policy.min_nodes)
+        drain_until = max(t, self.last_finish)
+        reason = f"idle streak {self.idle_streak} at {size} nodes"
+        self.decisions.append(ScaleDecision(
+            at_s=t, action="scale_down", from_nodes=size,
+            to_nodes=new, reason=reason, effective_s=t,
+            drain_until_s=drain_until,
+        ))
+        record_autoscale_decision(
+            "scale_down", new, at_s=t, from_nodes=size,
+            drain_until_s=drain_until, reason=reason,
+        )
+        emit_virtual(
+            f"drain {size}->{new}", "autoscale", t,
+            max(0.0, drain_until - t), tid=AUTOSCALE_TID,
+            args={"from_nodes": size, "to_nodes": new,
+                  "drain_until_s": drain_until},
+        )
+        self.billing.append((drain_until, new - size))
+        self._resize(t, new)
+        self.cooldown_until = t + policy.cooldown_s
+        self.idle_streak = 0
+        return True
 
-        results.sort(key=lambda r: r.request_id)
-        serve = ServeReport(
-            results=tuple(results),
-            batches=tuple(batches),
-            config={
-                **self.config.as_dict(),
-                "capacity": self.capacity,
-                "autoscale": {
-                    "device": self.device.name,
-                    "policy": policy.as_dict(),
-                    "spin_up": self.spin_up.as_dict(),
-                    "slos": [s.as_dict() for s in self.slos],
-                },
-            },
-        )
-        record_throughput(serve.throughput_images_per_s)
-        return AutoscaleReport(
-            serve=serve,
-            decisions=tuple(decisions),
-            timeline=tuple(timeline),
-            node_seconds=node_seconds,
-            end_s=end_s,
-            policy=policy.as_dict(),
-            spin_up=self.spin_up.as_dict(),
-        )
+    def _resize(self, at_s: float, size: int) -> None:
+        self.size = size
+        self.scaler._service_for(size)
+        self.timeline.append((at_s, size))
+        record_fleet_size(size)
+
+    def advance(self, loop: ServeLoop, t_limit: float) -> bool:
+        """Fire activations and control ticks up to ``t_limit``; True if
+        the serving plan changed."""
+        policy = self.scaler.policy
+        changed = False
+        while True:
+            act_at = self.activation[0] if self.activation else float("inf")
+            if min(self.next_tick, act_at) > t_limit:
+                break
+            if act_at <= self.next_tick and self.activation is not None:
+                self._resize(act_at, self.activation[1])
+                self.activation = None
+                record_flight(
+                    "fleet_resized", fleet_size=self.size, at_s=act_at,
+                    fleet=self.scaler._service_for(self.size).plan.fleet.name,
+                )
+                changed = True
+                continue
+            t = self.next_tick
+            self.next_tick += policy.evaluate_every_s
+            loop.admit(t)
+            for result in loop.terminals_until(t):
+                self.monitor.observe(result.outcome, result.latency_s)
+            statuses = self.monitor.evaluate()
+            loop.tick(t)
+            depth = len(loop.queue)
+            breach = (
+                any(not s.ok for s in statuses) or depth > policy.queue_high
+            )
+            slack_ok = True
+            if self.p99_slo is not None:
+                p99_value = next(
+                    s.value for s in statuses if s.slo is self.p99_slo
+                )
+                slack_ok = (
+                    p99_value <= policy.p99_slack * self.p99_slo.threshold
+                )
+            idle = not breach and depth <= policy.queue_low and slack_ok
+            self.breach_streak = self.breach_streak + 1 if breach else 0
+            self.idle_streak = self.idle_streak + 1 if idle else 0
+            if self.decide(t):
+                changed = True
+        return changed
 
 
 def _integrate(billing: list[tuple[float, int]], end_s: float) -> float:

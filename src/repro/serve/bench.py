@@ -154,9 +154,7 @@ def autoscale_bench(
     """
     from .. import obs
     from ..cluster.capacity import plan_capacity
-    from ..cluster.serving import ClusterService
     from ..fpga import acu15eg
-    from ..hecnn.batched import max_batch_lanes
     from ..obs.registry import REGISTRY
     from .autoscale import AutoscalerConfig, FleetAutoscaler, held_fraction
     from .slo import Slo, _percentile
@@ -217,12 +215,7 @@ def autoscale_bench(
         # Static comparisons share the (now warm) planner and plans.
         static = {}
         for label, nodes in (("max", max_nodes), ("min", 1)):
-            service = ClusterService(
-                scaler._plan_for(nodes),
-                batch_capacity=max_batch_lanes(scaler.poly_degree),
-                config=config,
-            )
-            static_report = service.run(list(requests))
+            static_report = scaler._service_for(nodes).run(list(requests))
             lats = sorted(
                 r.latency_s for r in static_report.results
                 if r.latency_s is not None

@@ -8,7 +8,7 @@ session can reload a full serving session without re-running it.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Any
 
 
@@ -50,15 +50,7 @@ class RequestResult:
         return self.finish_s - self.arrival_s
 
     def to_dict(self) -> dict[str, Any]:
-        return {
-            "request_id": self.request_id,
-            "outcome": self.outcome,
-            "arrival_s": self.arrival_s,
-            "start_s": self.start_s,
-            "finish_s": self.finish_s,
-            "batch_id": self.batch_id,
-            "key_group": self.key_group,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, data: dict[str, Any]) -> "RequestResult":
@@ -106,15 +98,7 @@ class BatchRecord:
         return self.finish_s - self.start_s
 
     def to_dict(self) -> dict[str, Any]:
-        return {
-            "batch_id": self.batch_id,
-            "mode": self.mode,
-            "lanes": self.lanes,
-            "capacity": self.capacity,
-            "start_s": self.start_s,
-            "finish_s": self.finish_s,
-            "key_group": self.key_group,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, data: dict[str, Any]) -> "BatchRecord":
@@ -202,12 +186,18 @@ class ServeReport:
         }))
 
     def isolation_ok(self) -> bool:
-        """The cross-tenant invariant: no batch ever mixed key groups."""
+        """The cross-tenant invariant: no batch ever mixed key groups, and
+        each batch record names the one group its requests carry."""
         batch_groups: dict[int, set[str | None]] = {}
         for r in self.results:
             if r.batch_id is not None:
                 batch_groups.setdefault(r.batch_id, set()).add(r.key_group)
-        return all(len(groups) == 1 for groups in batch_groups.values())
+        if any(len(groups) != 1 for groups in batch_groups.values()):
+            return False
+        return all(
+            batch_groups.get(b.batch_id, {b.key_group}) == {b.key_group}
+            for b in self.batches
+        )
 
     def per_key_group(self) -> dict[str, dict[str, Any]]:
         """Per-tenant-key serving summary (completion counts, p50/p99)."""

@@ -1,25 +1,12 @@
-"""Virtual-time slot-batch scheduler: the serving policy, simulated.
+"""Virtual-time slot-batch scheduler: one accelerator, simulated.
 
-A discrete-event simulation of one accelerator serving single-image
-requests under the slot-batching policy:
-
-* arrivals join a **bounded admission queue** (backpressure: a full queue
-  rejects);
-* the accelerator dispatches a batch when the queue holds a full
-  ``capacity`` of lanes, or when the oldest waiting request has aged past
-  the **batch window** — the knob trading tail latency against slot fill;
-* requests whose **deadline** passes before dispatch expire instead of
-  wasting lanes;
-* an under-filled batch **degrades to LoLa**: if ``k`` serialized
-  single-image runs are cheaper than one batched run
-  (``k < crossover``), the scheduler runs them unbatched;
-* admission is **key-aware**: a batch only ever carries requests of one
-  tenant :attr:`~repro.serve.request.InferenceRequest.key_group` (slot
-  lanes of one ciphertext stream share one secret key).  A key group
-  dispatches when it fills a batch, and a rare key's partial batch ages
-  out when its oldest request's window closes rather than stranding —
-  ``key_group=None`` requests form the legacy single-key universe and
-  the policy reduces exactly to the original scheduler.
+The single-board executor of the shared serving loop
+(:class:`~repro.serve.loop.ServeLoop`, which owns the bounded admission
+queue, the key-aware batch window and deadline expiry).  The board is
+busy for a whole batch between dispatches, and an under-filled batch
+**degrades to LoLa**: if ``k`` serialized single-image runs are cheaper
+than one batched run (``k < crossover``), the scheduler runs them
+unbatched.
 
 Virtual time makes the policy exactly reproducible — batch latencies come
 from the DSE'd designs via :class:`~repro.serve.costmodel
@@ -30,32 +17,16 @@ real threads in :mod:`repro.serve.service`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
+from itertools import accumulate
 from typing import Any
 
 from ..obs.alerts import AlertEngine
-from ..obs.probes import (
-    record_batch_dispatch,
-    record_flight,
-    record_queue_depth,
-    record_request_latency,
-    record_request_outcome,
-    record_throughput,
-    record_timeseries_flush,
-    record_timeseries_tick,
-)
 from ..obs.tracing import emit_virtual, trace_span
-
-#: Virtual-trace track for batch events; request journeys ride on
-#: ``tid = request_id + 1`` (track 0 is the batch lane).
-BATCH_TID = 0
-
-
-def _request_tid(request_id: int) -> int:
-    return request_id + 1
 from .costmodel import ServingCostModel
 from .costs import CostLedger
-from .records import BatchRecord, RequestResult, ServeReport
+from .loop import BATCH_TID, ServeLoop
+from .records import BatchRecord, ServeReport
 from .request import InferenceRequest
 
 
@@ -84,12 +55,7 @@ class SchedulerConfig:
             raise ValueError("queue_capacity must be >= 1")
 
     def as_dict(self) -> dict[str, Any]:
-        return {
-            "batch_window_s": self.batch_window_s,
-            "max_lanes": self.max_lanes,
-            "queue_capacity": self.queue_capacity,
-            "degrade_to_lola": self.degrade_to_lola,
-        }
+        return asdict(self)
 
 
 class SlotBatchScheduler:
@@ -111,227 +77,47 @@ class SlotBatchScheduler:
         #: Optional alert engine ticked along the virtual clock.
         self.alerts = alerts
 
-    def _obs_tick(self, now_s: float) -> None:
-        """Advance the telemetry clock at a virtual instant: sample the
-        time-series store and evaluate alert rules against it."""
-        record_timeseries_tick(now_s)
-        if self.alerts is not None:
-            self.alerts.tick(now_s)
-
-    def _obs_flush(self, now_s: float) -> None:
-        """End-of-run: force a final sample so terminal events are in
-        the history, then give alert rules one last evaluation."""
-        record_timeseries_flush(now_s)
-        if self.alerts is not None:
-            self.alerts.tick(now_s)
-
     def run(self, requests: list[InferenceRequest]) -> ServeReport:
         with trace_span("serve.run", category="serve",
                         window=self.config.batch_window_s) as span:
-            report = self._run(requests)
+            report = ServeLoop(
+                requests, self, self.config, self.capacity,
+                alerts=self.alerts,
+            ).run(cost_model=self.cost_model.as_dict())
             span.set(completed=report.completed,
                      throughput=report.throughput_images_per_s)
         return report
 
-    def _run(self, requests: list[InferenceRequest]) -> ServeReport:
-        pending = sorted(requests, key=lambda r: (r.arrival_s, r.request_id))
-        queue: list[InferenceRequest] = []
-        results: list[RequestResult] = []
-        batches: list[BatchRecord] = []
-        free_at = 0.0
-        end_s = 0.0
-        i = 0
+    # -- the executor ---------------------------------------------------------
 
-        def admit_until(t: float) -> None:
-            nonlocal i, end_s
-            end_s = max(end_s, t)
-            self._obs_tick(t)
-            while i < len(pending) and pending[i].arrival_s <= t:
-                req = pending[i]
-                i += 1
-                if len(queue) >= self.config.queue_capacity:
-                    results.append(RequestResult(
-                        request_id=req.request_id, outcome="rejected",
-                        arrival_s=req.arrival_s, key_group=req.key_group,
-                    ))
-                    record_request_outcome(
-                        "rejected", request_id=req.request_id,
-                        trace_id=req.trace_ref, queue="serve",
-                    )
-                    # Mirror the "admit" flight event so dump-on-error
-                    # windows show backpressure, not just acceptances.
-                    record_flight(
-                        "reject", request_id=req.request_id,
-                        trace_id=req.trace_ref, queue="serve",
-                        depth=len(queue), key_group=req.key_group,
-                    )
-                else:
-                    queue.append(req)
-                    record_flight(
-                        "admit", request_id=req.request_id,
-                        trace_id=req.trace_ref, queue="serve",
-                        depth=len(queue), key_group=req.key_group,
-                    )
-                record_queue_depth(len(queue))
+    def execute(
+        self, batch: list[InferenceRequest], at_s: float
+    ) -> tuple[str, list[float], float]:
+        """The board is busy until the batch finishes; an under-filled
+        batch below the cost crossover runs as ``k`` serialized LoLa runs."""
+        k = len(batch)
+        if self.config.degrade_to_lola and self.cost_model.lola_wins(k):
+            single = self.cost_model.single_request_seconds()
+            finishes = list(accumulate([single] * k, initial=at_s))[1:]
+            return "lola", finishes, finishes[-1]
+        finish = at_s + self.cost_model.batch_seconds(k)
+        return "batched", [finish] * k, finish
 
-        def full_group_head() -> InferenceRequest | None:
-            """Oldest member of the first key group that fills a batch.
-
-            FIFO scan keeps the choice deterministic: among groups that
-            can dispatch full right now, the one that has waited longest
-            goes first.  Returning the member (not the group) keeps
-            ``key_group=None`` — a valid legacy group — distinguishable
-            from "no group is full".
-            """
-            counts: dict[str | None, int] = {}
-            for req in queue:
-                counts[req.key_group] = counts.get(req.key_group, 0) + 1
-            for req in queue:
-                if counts[req.key_group] >= self.capacity:
-                    return req
-            return None
-
-        while i < len(pending) or queue:
-            if not queue:
-                admit_until(pending[i].arrival_s)
-                continue
-            oldest = queue[0]
-            full_head = full_group_head()
-            if full_head is None:
-                # No key group fills a batch yet.  The oldest request's
-                # window bounds how long its group may wait for key-mates;
-                # rare keys age out at window close instead of stranding.
-                group = oldest.key_group
-                window_close = oldest.arrival_s + self.config.batch_window_s
-                if i < len(pending) and pending[i].arrival_s <= window_close:
-                    # The batch is still open and more arrivals land
-                    # before the window closes: wait for them.
-                    admit_until(pending[i].arrival_s)
-                    continue
-                dispatch_at = max(free_at, window_close)
-            else:
-                group = full_head.key_group
-                dispatch_at = max(free_at, full_head.arrival_s)
-            # Arrivals while the accelerator drains still make this batch.
-            admit_until(dispatch_at)
-
-            # Deadline check happens at dispatch: a request that would
-            # start past its deadline expires instead of occupying a lane.
-            alive: list[InferenceRequest] = []
-            for req in queue:
-                if req.expired(dispatch_at):
-                    results.append(RequestResult(
-                        request_id=req.request_id, outcome="expired",
-                        arrival_s=req.arrival_s, key_group=req.key_group,
-                    ))
-                    record_request_outcome(
-                        "expired", request_id=req.request_id,
-                        trace_id=req.trace_ref, queue="serve",
-                    )
-                    emit_virtual(
-                        "expired", "request", req.arrival_s,
-                        dispatch_at - req.arrival_s,
-                        tid=_request_tid(req.request_id),
-                        args={"trace_id": req.trace_ref,
-                              "request_id": req.request_id},
-                    )
-                else:
-                    alive.append(req)
-            queue = alive
-            record_queue_depth(len(queue))
-            if not queue:
-                continue
-
-            # Only the chosen key group rides this batch — lanes of one
-            # ciphertext stream all decrypt under one key.
-            batch = [
-                r for r in queue if r.key_group == group
-            ][: self.capacity]
-            if not batch:
-                continue  # the whole group expired; re-pick next round
-            taken = {r.request_id for r in batch}
-            queue = [r for r in queue if r.request_id not in taken]
-            record_queue_depth(len(queue))
-            k = len(batch)
-            mode = "batched"
-            if self.config.degrade_to_lola and self.cost_model.lola_wins(k):
-                mode = "lola"
-            if mode == "lola":
-                single = self.cost_model.single_request_seconds()
-                finish = dispatch_at
-                for req in batch:
-                    finish += single
-                    self._complete(results, req, mode, dispatch_at, finish,
-                                   len(batches))
-                free_at = finish
-            else:
-                finish = dispatch_at + self.cost_model.batch_seconds(k)
-                for req in batch:
-                    self._complete(results, req, mode, dispatch_at, finish,
-                                   len(batches))
-                free_at = finish
-            batches.append(BatchRecord(
-                batch_id=len(batches), mode=mode, lanes=k,
-                capacity=self.capacity, start_s=dispatch_at,
-                finish_s=free_at, key_group=group,
-            ))
-            if self.ledger is not None:
-                # The batch occupies the accelerator dispatch->finish;
-                # each lane is charged its exact share.
-                self.ledger.note_batch(
-                    [r.key_group for r in batch], free_at - dispatch_at
-                )
-            record_batch_dispatch(k, self.capacity, mode)
-            end_s = max(end_s, free_at)
-            self._obs_tick(free_at)
-            emit_virtual(
-                f"batch {batches[-1].batch_id} [{mode}]", "serve.batch",
-                dispatch_at, free_at - dispatch_at, tid=BATCH_TID,
-                args={
-                    "batch_id": batches[-1].batch_id, "lanes": k,
-                    "mode": mode, "key_group": group,
-                    "trace_ids": [r.trace_ref for r in batch[:64]],
-                },
-            )
-
-        self._obs_flush(end_s)
-        results.sort(key=lambda r: r.request_id)
-        report = ServeReport(
-            results=tuple(results),
-            batches=tuple(batches),
-            config={
-                **self.config.as_dict(),
-                "capacity": self.capacity,
-                "cost_model": self.cost_model.as_dict(),
-            },
-        )
-        record_throughput(report.throughput_images_per_s)
-        return report
-
-    @staticmethod
-    def _complete(
-        results: list[RequestResult],
-        req: InferenceRequest,
-        mode: str,
-        start_s: float,
-        finish_s: float,
-        batch_id: int,
+    def on_batch(
+        self, batch: list[InferenceRequest], record: BatchRecord
     ) -> None:
-        results.append(RequestResult(
-            request_id=req.request_id, outcome=mode,
-            arrival_s=req.arrival_s, start_s=start_s, finish_s=finish_s,
-            batch_id=batch_id, key_group=req.key_group,
-        ))
-        record_request_outcome(mode)
-        record_request_latency(finish_s - req.arrival_s, mode)
-        journey = {"trace_id": req.trace_ref, "request_id": req.request_id,
-                   "batch_id": batch_id}
+        if self.ledger is not None:
+            # The batch occupies the accelerator dispatch->finish; each
+            # lane is charged its exact share.
+            self.ledger.note_batch(
+                [r.key_group for r in batch], record.duration_s
+            )
         emit_virtual(
-            "queue_wait", "request", req.arrival_s,
-            start_s - req.arrival_s, tid=_request_tid(req.request_id),
-            args=journey,
-        )
-        emit_virtual(
-            "execute", "request", start_s, finish_s - start_s,
-            tid=_request_tid(req.request_id), args={**journey, "mode": mode},
+            f"batch {record.batch_id} [{record.mode}]", "serve.batch",
+            record.start_s, record.duration_s, tid=BATCH_TID,
+            args={
+                "batch_id": record.batch_id, "lanes": record.lanes,
+                "mode": record.mode, "key_group": record.key_group,
+                "trace_ids": [r.trace_ref for r in batch[:64]],
+            },
         )

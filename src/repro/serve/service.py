@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import threading
 import time
+from collections import Counter
 from concurrent.futures import Future, ThreadPoolExecutor
 from typing import Any, Callable
 
@@ -39,6 +40,7 @@ from ..obs.probes import (
 from ..obs.tracectx import new_trace_id, trace_context
 from ..obs.tracing import trace_span
 from .costmodel import ServingCostModel
+from .loop import full_group_head
 from .records import BatchRecord, RequestResult, ServeReport
 from .request import InferenceRequest
 from .slo import SloMonitor
@@ -242,21 +244,6 @@ class InferenceService:
             if batch:
                 self._pool.submit(self._run_batch, batch)
 
-    def _full_group_head(self) -> _Entry | None:
-        """Oldest entry of the first key group filling a batch (cond held).
-
-        Returning the entry keeps ``key_group=None`` — the valid legacy
-        single-key group — distinguishable from "no group is full".
-        """
-        counts: dict[str | None, int] = {}
-        for entry in self._queue:
-            group = entry.request.key_group
-            counts[group] = counts.get(group, 0) + 1
-        for entry in self._queue:
-            if counts[entry.request.key_group] >= self.capacity:
-                return entry
-        return None
-
     def _collect_batch(self) -> list[_Entry] | None:
         """Block until a batch is due; None means shut down."""
         with self._cond:
@@ -272,8 +259,10 @@ class InferenceService:
                 if self._closed:
                     chosen = self._queue[0] if self._queue else None
                     break
-                chosen = self._full_group_head()
-                if chosen is not None:
+                groups = [e.request.key_group for e in self._queue]
+                head = full_group_head(groups, Counter(groups), self.capacity)
+                if head is not None:
+                    chosen = self._queue[head]
                     break
                 oldest = self._queue[0].request
                 remaining = (

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from repro.serve import (
@@ -63,6 +65,34 @@ def test_report_aggregates():
     p = report.latency_percentiles()
     assert p["p50"] == pytest.approx(1.5)  # latencies: 2.0, 1.5
     assert p["max"] == pytest.approx(2.0)
+
+
+def test_isolation_requires_batch_record_to_name_its_group():
+    """A loop that tags the results but not the batch record (or the
+    other way round) must fail the invariant, not pass it vacuously."""
+    results = tuple(
+        RequestResult(request_id=i, outcome="cluster", arrival_s=0.0,
+                      start_s=1.0, finish_s=2.0, batch_id=0,
+                      key_group="t1:k0")
+        for i in range(2)
+    )
+
+    def report(record_group, result_group="t1:k0"):
+        return ServeReport(
+            results=tuple(
+                replace(r, key_group=result_group) for r in results
+            ),
+            batches=(BatchRecord(batch_id=0, mode="cluster", lanes=2,
+                                 capacity=4, start_s=1.0, finish_s=2.0,
+                                 key_group=record_group),),
+            config={},
+        )
+
+    assert report("t1:k0").isolation_ok()
+    assert not report(None).isolation_ok()
+    assert not report("t2:k0").isolation_ok()
+    assert not report("t1:k0", result_group=None).isolation_ok()
+    assert report(None, result_group=None).isolation_ok()
 
 
 def test_empty_report_is_well_defined():

@@ -10,7 +10,7 @@ from pathlib import Path
 
 REPO = Path(__file__).resolve().parents[1]
 SCRIPT = REPO / "benchmarks" / "check_regression.py"
-OUTPUT = REPO / "benchmarks" / "output"
+BASELINES = REPO / "benchmarks" / "baselines"
 
 
 def _run(*extra: str) -> subprocess.CompletedProcess:
@@ -21,7 +21,7 @@ def _run(*extra: str) -> subprocess.CompletedProcess:
 
 
 def test_committed_baselines_pass_clean():
-    proc = _run()
+    proc = _run("--fresh-dir", str(BASELINES))
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert "0 regressed" in proc.stdout
 
@@ -29,7 +29,7 @@ def test_committed_baselines_pass_clean():
 def test_synthetic_20pct_latency_regression_fails(tmp_path):
     fresh = tmp_path / "fresh"
     fresh.mkdir()
-    record = json.loads((OUTPUT / "BENCH_serve.json").read_text())
+    record = json.loads((BASELINES / "BENCH_serve.json").read_text())
     for row in record["curve"]:
         row["latency_p99_s"] *= 1.2
     (fresh / "BENCH_serve.json").write_text(json.dumps(record))
@@ -42,7 +42,7 @@ def test_synthetic_20pct_latency_regression_fails(tmp_path):
 def test_improvement_and_small_noise_pass(tmp_path):
     fresh = tmp_path / "fresh"
     fresh.mkdir()
-    record = json.loads((OUTPUT / "BENCH_serve.json").read_text())
+    record = json.loads((BASELINES / "BENCH_serve.json").read_text())
     record["amortized_speedup"] *= 1.5          # improvement
     for row in record["curve"]:
         row["latency_p99_s"] *= 1.05            # within 15% tolerance
@@ -54,7 +54,7 @@ def test_improvement_and_small_noise_pass(tmp_path):
 def test_broken_invariant_fails(tmp_path):
     fresh = tmp_path / "fresh"
     fresh.mkdir()
-    record = json.loads((OUTPUT / "BENCH_cluster.json").read_text())
+    record = json.loads((BASELINES / "BENCH_cluster.json").read_text())
     record["warm_rerun"]["flat"] = False
     (fresh / "BENCH_cluster.json").write_text(json.dumps(record))
     proc = _run("--only", "BENCH_cluster", "--fresh-dir", str(fresh))
@@ -65,7 +65,7 @@ def test_broken_invariant_fails(tmp_path):
 def test_pinned_kernel_backend_mismatch_fails(tmp_path):
     fresh = tmp_path / "fresh"
     fresh.mkdir()
-    record = json.loads((OUTPUT / "BENCH_fhe.json").read_text())
+    record = json.loads((BASELINES / "BENCH_fhe.json").read_text())
     record["fastpath"]["kernel_backend"] = "numpy-lazy"
     (fresh / "BENCH_fhe.json").write_text(json.dumps(record))
     proc = _run("--only", "BENCH_fhe", "--fresh-dir", str(fresh))
@@ -76,7 +76,7 @@ def test_pinned_kernel_backend_mismatch_fails(tmp_path):
 def test_kernel_matrix_invariant_and_ratio_gated(tmp_path):
     fresh = tmp_path / "fresh"
     fresh.mkdir()
-    record = json.loads((OUTPUT / "BENCH_fhe_kernels.json").read_text())
+    record = json.loads((BASELINES / "BENCH_fhe_kernels.json").read_text())
     record["default_beats_reference"] = False
     record["backends"]["montgomery"]["speedup_vs_reference"] *= 0.4
     (fresh / "BENCH_fhe_kernels.json").write_text(json.dumps(record))
@@ -89,7 +89,7 @@ def test_kernel_matrix_invariant_and_ratio_gated(tmp_path):
 def test_noise_baseline_regression_fails(tmp_path):
     fresh = tmp_path / "fresh"
     fresh.mkdir()
-    record = json.loads((OUTPUT / "BENCH_noise.json").read_text())
+    record = json.loads((BASELINES / "BENCH_noise.json").read_text())
     # Lose two bits of final analytic precision on the tiny network.
     record["networks"][0]["final_analytic_bits"] -= 2.0
     (fresh / "BENCH_noise.json").write_text(json.dumps(record))
@@ -102,7 +102,7 @@ def test_noise_baseline_regression_fails(tmp_path):
 def test_noise_audit_invariant_breaks_the_gate(tmp_path):
     fresh = tmp_path / "fresh"
     fresh.mkdir()
-    record = json.loads((OUTPUT / "BENCH_noise.json").read_text())
+    record = json.loads((BASELINES / "BENCH_noise.json").read_text())
     record["networks"][0]["audit_ok"] = False
     (fresh / "BENCH_noise.json").write_text(json.dumps(record))
     proc = _run("--only", "BENCH_noise", "--fresh-dir", str(fresh))
@@ -114,7 +114,7 @@ def test_noise_audit_invariant_breaks_the_gate(tmp_path):
 def test_noise_per_layer_metrics_are_gated(tmp_path):
     fresh = tmp_path / "fresh"
     fresh.mkdir()
-    shutil.copy(OUTPUT / "BENCH_noise.json", fresh / "BENCH_noise.json")
+    shutil.copy(BASELINES / "BENCH_noise.json", fresh / "BENCH_noise.json")
     report_path = tmp_path / "report.json"
     proc = _run("--only", "BENCH_noise", "--fresh-dir", str(fresh),
                 "--json", str(report_path))
@@ -136,7 +136,7 @@ def test_json_report_lists_every_gated_metric(tmp_path):
     report_path = tmp_path / "report.json"
     fresh = tmp_path / "fresh"
     fresh.mkdir()
-    shutil.copy(OUTPUT / "BENCH_fhe.json", fresh / "BENCH_fhe.json")
+    shutil.copy(BASELINES / "BENCH_fhe.json", fresh / "BENCH_fhe.json")
     proc = _run("--only", "BENCH_fhe", "--fresh-dir", str(fresh),
                 "--json", str(report_path))
     assert proc.returncode == 0
