@@ -34,6 +34,7 @@ import numpy as np
 
 from .analysis import format_table
 from .core import FxHennFramework, design_to_json, pareto_frontier, solution_scatter
+from .fhe import kernels
 from .fpga import acu9eg, acu15eg, device_by_name
 from .hecnn import fxhenn_cifar10_model, fxhenn_mnist_model, tiny_mnist_model
 
@@ -60,6 +61,13 @@ def _device(name: str):
         raise SystemExit(str(exc)) from None
 
 
+#: ``--kernel-backend`` help shared by every FHE subcommand.
+_KERNEL_BACKEND_HELP = (
+    f"FHE kernel backend ({' or '.join(kernels.available_backends())}; "
+    f"default {kernels.DEFAULT_BACKEND}); overrides REPRO_KERNEL_BACKEND"
+)
+
+
 def _select_kernel_backend(name: str | None) -> None:
     """Activate ``--kernel-backend`` before any FHE work happens.
 
@@ -69,8 +77,6 @@ def _select_kernel_backend(name: str | None) -> None:
     """
     if not name:
         return
-    from .fhe import kernels
-
     try:
         kernels.set_backend(name)
     except KeyError as exc:
@@ -410,7 +416,7 @@ def cmd_profile(args: argparse.Namespace) -> int:
         return _profile_diff(args)
 
     from . import obs
-    from .fhe import CkksContext, kernels
+    from .fhe import CkksContext
     from .fhe.ops import OperationRecorder
 
     _select_kernel_backend(args.kernel_backend)
@@ -518,7 +524,7 @@ def cmd_explain(args: argparse.Namespace) -> int:
     import json
 
     from . import obs
-    from .fhe import CkksContext, kernels
+    from .fhe import CkksContext
     from .fhe.noise import NoiseEstimator
 
     _select_kernel_backend(args.kernel_backend)
@@ -1290,9 +1296,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="mnist only: reduced N=2048 parameters")
     p_inf.add_argument("--seed", type=int, default=4)
     p_inf.add_argument("--kernel-backend", metavar="NAME",
-                       help="FHE kernel backend (reference, numpy-lazy, "
-                            "montgomery, parallel, ...); overrides "
-                            "REPRO_KERNEL_BACKEND")
+                       help=_KERNEL_BACKEND_HELP)
 
     p_prof = sub.add_parser(
         "profile",
@@ -1312,10 +1316,7 @@ def build_parser() -> argparse.ArgumentParser:
                              "analytic noise bits to form the headroom "
                              "column (default 8)")
     p_prof.add_argument("--kernel-backend", metavar="NAME",
-                        help="FHE kernel backend (reference, numpy-lazy, "
-                             "montgomery, parallel, ...); overrides "
-                             "REPRO_KERNEL_BACKEND; reported in the "
-                             "profile output")
+                        help=_KERNEL_BACKEND_HELP)
     p_prof.add_argument("--diff", nargs=2, metavar=("OLD.json", "NEW.json"),
                         help="compare two saved '--format json' profiles "
                              "instead of running an inference: per-layer "
@@ -1354,10 +1355,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="write the lineage DAG (Graphviz DOT) to "
                              "this file")
     p_expl.add_argument("--kernel-backend", metavar="NAME",
-                        help="FHE kernel backend (reference, numpy-lazy, "
-                             "montgomery, parallel, ...); overrides "
-                             "REPRO_KERNEL_BACKEND; recorded per op in "
-                             "the lineage DAG")
+                        help=_KERNEL_BACKEND_HELP)
 
     p_serve = sub.add_parser(
         "serve", help="simulate a slot-batched serving session"

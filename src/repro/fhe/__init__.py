@@ -46,10 +46,8 @@ from .noise import (
     publish_noise_budget,
 )
 from .ntt import (
-    TRANSFORM_STATS,
     BatchedNttContext,
     NttContext,
-    TransformStats,
     clear_caches,
     get_batched_ntt_context,
     get_ntt_context,
@@ -95,8 +93,6 @@ __all__ = [
     "NoiseEstimator",
     "NttContext",
     "OperationRecorder",
-    "TRANSFORM_STATS",
-    "TransformStats",
     "Plaintext",
     "PublicKey",
     "RnsBasis",

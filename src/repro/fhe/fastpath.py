@@ -1,60 +1,37 @@
-"""Global switches for the FHE kernel fast paths.
+"""Global switches for the FHE fast paths that change the algorithm.
 
-The substrate carries two functionally identical implementations of its hot
-kernels: the original per-prime reference paths (kept as correctness
-oracles and as the "seed" baseline for before/after benchmarking) and the
-fast paths introduced for performance:
+Kernel *implementation* choices live in :mod:`repro.fhe.kernels`; the
+flags here choose between two ways of computing the same result:
 
-* ``batched_ntt`` — transform all L RNS rows in one stacked numpy call with
-  Shoup twiddle quotients and lazy reduction (:class:`repro.fhe.ntt
-  .BatchedNttContext`) instead of looping per-prime butterflies.
-* ``ntt_galois`` — apply the Galois automorphism ``X -> X^g`` as a pure
-  permutation of NTT-domain evaluation points instead of an
-  inverse-NTT / permute / forward-NTT round trip.
 * ``plaintext_cache`` — encode + forward-transform each weight/bias/mask
   plaintext once per network (cached on the :class:`~repro.fhe.context
   .CkksContext`) instead of once per window per inference.
-* ``vectorized_keyswitch`` — lift all decomposition digits into the
-  extended basis and transform them in a single batched NTT call.
 * ``hoisted_rotations`` — execute rotate-and-sum folds as Halevi-Shoup
   hoisted groups: one digit decomposition / lift / forward NTT / rescale
   shared by all subset-sum rotations of a group
   (:meth:`repro.fhe.ops.Evaluator.rotate_fold`).
 
-Every *kernel* fast path is bit-identical to its reference path
-(property-tested in ``tests/fhe/test_fastpath.py``); toggling changes
-performance only.  ``hoisted_rotations`` is the one algorithm-level fast
-path: it shares a single rescale across a rotation group, so its rounding
-differs from the sequential walk — outputs are numerically equivalent
-(within the CKKS noise budget; regression-tested end to end) but not
-bit-identical to the sequential fold.
-
-The kernel fast paths execute through whichever compute backend
-``repro.fhe.kernels`` has active — these flags choose the *algorithmic*
-path, the kernel registry chooses the *implementation* underneath it.
+The plaintext cache returns bit-identical plaintexts, so toggling it
+changes performance only.  ``hoisted_rotations`` shares a single rescale
+across a rotation group, so its rounding differs from the sequential walk —
+outputs are numerically equivalent (within the CKKS noise budget;
+regression-tested end to end) but not bit-identical to the sequential fold.
 """
 
 from __future__ import annotations
 
 import threading
 from contextlib import contextmanager
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 from typing import Iterator
 
 
 @dataclass(frozen=True)
 class FastPathConfig:
-    """Which kernel fast paths are active."""
+    """Which algorithm-level fast paths are active."""
 
-    batched_ntt: bool = True
-    ntt_galois: bool = True
     plaintext_cache: bool = True
-    vectorized_keyswitch: bool = True
     hoisted_rotations: bool = True
-
-    @classmethod
-    def all_disabled(cls) -> "FastPathConfig":
-        return cls(**{f.name: False for f in fields(cls)})
 
 
 #: Serializes every swap of the module-global config.  The parallel DSE
@@ -87,21 +64,6 @@ def overridden(**flags: bool) -> Iterator[FastPathConfig]:
     with _lock:
         previous = _config
         _config = replace(_config, **flags)
-        current = _config
-    try:
-        yield current
-    finally:
-        with _lock:
-            _config = previous
-
-
-@contextmanager
-def disabled() -> Iterator[FastPathConfig]:
-    """Temporarily run with every fast path off (the seed baseline)."""
-    global _config
-    with _lock:
-        previous = _config
-        _config = FastPathConfig.all_disabled()
         current = _config
     try:
         yield current

@@ -1,8 +1,8 @@
 """Montgomery-domain batched NTT backend.
 
-The numpy-lazy fast path (:class:`~repro.fhe.ntt.BatchedNttContext`) spends
-most of its time in per-stage numpy passes, and two structural costs
-dominate on top of the raw arithmetic:
+A stacked Harvey-lazy/Shoup NTT over all RNS rows spends most of its time
+in per-stage numpy passes, and two structural costs dominate on top of the
+raw arithmetic:
 
 * broadcast operands (``(1, L, 1, 1)`` modulus columns, strided twiddle
   views) make the uint64 inner loops ~2.5x slower than scalar-constant

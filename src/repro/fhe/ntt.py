@@ -6,28 +6,22 @@ whole accelerator.  This module implements the functional transform used by
 the FHE substrate; its hardware cost model (``LAT_NTT = log2(N) * N /
 (2 * nc_NTT)``, Eq. 4) lives in ``repro.fpga.modules``.
 
-Two implementations coexist:
+* :class:`NttContext` — the per-prime transform: standard iterative
+  Cooley-Tukey butterflies with the 2N-th root ``psi`` merged into the
+  twiddle factors (forward), and Gentleman-Sande with ``psi**-1``
+  (inverse), fully reducing after every stage.  The ``reference`` kernel
+  backend runs it row by row; it is the one correctness oracle.
+* :class:`BatchedNttContext` — the per-chain tables shared by the
+  production kernels and the ring code: stacked twiddles and their Shoup
+  quotients, tiled modulus/Barrett constants, NTT-domain Galois
+  permutations and the Rescale inverses.
 
-* :class:`NttContext` — the per-prime reference transform: standard
-  iterative Cooley-Tukey butterflies with the 2N-th root ``psi`` merged
-  into the twiddle factors (forward), and Gentleman-Sande with ``psi**-1``
-  (inverse), fully reducing after every stage.  Kept as the correctness
-  oracle and the "seed" baseline.
-* :class:`BatchedNttContext` — the fast path: all L RNS rows transformed
-  in one stacked numpy call, with Shoup-style precomputed twiddle
-  quotients and Harvey lazy reduction (butterfly values live in ``[0, 4q)``
-  forward / ``[0, 2q)`` inverse; the final correction is folded into one
-  pass after the last stage).  Bit-identical to the reference.
-
-Both are also exposed as swappable *kernel backends* (``reference`` /
-``numpy-lazy``) through :mod:`repro.fhe.kernels`, alongside the faster
-Montgomery, process-pool and optional numba implementations; HE call
-sites dispatch through :func:`repro.fhe.kernels.active_backend`.
-
-Contexts are cached in an explicit, inspectable registry
-(:func:`get_ntt_context` / :func:`get_batched_ntt_context`,
-:func:`clear_caches`, :func:`registry_info`), and every transform counts
-its per-row invocations in :data:`TRANSFORM_STATS` so NTT-pressure
+HE call sites transform through :func:`repro.fhe.kernels.active_backend`
+(``montgomery`` by default).  Contexts are cached in an explicit,
+inspectable registry (:func:`get_ntt_context` /
+:func:`get_batched_ntt_context`, :func:`clear_caches`,
+:func:`registry_info`), and every transform counts its per-row invocations
+in the ``ntt_transform_{calls,rows}`` registry counters so NTT-pressure
 reductions are measurable.
 """
 
@@ -47,8 +41,8 @@ from .modmath import (
 )
 
 _U64 = np.uint64
-#: Shoup quotients use beta = 32: with q < 2**30 every butterfly value
-#: stays below 4q <= 2**32 and all intermediate products fit in uint64.
+#: Shoup quotients use beta = 32: with q < 2**30 every lazy operand stays
+#: below 4q <= 2**32 and all intermediate products fit in uint64.
 _SHOUP_SHIFT = _U64(32)
 
 
@@ -71,8 +65,8 @@ def bit_reverse_indices(n: int) -> np.ndarray:
 #: The transform counters live in the obs metrics registry (``repro.obs``),
 #: shared with the rest of the instrumentation stack; the handles are cached
 #: here so the per-transform cost stays two integer adds.  Counters are
-#: always live (not gated by the obs enable flag) — they pre-date the obs
-#: subsystem and the fast-path tests rely on them unconditionally.
+#: always live (not gated by the obs enable flag): the kernel tests and the
+#: benchmark harness read the direction totals unconditionally.
 _FWD_CALLS = _OBS_REGISTRY.counter("ntt_transform_calls", direction="forward")
 _INV_CALLS = _OBS_REGISTRY.counter("ntt_transform_calls", direction="inverse")
 _FWD_ROWS = _OBS_REGISTRY.counter("ntt_transform_rows", direction="forward")
@@ -86,10 +80,9 @@ _BACKEND_COUNTERS: dict[tuple[str, str], tuple] = {}
 def count_transform(direction: str, rows: int, backend: str) -> None:
     """Count one transform call covering ``rows`` length-N rows.
 
-    Increments both the direction-only totals (the long-standing
-    :data:`TRANSFORM_STATS` contract) and ``backend``-labelled counters so
-    metrics snapshots attribute NTT pressure to the kernel backend that
-    actually executed it.
+    Increments both the direction-only totals and ``backend``-labelled
+    counters so metrics snapshots attribute NTT pressure to the kernel
+    backend that actually executed it.
     """
     pair = _BACKEND_COUNTERS.get((direction, backend))
     if pair is None:
@@ -109,62 +102,6 @@ def count_transform(direction: str, rows: int, backend: str) -> None:
     else:
         _INV_CALLS.inc()
         _INV_ROWS.inc(rows)
-
-
-class TransformStats:
-    """Counts NTT invocations: one *row* is one length-N transform.
-
-    A batched call over an ``(L, N)`` residue matrix counts as one call and
-    ``L`` rows, so ``forward_rows + inverse_rows`` measures total NTT
-    pressure independently of batching.
-
-    Compat shim: since the obs subsystem landed, the four counts are views
-    over the shared metrics registry (``ntt_transform_calls`` /
-    ``ntt_transform_rows``), so ``repro.obs.reset()`` and
-    :meth:`reset` zero the same state.  The ``snapshot()`` /
-    ``total_rows`` API is unchanged.
-    """
-
-    @property
-    def forward_calls(self) -> int:
-        return _FWD_CALLS.value
-
-    @property
-    def inverse_calls(self) -> int:
-        return _INV_CALLS.value
-
-    @property
-    def forward_rows(self) -> int:
-        return _FWD_ROWS.value
-
-    @property
-    def inverse_rows(self) -> int:
-        return _INV_ROWS.value
-
-    @property
-    def total_rows(self) -> int:
-        return self.forward_rows + self.inverse_rows
-
-    def reset(self) -> None:
-        for counter in (_FWD_CALLS, _INV_CALLS, _FWD_ROWS, _INV_ROWS):
-            counter.reset()
-        for calls, rows in _BACKEND_COUNTERS.values():
-            calls.reset()
-            rows.reset()
-
-    def snapshot(self) -> dict[str, int]:
-        return {
-            "forward_calls": self.forward_calls,
-            "inverse_calls": self.inverse_calls,
-            "forward_rows": self.forward_rows,
-            "inverse_rows": self.inverse_rows,
-            "total_rows": self.total_rows,
-        }
-
-
-#: Process-global transform counter (reset via ``TRANSFORM_STATS.reset()``
-#: or ``repro.obs.reset()`` — same underlying registry counters).
-TRANSFORM_STATS = TransformStats()
 
 
 class NttContext:
@@ -265,26 +202,15 @@ class NttContext:
 
 
 class BatchedNttContext:
-    """Stacked lazy-reduction NTT over every prime of an RNS chain.
+    """Precomputed tables for every prime of an RNS chain.
 
-    Transforms residue matrices of shape ``(..., L, N)`` — all ``L`` RNS
-    rows in one numpy call per butterfly stage, with the per-prime modulus
-    and twiddle tables broadcast over the leading prime axis.
-
-    The butterflies use Harvey's lazy form with Shoup twiddle quotients
-    ``w' = floor(w * 2**32 / q)``:
-
-    * forward (Cooley-Tukey): values live in ``[0, 4q)``; each butterfly
-      conditionally reduces its upper operand to ``[0, 2q)`` and the Shoup
-      product lands in ``[0, 2q)``, so no per-stage ``np.where`` reductions
-      are needed.  One final correction pass maps ``[0, 4q) -> [0, q)``.
-    * inverse (Gentleman-Sande): values live in ``[0, 2q)``; the final
-      ``1/N`` scaling is a Shoup multiply whose output bound folds the last
-      correction into a single conditional subtract.
-
-    Since q < 2**30, every intermediate (``v * w'`` with ``v < 4q <= 2**32``
-    and ``w' < 2**32``) fits in uint64.  Outputs are bit-identical to
-    :class:`NttContext` applied row by row.
+    Per-prime constants are stacked along a leading ``(L, ...)`` prime axis
+    so kernels broadcast them over ``(..., L, N)`` residue matrices:
+    bit-reversed twiddles, the Shoup quotients ``w' = floor(w * 2**32 /
+    q)`` of the inverse twiddles and of ``1/N``, tiled modulus and Barrett
+    constants, plus lazily built NTT-domain Galois permutations and Rescale
+    inverses.  Since q < 2**30, every Shoup product ``v * w'`` with ``v <
+    4q <= 2**32`` fits in uint64.
     """
 
     def __init__(self, n: int, primes: tuple[int, ...]) -> None:
@@ -295,10 +221,8 @@ class BatchedNttContext:
         contexts = [get_ntt_context(n, q) for q in self.primes]
         level = len(self.primes)
         self.qs = np.array(self.primes, dtype=_U64).reshape(level, 1)
-        self.two_qs = self.qs * _U64(2)
         self.psi_bitrev = np.stack([c.psi_bitrev for c in contexts])
         self.psi_inv_bitrev = np.stack([c.psi_inv_bitrev for c in contexts])
-        self.psi_shoup = (self.psi_bitrev << _SHOUP_SHIFT) // self.qs
         self.psi_inv_shoup = (self.psi_inv_bitrev << _SHOUP_SHIFT) // self.qs
         self.n_inv = np.array(
             [c.n_inv for c in contexts], dtype=_U64
@@ -328,122 +252,6 @@ class BatchedNttContext:
     @property
     def level(self) -> int:
         return len(self.primes)
-
-    # -- lazy butterflies ----------------------------------------------------
-
-    def _check(self, values: np.ndarray) -> np.ndarray:
-        if (
-            values.ndim < 2
-            or values.shape[-1] != self.n
-            or values.shape[-2] != self.level
-        ):
-            raise ValueError(
-                f"expected trailing shape {(self.level, self.n)}, "
-                f"got {values.shape}"
-            )
-        # Exactly one working copy; all butterfly stages mutate it in place.
-        return np.array(values, dtype=_U64, order="C", copy=True)
-
-    def forward(self, values: np.ndarray) -> np.ndarray:
-        """Batched negacyclic forward NTT of ``(..., L, N)`` residues.
-
-        Input rows must be reduced modulo their primes; output rows are
-        reduced (``[0, q)``) and bit-identical to the per-prime reference.
-        """
-        a = self._check(values)
-        shape = a.shape
-        flat = a.reshape(-1, self.level, self.n)
-        count_transform("forward", flat.shape[0] * self.level, "numpy-lazy")
-        n, level = self.n, self.level
-        rows = flat.shape[0]
-        qs4 = self.qs.reshape(1, level, 1, 1)
-        two_qs4 = self.two_qs.reshape(1, level, 1, 1)
-        # Scratch for the half-size butterfly operands; reshaped per stage.
-        half = flat.size // 2
-        s_hi = np.empty(half, dtype=_U64)
-        s_tv = np.empty(half, dtype=_U64)
-        s_mask = np.empty(half, dtype=bool)
-        t = n
-        m = 1
-        while m < n:
-            t //= 2
-            w = self.psi_bitrev[None, :, m : 2 * m, None]
-            ws = self.psi_shoup[None, :, m : 2 * m, None]
-            blocks = flat.reshape(rows, level, m, 2 * t)
-            u = blocks[..., :t]
-            v = blocks[..., t:]
-            hi = s_hi.reshape(rows, level, m, t)
-            tv = s_tv.reshape(rows, level, m, t)
-            mask = s_mask.reshape(rows, level, m, t)
-            # Shoup multiply: t_v = v*w - floor(v*w'/2**32)*q  in [0, 2q);
-            # v is left unreduced (< 4q <= 2**32).
-            np.multiply(v, ws, out=hi)
-            hi >>= _SHOUP_SHIFT
-            hi *= qs4
-            np.multiply(v, w, out=tv)
-            tv -= hi
-            # Lazy reduce u into [0, 2q): u -= 2q * [u >= 2q].
-            np.greater_equal(u, two_qs4, out=mask)
-            np.multiply(mask, two_qs4, out=hi)
-            u -= hi
-            # Old v is dead: write the difference leg there first, then the
-            # sum leg over u (both legs need the reduced u).
-            np.subtract(u, tv, out=v)
-            v += two_qs4  # uint64 wrap-safe
-            u += tv
-            m *= 2
-        # Deferred final correction: [0, 4q) -> [0, q).
-        flat = np.where(flat >= self.two_qs, flat - self.two_qs, flat)
-        flat = np.where(flat >= self.qs, flat - self.qs, flat)
-        return flat.reshape(shape)
-
-    def inverse(self, values: np.ndarray) -> np.ndarray:
-        """Batched negacyclic inverse NTT of ``(..., L, N)`` residues."""
-        a = self._check(values)
-        shape = a.shape
-        flat = a.reshape(-1, self.level, self.n)
-        count_transform("inverse", flat.shape[0] * self.level, "numpy-lazy")
-        n, level = self.n, self.level
-        rows = flat.shape[0]
-        qs4 = self.qs.reshape(1, level, 1, 1)
-        two_qs4 = self.two_qs.reshape(1, level, 1, 1)
-        half = flat.size // 2
-        s_sum = np.empty(half, dtype=_U64)
-        s_hi = np.empty(half, dtype=_U64)
-        s_mask = np.empty(half, dtype=bool)
-        t = 1
-        m = n
-        while m > 1:
-            h = m // 2
-            w = self.psi_inv_bitrev[None, :, h : 2 * h, None]
-            ws = self.psi_inv_shoup[None, :, h : 2 * h, None]
-            blocks = flat.reshape(rows, level, h, 2 * t)
-            u = blocks[..., :t]
-            v = blocks[..., t:]
-            s = s_sum.reshape(rows, level, h, t)
-            hi = s_hi.reshape(rows, level, h, t)
-            mask = s_mask.reshape(rows, level, h, t)
-            np.add(u, v, out=s)  # [0, 4q)
-            np.greater_equal(s, two_qs4, out=mask)
-            np.multiply(mask, two_qs4, out=hi)
-            s -= hi  # [0, 2q)
-            # Difference leg d = u - v + 2q in place of u (old u is only
-            # needed for s, already computed).
-            u -= v
-            u += two_qs4  # d in [0, 4q), uint64 wrap-safe
-            np.multiply(u, ws, out=hi)
-            hi >>= _SHOUP_SHIFT
-            hi *= qs4
-            np.multiply(u, w, out=v)
-            v -= hi  # [0, 2q)
-            u[...] = s
-            t *= 2
-            m = h
-        # 1/N scaling folded together with the final [0, 2q) -> [0, q) pass.
-        hi = (flat * self.n_inv_shoup) >> _SHOUP_SHIFT
-        flat = flat * self.n_inv - hi * self.qs
-        flat = np.where(flat >= self.qs, flat - self.qs, flat)
-        return flat.reshape(shape)
 
     # -- NTT-domain Galois ---------------------------------------------------
 

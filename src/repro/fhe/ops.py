@@ -409,19 +409,18 @@ class Evaluator:
         ``(2**k - 1) / k``, which makes ``k = 3`` the sweet spot on this
         substrate.
 
-        Falls back to the plain rotate/add sequence when either the
-        ``hoisted_rotations`` or ``vectorized_keyswitch`` fast path is off
-        (keeping the bit-exact sequential baseline intact — a hoisted group
-        shares one rescale, so its rounding differs from the sequential
-        walk) or when a composite Galois key was not provisioned.  Recorded
+        Falls back to the plain rotate/add sequence when the
+        ``hoisted_rotations`` fast path is off (keeping the bit-exact
+        sequential baseline intact — a hoisted group shares one rescale, so
+        its rounding differs from the sequential walk) or when a composite
+        Galois key was not provisioned.  Recorded
         operation counts are the *logical* ones — ``k`` KeySwitch and ``k``
         CCadd per group — so analytic layer traces and the FPGA cost model
         are unaffected by the execution strategy.
         """
         slots = self.context.slot_count
         seq = [s % slots for s in steps]
-        cfg = fastpath.get_config()
-        hoist = cfg.vectorized_keyswitch and cfg.hoisted_rotations
+        hoist = fastpath.get_config().hoisted_rotations
         acc = ct
         i = 0
         while i < len(seq):
@@ -590,39 +589,24 @@ def _key_switch(
             f"key generated for level {key.level}, ciphertext at {basis.level}"
         )
     ext = key.basis
-    if fastpath.get_config().vectorized_keyswitch:
-        # Lift every decomposition digit into the extended basis at once
-        # ((L, ext_L, N) signed mod) and run all forward NTTs in a single
-        # batched call (minus the spliced diagonal — see _lift_digits_ntt);
-        # the inner product with the stacked key follows as one multiply +
-        # one lazy sum + one Barrett pass per key half.
-        ext_ctx = get_batched_ntt_context(ext.n, ext.primes)
-        lifted_ntt = _lift_digits_ntt(component, ext, ext_ctx)  # (L, ext_L, N)
-        # Inner product against the fixed key rows via division-free lazy
-        # Shoup multiplies: each term lands in [0, 2q), summing L <= 8 of
-        # them stays far below the Barrett input bound, so one deferred
-        # reduction per key half suffices.  Broadcasting the digits over the
-        # stacked (b, a) pair covers both key halves in a single call.
-        qs_u64 = ext_ctx.qs_full  # (ext_L, N) contiguous tile
-        prod = shoup_mul_lazy(
-            lifted_ntt[None], key.stacked_ba, key.stacked_ba_shoup, qs_u64
-        )
-        red = _reduce_ext(prod.sum(axis=1), ext_ctx)  # (2, ext_L, N)
-        acc0 = RnsPolynomial(ext, red[0], is_ntt=True)
-        acc1 = RnsPolynomial(ext, red[1], is_ntt=True)
-    else:
-        d = component.to_coefficient()
-        acc0 = RnsPolynomial.zero(ext, is_ntt=True)
-        acc1 = RnsPolynomial.zero(ext, is_ntt=True)
-        for i, q_i in enumerate(basis.primes):
-            row = d.residues[i].astype(np.int64)
-            signed = np.where(row > q_i // 2, row - q_i, row)
-            rows = np.empty((ext.level, ext.n), dtype=np.uint64)
-            for j, q_j in enumerate(ext.primes):
-                rows[j] = np.mod(signed, np.int64(q_j)).astype(np.uint64)
-            lifted = RnsPolynomial(ext, rows, is_ntt=False).to_ntt()
-            acc0 = acc0 + lifted * key.b[i]
-            acc1 = acc1 + lifted * key.a[i]
+    # Lift every decomposition digit into the extended basis at once
+    # ((L, ext_L, N) signed mod) and run all forward NTTs in a single
+    # batched call (minus the spliced diagonal — see _lift_digits_ntt); the
+    # inner product with the stacked key follows as one multiply + one lazy
+    # sum + one Barrett pass per key half.
+    ext_ctx = get_batched_ntt_context(ext.n, ext.primes)
+    lifted_ntt = _lift_digits_ntt(component, ext, ext_ctx)  # (L, ext_L, N)
+    # Inner product against the fixed key rows via division-free lazy Shoup
+    # multiplies: each term lands in [0, 2q), summing L <= 8 of them stays
+    # far below the Barrett input bound, so one deferred reduction per key
+    # half suffices.  Broadcasting the digits over the stacked (b, a) pair
+    # covers both key halves in a single call.
+    prod = shoup_mul_lazy(
+        lifted_ntt[None], key.stacked_ba, key.stacked_ba_shoup, ext_ctx.qs_full
+    )
+    red = _reduce_ext(prod.sum(axis=1), ext_ctx)  # (2, ext_L, N)
+    acc0 = RnsPolynomial(ext, red[0], is_ntt=True)
+    acc1 = RnsPolynomial(ext, red[1], is_ntt=True)
     # Divide by the special prime (last in the extended basis); both halves
     # share one stacked rescale.
     out0, out1 = rescale_polys((acc0, acc1))

@@ -9,9 +9,8 @@ Three instrument kinds exist:
 * :class:`Counter` — monotone accumulator (op counts, NTT rows, DSE
   points pruned).  Counters are *always* live: incrementing one is a
   couple of integer adds, so they are not gated behind the
-  :mod:`repro.obs.config` switch.  The legacy
-  :data:`repro.fhe.ntt.TRANSFORM_STATS` is a compat shim over four of
-  them.
+  :mod:`repro.obs.config` switch.  The NTT transform counters
+  (``ntt_transform_{calls,rows}``) are among them.
 * :class:`Gauge` — last-written value (ciphertext level/scale after an
   op, per-layer noise budget in bits).
 * :class:`Histogram` — sample distribution with exact percentiles

@@ -38,6 +38,7 @@ The core owns everything else, each in one place:
 from __future__ import annotations
 
 import heapq
+from itertools import islice
 from typing import TYPE_CHECKING, Any, Iterable, Iterator, Mapping, Protocol
 
 from ..obs.alerts import AlertEngine
@@ -255,6 +256,15 @@ class ServeLoop:
         self.counts[group] = queued - len(batch)
         return batch
 
+    def _fill_time(self, group: str | None, start: int) -> float:
+        """Arrival of the ``capacity``-th queued member of ``group``, whose
+        oldest member sits at queue position ``start``."""
+        arrivals = (
+            r.arrival_s for r in islice(self.queue, start, None)
+            if r.key_group == group
+        )
+        return next(islice(arrivals, self.capacity - 1, None))
+
     # -- dispatch ---------------------------------------------------------
 
     def _dispatch(self, batch: list[InferenceRequest], at_s: float) -> None:
@@ -307,8 +317,11 @@ class ServeLoop:
                     self.capacity,
                 )
                 if position is not None:
+                    # A full group dispatches once its capacity-th member
+                    # has arrived, so no lane starts before its request.
                     head = self.queue[position]
-                    dispatch_at = max(self._free_at, head.arrival_s)
+                    filled_at = self._fill_time(head.key_group, position)
+                    dispatch_at = max(self._free_at, filled_at)
                 elif arrival > self.queue[0].arrival_s + window:
                     # No key group fills a batch, and the oldest request's
                     # window closes before the next arrival: its group

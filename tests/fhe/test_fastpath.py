@@ -1,9 +1,11 @@
-"""Property tests: every kernel fast path is bit-identical to its oracle.
+"""Property tests: the production ring paths are bit-identical to their oracles.
 
-The fast paths (batched lazy-reduction NTT, NTT-domain Galois, plaintext
-caching, vectorized KeySwitch) are pure performance work — these tests pin
-them, bit for bit, to the per-prime reference implementations and to the
-schoolbook negacyclic convolution.  No tolerances anywhere.
+The production paths (stacked NTT through the active kernel backend,
+NTT-domain Galois, NTT-resident Rescale, vectorized KeySwitch, plaintext
+caching) are pinned, bit for bit, to the per-prime transforms, to the
+coefficient-domain ring operations, to a per-digit KeySwitch written out
+below and to the schoolbook negacyclic convolution.  No tolerances
+anywhere.
 """
 
 from __future__ import annotations
@@ -13,21 +15,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.fhe import CkksContext, Evaluator, fastpath, tiny_test_params
+from repro.fhe import CkksContext, Evaluator, fastpath, kernels, ops, tiny_test_params
 from repro.fhe.modmath import generate_ntt_primes
-from repro.fhe.ntt import (
-    get_batched_ntt_context,
-    get_ntt_context,
-    negacyclic_convolution_reference,
-)
-from repro.fhe.poly import RnsBasis, RnsPolynomial
+from repro.fhe.ntt import get_ntt_context, negacyclic_convolution_reference
+from repro.fhe.poly import RnsBasis, RnsPolynomial, rescale_polys
 
 
 def _primes(n: int, count: int = 3, bits: int = 24) -> tuple[int, ...]:
     return tuple(generate_ntt_primes(bits, count, n))
 
 
-# -- batched NTT vs per-row reference ----------------------------------------------
+def _random_rows(rng, primes, n):
+    return np.stack(
+        [rng.integers(0, q, n, dtype=np.int64).astype(np.uint64) for q in primes]
+    )
+
+
+# -- stacked NTT vs per-row reference --------------------------------------------
 
 
 @given(seed=st.integers(min_value=0, max_value=2**32 - 1))
@@ -35,12 +39,8 @@ def _primes(n: int, count: int = 3, bits: int = 24) -> tuple[int, ...]:
 def test_batched_forward_matches_per_row(seed):
     n = 64
     primes = _primes(n)
-    batched = get_batched_ntt_context(n, primes)
-    rng = np.random.default_rng(seed)
-    rows = np.stack(
-        [rng.integers(0, q, n, dtype=np.int64).astype(np.uint64) for q in primes]
-    )
-    got = batched.forward(rows)
+    rows = _random_rows(np.random.default_rng(seed), primes, n)
+    got = kernels.active_backend().forward(n, primes, rows)
     expected = np.stack(
         [get_ntt_context(n, q).forward(rows[i]) for i, q in enumerate(primes)]
     )
@@ -52,12 +52,8 @@ def test_batched_forward_matches_per_row(seed):
 def test_batched_inverse_matches_per_row(seed):
     n = 64
     primes = _primes(n)
-    batched = get_batched_ntt_context(n, primes)
-    rng = np.random.default_rng(seed)
-    rows = np.stack(
-        [rng.integers(0, q, n, dtype=np.int64).astype(np.uint64) for q in primes]
-    )
-    got = batched.inverse(rows)
+    rows = _random_rows(np.random.default_rng(seed), primes, n)
+    got = kernels.active_backend().inverse(n, primes, rows)
     expected = np.stack(
         [get_ntt_context(n, q).inverse(rows[i]) for i, q in enumerate(primes)]
     )
@@ -70,39 +66,26 @@ def test_batched_roundtrip_3d(seed):
     """(B, L, N) stacks transform per matrix exactly like (L, N) slices."""
     n = 32
     primes = _primes(n)
-    batched = get_batched_ntt_context(n, primes)
+    backend = kernels.active_backend()
     rng = np.random.default_rng(seed)
-    stack = np.stack(
-        [
-            np.stack(
-                [
-                    rng.integers(0, q, n, dtype=np.int64).astype(np.uint64)
-                    for q in primes
-                ]
-            )
-            for _ in range(4)
-        ]
-    )
-    fwd = batched.forward(stack)
+    stack = np.stack([_random_rows(rng, primes, n) for _ in range(4)])
+    fwd = backend.forward(n, primes, stack)
     for b in range(4):
-        assert np.array_equal(fwd[b], batched.forward(stack[b]))
-    assert np.array_equal(batched.inverse(fwd), stack)
+        assert np.array_equal(fwd[b], backend.forward(n, primes, stack[b]))
+    assert np.array_equal(backend.inverse(n, primes, fwd), stack)
 
 
 @pytest.mark.parametrize("n", [16, 256, 2048])
 def test_batched_matches_per_row_across_sizes(n):
     primes = _primes(n, count=4, bits=28)
-    batched = get_batched_ntt_context(n, primes)
-    rng = np.random.default_rng(n)
-    rows = np.stack(
-        [rng.integers(0, q, n, dtype=np.int64).astype(np.uint64) for q in primes]
-    )
-    got = batched.forward(rows)
+    backend = kernels.active_backend()
+    rows = _random_rows(np.random.default_rng(n), primes, n)
+    got = backend.forward(n, primes, rows)
     expected = np.stack(
         [get_ntt_context(n, q).forward(rows[i]) for i, q in enumerate(primes)]
     )
     assert np.array_equal(got, expected)
-    assert np.array_equal(batched.inverse(got), rows)
+    assert np.array_equal(backend.inverse(n, primes, got), rows)
 
 
 @given(seed=st.integers(min_value=0, max_value=2**32 - 1))
@@ -114,12 +97,8 @@ def test_batched_product_matches_convolution_reference(seed):
     primes = _primes(n)
     basis = RnsBasis(n, primes)
     rng = np.random.default_rng(seed)
-    a_rows = np.stack(
-        [rng.integers(0, q, n, dtype=np.int64).astype(np.uint64) for q in primes]
-    )
-    b_rows = np.stack(
-        [rng.integers(0, q, n, dtype=np.int64).astype(np.uint64) for q in primes]
-    )
+    a_rows = _random_rows(rng, primes, n)
+    b_rows = _random_rows(rng, primes, n)
     a = RnsPolynomial(basis, a_rows, is_ntt=False)
     b = RnsPolynomial(basis, b_rows, is_ntt=False)
     prod = (a.to_ntt() * b.to_ntt()).to_coefficient()
@@ -131,44 +110,45 @@ def test_batched_product_matches_convolution_reference(seed):
 # -- NTT-domain Galois vs coefficient-domain automorphism -------------------------
 
 
+def _galois_matches_coefficient_path(n, seed, g):
+    primes = _primes(n)
+    rows = _random_rows(np.random.default_rng(seed), primes, n)
+    poly = RnsPolynomial(RnsBasis(n, primes), rows, is_ntt=False).to_ntt()
+    fast = poly.galois_transform(g)
+    oracle = poly.to_coefficient().galois_transform(g).to_ntt()
+    assert fast.is_ntt
+    assert np.array_equal(fast.residues, oracle.residues)
+
+
 @given(
     seed=st.integers(min_value=0, max_value=2**32 - 1),
     step=st.integers(min_value=0, max_value=7),
 )
 @settings(max_examples=20, deadline=None)
-def test_ntt_galois_matches_coefficient_path(seed, step):
-    n = 64
-    primes = _primes(n)
-    basis = RnsBasis(n, primes)
-    rng = np.random.default_rng(seed)
-    rows = np.stack(
-        [rng.integers(0, q, n, dtype=np.int64).astype(np.uint64) for q in primes]
-    )
-    poly = RnsPolynomial(basis, rows, is_ntt=False).to_ntt()
-    g = pow(5, step, 2 * n)
-    with fastpath.overridden(ntt_galois=True):
-        fast = poly.galois_transform(g)
-    with fastpath.overridden(ntt_galois=False):
-        slow = poly.galois_transform(g)
-    assert fast.is_ntt and slow.is_ntt
-    assert np.array_equal(fast.residues, slow.residues)
+def test_ntt_domain_galois_matches_coefficient_path(seed, step):
+    _galois_matches_coefficient_path(64, seed, pow(5, step, 128))
 
 
 def test_conjugation_galois_matches():
-    n = 32
-    primes = _primes(n)
+    _galois_matches_coefficient_path(32, 9, 2 * 32 - 1)
+
+
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1))
+@settings(max_examples=10, deadline=None)
+def test_ntt_rescale_matches_coefficient_rescale_poly(seed):
+    """The NTT-resident rescale of stacked components equals the
+    coefficient-domain rescale of each, round-tripped."""
+    n = 64
+    primes = _primes(n, count=4)
     basis = RnsBasis(n, primes)
-    rng = np.random.default_rng(9)
-    rows = np.stack(
-        [rng.integers(0, q, n, dtype=np.int64).astype(np.uint64) for q in primes]
+    rng = np.random.default_rng(seed)
+    polys = tuple(
+        RnsPolynomial(basis, _random_rows(rng, primes, n), is_ntt=True)
+        for _ in range(2)
     )
-    poly = RnsPolynomial(basis, rows, is_ntt=False).to_ntt()
-    g = 2 * n - 1
-    with fastpath.overridden(ntt_galois=True):
-        fast = poly.galois_transform(g)
-    with fastpath.overridden(ntt_galois=False):
-        slow = poly.galois_transform(g)
-    assert np.array_equal(fast.residues, slow.residues)
+    for fast, poly in zip(rescale_polys(polys), polys):
+        oracle = poly.to_coefficient().rescale().to_ntt()
+        assert np.array_equal(fast.residues, oracle.residues)
 
 
 # -- evaluator-level fast paths ---------------------------------------------------
@@ -192,24 +172,42 @@ def _residues(ciphertext):
     return [c.to_ntt().residues.copy() for c in ciphertext.components]
 
 
+def _per_digit_key_switch(component, key):
+    """KeySwitch oracle: lift and transform one decomposition digit at a
+    time, accumulate with modular ring ops, then rescale by the special
+    prime."""
+    basis, ext = component.basis, key.basis
+    d = component.to_coefficient()
+    acc0 = RnsPolynomial.zero(ext, is_ntt=True)
+    acc1 = RnsPolynomial.zero(ext, is_ntt=True)
+    for i, q_i in enumerate(basis.primes):
+        row = d.residues[i].astype(np.int64)
+        signed = np.where(row > q_i // 2, row - q_i, row)
+        rows = np.stack(
+            [np.mod(signed, np.int64(q_j)).astype(np.uint64) for q_j in ext.primes]
+        )
+        lifted = RnsPolynomial(ext, rows, is_ntt=False).to_ntt()
+        acc0 = acc0 + lifted * key.b[i]
+        acc1 = acc1 + lifted * key.a[i]
+    return tuple(p.to_coefficient().rescale().to_ntt() for p in (acc0, acc1))
+
+
 @pytest.mark.parametrize("step", [1, 2])
-def test_vectorized_keyswitch_matches_legacy(ctx, ct, step):
+def test_keyswitch_matches_per_digit_oracle(ctx, ct, step, monkeypatch):
     ev = Evaluator(ctx)
-    with fastpath.overridden(vectorized_keyswitch=True):
-        fast = ev.rotate(ct, step)
-    with fastpath.overridden(vectorized_keyswitch=False):
-        slow = ev.rotate(ct, step)
+    fast = ev.rotate(ct, step)
+    monkeypatch.setattr(ops, "_key_switch", _per_digit_key_switch)
+    slow = ev.rotate(ct, step)
     for f, s in zip(_residues(fast), _residues(slow)):
         assert np.array_equal(f, s)
 
 
-def test_relinearize_matches_legacy(ctx, ct):
+def test_relinearize_matches_legacy(ctx, ct, monkeypatch):
     ev = Evaluator(ctx)
     sq = ev.square(ct)
-    with fastpath.overridden(vectorized_keyswitch=True):
-        fast = ev.relinearize(sq)
-    with fastpath.overridden(vectorized_keyswitch=False):
-        slow = ev.relinearize(sq)
+    fast = ev.relinearize(sq)
+    monkeypatch.setattr(ops, "_key_switch", _per_digit_key_switch)
+    slow = ev.relinearize(sq)
     for f, s in zip(_residues(fast), _residues(slow)):
         assert np.array_equal(f, s)
 
@@ -217,11 +215,11 @@ def test_relinearize_matches_legacy(ctx, ct):
 def test_fastpath_rescale_matches_coefficient_rescale(ctx, ct):
     ev = Evaluator(ctx)
     prod = ev.multiply_plain(ct, ctx.encode(np.ones(ctx.slot_count)))
-    with fastpath.overridden(batched_ntt=True):
-        fast = ev.rescale(prod)
-    with fastpath.overridden(batched_ntt=False):
-        slow = ev.rescale(prod)
-    for f, s in zip(_residues(fast), _residues(slow)):
+    fast = ev.rescale(prod)
+    oracle = [
+        c.to_coefficient().rescale().to_ntt().residues for c in prod.components
+    ]
+    for f, s in zip(_residues(fast), oracle):
         assert np.array_equal(f, s)
 
 
@@ -255,15 +253,12 @@ def test_encode_cached_respects_disabled_flag(ctx):
 
 
 def test_fastpath_config_toggles():
-    assert fastpath.get_config().batched_ntt
-    with fastpath.disabled() as cfg:
-        assert not any(
-            (cfg.batched_ntt, cfg.ntt_galois, cfg.plaintext_cache,
-             cfg.vectorized_keyswitch)
-        )
-    with fastpath.overridden(ntt_galois=False) as cfg:
-        assert cfg.batched_ntt and not cfg.ntt_galois
-    assert fastpath.get_config().ntt_galois
+    assert fastpath.get_config() == fastpath.FastPathConfig(
+        plaintext_cache=True, hoisted_rotations=True
+    )
+    with fastpath.overridden(hoisted_rotations=False) as cfg:
+        assert cfg.plaintext_cache and not cfg.hoisted_rotations
+    assert fastpath.get_config().hoisted_rotations
 
 
 def test_encode_cached_bit_identity_across_rescale_boundary(ctx):

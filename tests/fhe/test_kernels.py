@@ -1,11 +1,10 @@
 """Property tests: every registered kernel backend is bit-identical.
 
 The kernel registry's hard contract is that swapping backends changes
-wall-clock time, never bits.  These tests pin every registered backend —
-including optional ones like ``numba`` when present — to the per-prime
-reference transforms, exercise the registry's selection precedence, and
-hammer mid-flight backend swaps from a second thread to show in-flight
-work is never torn.  No tolerances anywhere.
+wall-clock time, never bits.  These tests pin every registered backend to
+the per-prime reference transforms, exercise the registry's selection
+precedence, and hammer mid-flight backend swaps from a second thread to
+show in-flight work is never torn.  No tolerances anywhere.
 """
 
 from __future__ import annotations
@@ -19,7 +18,6 @@ from hypothesis import strategies as st
 
 from repro.fhe import kernels
 from repro.fhe.modmath import generate_ntt_primes, shoup_precompute
-from repro.fhe.ntt import get_batched_ntt_context
 
 _U64 = np.uint64
 
@@ -158,7 +156,14 @@ def test_montgomery_forward_lazy_congruent():
 # -- registry selection ------------------------------------------------------------
 
 
-def test_default_backend_is_registered():
+@pytest.fixture
+def no_env_backend(monkeypatch):
+    """Run with the built-in default, whatever the CI leg's env selects."""
+    monkeypatch.delenv(kernels.ENV_VAR, raising=False)
+
+
+def test_default_backend_is_registered(no_env_backend):
+    assert kernels.available_backends() == ["montgomery", "reference"]
     assert kernels.DEFAULT_BACKEND in kernels.available_backends()
     assert kernels.active_backend().name == kernels.DEFAULT_BACKEND
 
@@ -170,19 +175,19 @@ def test_env_var_selects_backend(monkeypatch):
 
 def test_explicit_selection_beats_env(monkeypatch):
     monkeypatch.setenv(kernels.ENV_VAR, "reference")
-    kernels.set_backend("numpy-lazy")
+    kernels.set_backend("montgomery")
     try:
-        assert kernels.active_backend().name == "numpy-lazy"
+        assert kernels.active_backend().name == "montgomery"
     finally:
         kernels.set_backend(None)
     assert kernels.active_backend().name == "reference"
 
 
-def test_using_backend_restores_previous():
+def test_using_backend_restores_previous(no_env_backend):
     with kernels.using_backend("reference"):
         assert kernels.active_backend().name == "reference"
-        with kernels.using_backend("numpy-lazy"):
-            assert kernels.active_backend().name == "numpy-lazy"
+        with kernels.using_backend("montgomery"):
+            assert kernels.active_backend().name == "montgomery"
         assert kernels.active_backend().name == "reference"
     assert kernels.active_backend().name == kernels.DEFAULT_BACKEND
 
@@ -222,7 +227,7 @@ def test_describe_marks_compiled_backends():
 # -- mid-swap concurrency ----------------------------------------------------------
 
 
-def test_concurrent_backend_swaps_never_tear_results():
+def test_concurrent_backend_swaps_never_tear_results(no_env_backend):
     """Worker threads run forward/inverse round trips while the main thread
     flips the active backend; every result must stay bit-identical."""
     rows = _rows(42)
@@ -257,14 +262,3 @@ def test_concurrent_backend_swaps_never_tear_results():
     assert not failures
     assert kernels.active_backend().name == kernels.DEFAULT_BACKEND
 
-
-def test_parallel_backend_pool_path_bit_identical(monkeypatch):
-    """Force the process pool on (no inline fallback threshold) and check
-    sharded execution still matches the reference bit for bit."""
-    monkeypatch.setenv("REPRO_KERNEL_PARALLEL_MIN_ELEMS", "1")
-    backend = kernels.ParallelBackend()
-    rows = _rows(9, batch=3)
-    got = backend.forward(N, PRIMES, rows)
-    assert np.array_equal(got, REFERENCE.forward(N, PRIMES, rows))
-    back = backend.inverse(N, PRIMES, got)
-    assert np.array_equal(back, rows)

@@ -1,24 +1,24 @@
-"""End-to-end regression: the fast paths leave encrypted inference bit-exact.
+"""End-to-end regression: the kernel backend leaves encrypted inference bit-exact.
 
-Encrypts once, then runs the same ciphertexts through the network with the
-kernel fast paths enabled and all disabled: the output ciphertexts must
-match bit for bit (the server side is deterministic), both must decrypt to
-the plaintext reference, and the transform counter must show the fast path
-performing strictly fewer NTT row-transforms.
+Encrypts once, then runs the same ciphertexts through the network under
+the ``reference`` kernel oracle and the production ``montgomery`` backend:
+the output ciphertexts must match bit for bit (the server side is
+deterministic), the NTT row count must be equal (the backend changes how a
+transform runs, never which transforms run), and the result must decrypt
+to the plaintext reference.
 
-``hoisted_rotations`` is the one *algorithm-level* fast path — a hoisted
-fold group shares a single rescale, so its rounding order differs from the
-sequential walk.  It is therefore excluded from the bit-identity run and
-regression-tested separately for numerical equivalence and a further
-transform-row reduction.
+``hoisted_rotations`` is an *algorithm-level* fast path — a hoisted fold
+group shares a single rescale, so its rounding order differs from the
+sequential walk.  It is regression-tested separately for numerical
+equivalence and a transform-row reduction.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.fhe import Evaluator, fastpath
-from repro.fhe import ntt
+from repro import obs
+from repro.fhe import Evaluator, fastpath, kernels
 
 
 def _component_residues(cts):
@@ -29,35 +29,40 @@ def _component_residues(cts):
     ]
 
 
-def test_fastpath_forward_bit_identical_and_fewer_transforms(
+def _ntt_rows() -> int:
+    reg = obs.get_registry()
+    return sum(
+        reg.counter("ntt_transform_rows", direction=d).value
+        for d in ("forward", "inverse")
+    )
+
+
+def _counted_forward(model, ctx, encrypted):
+    """Warm the plaintext cache, then run and count one steady-state pass."""
+    ctx.clear_plaintext_cache()
+    model.forward_encrypted(Evaluator(ctx), encrypted)
+    rows = _ntt_rows()
+    out = model.forward_encrypted(Evaluator(ctx), encrypted)
+    return out, _ntt_rows() - rows
+
+
+def test_reference_and_montgomery_forward_bit_identical(
     tiny_model, tiny_ctx, tiny_image
 ):
     encrypted = tiny_model.encrypt_input(tiny_ctx, tiny_image)
 
-    with fastpath.disabled():
-        ntt.TRANSFORM_STATS.reset()
-        slow_out = tiny_model.forward_encrypted(Evaluator(tiny_ctx), encrypted)
-        slow_rows = ntt.TRANSFORM_STATS.total_rows
-
-    # Warm the plaintext cache, then count the steady-state fast path.
-    # Hoisted rotations change rescale rounding order, so the bit-identity
-    # comparison runs with every *kernel* fast path on and hoisting off.
-    with fastpath.overridden(hoisted_rotations=False):
-        tiny_ctx.clear_plaintext_cache()
-        tiny_model.forward_encrypted(Evaluator(tiny_ctx), encrypted)
-        ntt.TRANSFORM_STATS.reset()
-        fast_out = tiny_model.forward_encrypted(Evaluator(tiny_ctx), encrypted)
-        fast_rows = ntt.TRANSFORM_STATS.total_rows
+    with kernels.using_backend("reference"):
+        ref_out, ref_rows = _counted_forward(tiny_model, tiny_ctx, encrypted)
+    with kernels.using_backend("montgomery"):
+        fast_out, fast_rows = _counted_forward(tiny_model, tiny_ctx, encrypted)
 
     # Bit-identical ciphertexts out of the whole network.
-    assert len(fast_out) == len(slow_out)
+    assert len(fast_out) == len(ref_out)
     for f, s in zip(
-        _component_residues(fast_out), _component_residues(slow_out)
+        _component_residues(fast_out), _component_residues(ref_out)
     ):
         assert np.array_equal(f, s)
-
-    # Strictly fewer NTT row-transforms on the fast path.
-    assert fast_rows < slow_rows
+    assert fast_rows == ref_rows > 0
 
     # And the encrypted result still decrypts to the plaintext reference.
     layout = tiny_model.layers[-1].output_layout
@@ -76,17 +81,10 @@ def test_hoisted_rotations_equivalent_and_fewer_transforms(
     encrypted = tiny_model.encrypt_input(tiny_ctx, tiny_image)
 
     with fastpath.overridden(hoisted_rotations=False):
-        tiny_ctx.clear_plaintext_cache()
-        tiny_model.forward_encrypted(Evaluator(tiny_ctx), encrypted)
-        ntt.TRANSFORM_STATS.reset()
-        seq_out = tiny_model.forward_encrypted(Evaluator(tiny_ctx), encrypted)
-        seq_rows = ntt.TRANSFORM_STATS.total_rows
-
-    tiny_ctx.clear_plaintext_cache()
-    tiny_model.forward_encrypted(Evaluator(tiny_ctx), encrypted)
-    ntt.TRANSFORM_STATS.reset()
-    hoisted_out = tiny_model.forward_encrypted(Evaluator(tiny_ctx), encrypted)
-    hoisted_rows = ntt.TRANSFORM_STATS.total_rows
+        seq_out, seq_rows = _counted_forward(tiny_model, tiny_ctx, encrypted)
+    hoisted_out, hoisted_rows = _counted_forward(
+        tiny_model, tiny_ctx, encrypted
+    )
 
     layout = tiny_model.layers[-1].output_layout
     seq_vals = layout.extract([tiny_ctx.decrypt_values(ct) for ct in seq_out])

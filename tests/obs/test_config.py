@@ -74,13 +74,13 @@ def test_fastpath_concurrent_configure_never_tears():
                 cfg = fastpath.configure(**{flag: bool(i % 2)})
                 assert isinstance(getattr(cfg, flag), bool)
                 # Reads see a whole config object, never a torn one.
-                assert isinstance(fastpath.get_config().batched_ntt, bool)
+                assert isinstance(fastpath.get_config().plaintext_cache, bool)
         except Exception as exc:  # pragma: no cover
             errors.append(exc)
 
     threads = [
         threading.Thread(target=toggler, args=(flag,))
-        for flag in ("batched_ntt", "ntt_galois")
+        for flag in ("plaintext_cache", "hoisted_rotations")
         for _ in range(2)
     ]
     for t in threads:
@@ -89,20 +89,18 @@ def test_fastpath_concurrent_configure_never_tears():
         t.join()
     assert not errors
     fastpath.configure(
-        batched_ntt=baseline.batched_ntt, ntt_galois=baseline.ntt_galois
+        plaintext_cache=baseline.plaintext_cache,
+        hoisted_rotations=baseline.hoisted_rotations,
     )
     assert fastpath.get_config() == baseline
 
 
 def test_fastpath_overridden_scope_restores():
     baseline = fastpath.get_config()
-    with fastpath.overridden(batched_ntt=False) as cfg:
-        assert cfg.batched_ntt is False
+    with fastpath.overridden(hoisted_rotations=False) as cfg:
+        assert cfg.hoisted_rotations is False
         assert fastpath.get_config() is cfg
     assert fastpath.get_config() == baseline
-    with fastpath.disabled() as cfg:
-        assert not any(
-            (cfg.batched_ntt, cfg.ntt_galois, cfg.plaintext_cache,
-             cfg.vectorized_keyswitch)
-        )
+    with fastpath.overridden(plaintext_cache=False, hoisted_rotations=False) as cfg:
+        assert not (cfg.plaintext_cache or cfg.hoisted_rotations)
     assert fastpath.get_config() == baseline

@@ -50,17 +50,20 @@ def test_evaluator_disabled_emits_nothing(ctx, evaluator, rng):
     assert obs.get_registry().counter("he_ops_total", op="CCadd").value == 0
 
 
-def test_transform_stats_compat_shim_counts_into_registry():
-    ntt.TRANSFORM_STATS.reset()
-    before = ntt.TRANSFORM_STATS.snapshot()
-    assert before["forward_calls"] == 0
-    assert before["inverse_rows"] == 0
-    assert before["total_rows"] == 0
+def test_transform_counters_count_into_registry():
+    """Each transform bumps the direction totals and the counters labelled
+    with the backend that ran it, even with observability off."""
     reg = obs.get_registry()
-    # The shim reads the very registry counters the NTT engine bumps.
-    assert ntt.TRANSFORM_STATS.forward_calls == reg.counter(
-        "ntt_transform_calls", direction="forward"
-    ).value
+    totals = reg.counter("ntt_transform_rows", direction="forward")
+    calls = reg.counter("ntt_transform_calls", direction="forward")
+    mont = reg.counter(
+        "ntt_transform_rows", direction="forward", backend="montgomery"
+    )
+    before = (totals.value, calls.value, mont.value)
+    ntt.count_transform("forward", 7, "montgomery")
+    assert (totals.value, calls.value, mont.value) == (
+        before[0] + 7, before[1] + 1, before[2] + 7
+    )
 
 
 def test_noise_profile_publishes_per_layer_gauges():

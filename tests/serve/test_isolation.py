@@ -4,6 +4,7 @@ The lanes of one slot-batched ciphertext all decrypt under one key, so a
 batch must never mix tenant key groups — on one board, through the
 pipeline, or across the autoscaled fleet.  One zipf tenant stream, with
 an admission queue small enough to reject, runs through all three loops.
+Every loop must also start each served request no earlier than it arrived.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from repro.obs.flight import FLIGHT
 from repro.serve import (
     AutoscalerConfig,
     FleetAutoscaler,
+    InferenceRequest,
     SchedulerConfig,
     SlotBatchScheduler,
     zipf_tenant_arrivals,
@@ -77,6 +79,9 @@ def test_every_loop_isolates_key_groups(build, cost_model, planner):
     assert report.completed + report.rejected + report.expired == 400
     assert report.rejected > 0 and rejects
     assert report.isolation_ok()
+    assert all(
+        r.start_s >= r.arrival_s for r in report.results if r.completed
+    )
     assert max(b.lanes for b in report.batches) == CONFIG.max_lanes
     assert all(r.key_group is not None for r in report.results)
     assert all(b.key_group is not None for b in report.batches)
@@ -88,3 +93,16 @@ def test_every_loop_isolates_key_groups(build, cost_model, planner):
     costs = ledger.report()
     assert costs.reconciled
     assert costs.totals()["requests"] == report.completed
+
+
+def test_full_group_on_idle_board_dispatches_when_it_fills(cost_model):
+    """Eight requests 10 ms apart fill one 8-lane batch: it starts at the
+    eighth arrival, not at the first, so no queue wait is negative."""
+    requests = [
+        InferenceRequest(request_id=i, arrival_s=0.01 * i) for i in range(8)
+    ]
+    scheduler = SlotBatchScheduler(cost_model, SchedulerConfig(max_lanes=8))
+    report = scheduler.run(requests)
+    assert [b.lanes for b in report.batches] == [8]
+    assert report.batches[0].start_s == requests[-1].arrival_s
+    assert all(r.start_s >= r.arrival_s for r in report.results)

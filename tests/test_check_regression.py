@@ -66,11 +66,11 @@ def test_pinned_kernel_backend_mismatch_fails(tmp_path):
     fresh = tmp_path / "fresh"
     fresh.mkdir()
     record = json.loads((BASELINES / "BENCH_fhe.json").read_text())
-    record["fastpath"]["kernel_backend"] = "numpy-lazy"
+    record["fastpath"]["kernel_backend"] = "reference"
     (fresh / "BENCH_fhe.json").write_text(json.dumps(record))
     proc = _run("--only", "BENCH_fhe", "--fresh-dir", str(fresh))
     assert proc.returncode == 1, proc.stdout + proc.stderr
-    assert "pinned 'montgomery' != 'numpy-lazy'" in proc.stdout
+    assert "pinned 'montgomery' != 'reference'" in proc.stdout
 
 
 def test_kernel_matrix_invariant_and_ratio_gated(tmp_path):
