@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from repro.fhe import CkksContext, CkksParameters, kernels, tiny_test_params
-from repro.hecnn import fxhenn_mnist_model, synthetic_mnist_image, tiny_mnist_model
+from repro.hecnn import fxhenn_mnist_model, tiny_mnist_model
 
 OUTPUT_DIR = Path(__file__).parent / "output"
 

@@ -26,8 +26,8 @@ from repro.serve import (
     SchedulerConfig,
     ServingCostModel,
     SlotBatchScheduler,
-    TenantContextCache,
     TenantRegistry,
+    TenantShardedCache,
     zipf_tenant_arrivals,
 )
 
@@ -93,8 +93,9 @@ def _run_point(cost_model, tenant_count: int) -> dict:
 def _warm_context_rerun(tenant_count: int) -> dict:
     """Provision per-tenant contexts twice; the rerun must not keygen."""
     registry = TenantRegistry()
-    contexts = TenantContextCache(
-        per_tenant_capacity=4, max_tenants=max(64, tenant_count)
+    contexts = TenantShardedCache(
+        "context", per_tenant_capacity=4,
+        max_tenants=max(64, tenant_count), flight=True,
     )
     groups = [
         registry.key_group(f"tenant-{rank:04d}")

@@ -16,9 +16,8 @@ cache.  Both need the identical semantics:
   and ``cache_hit_ratio`` gauges, kept in lock-step with the true size
   and lifetime hit rate) when observability is enabled, and
   :meth:`LruCache.stats` is always available for reports.  The hit-ratio
-  gauge is the supported way for control-plane consumers (the
-  autoscaler's spin-up cost model) to read cache warmth — they should
-  not re-derive it from the raw event counters.
+  gauge is the supported way for a dashboard to read cache warmth — it
+  should not re-derive it from the raw event counters.
 
 Kept dependency-free (only ``repro.obs``, itself zero-dependency) so the
 FHE layer can import it without cycles.

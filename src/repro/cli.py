@@ -641,7 +641,6 @@ def _print_alert_summary(engine) -> None:
 
 def cmd_serve(args: argparse.Namespace) -> int:
     """Simulate a slot-batched serving session and print the outcome."""
-    _select_kernel_backend(args.kernel_backend)
     from . import obs
     from .serve import (
         SchedulerConfig,
@@ -1388,10 +1387,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("--openmetrics-out",
                          help="write an OpenMetrics metrics snapshot of "
                               "the session to this file")
-    p_serve.add_argument("--kernel-backend", metavar="NAME",
-                         help="FHE kernel backend for any real CKKS work "
-                              "in this process (the virtual-time sim is "
-                              "unaffected); overrides REPRO_KERNEL_BACKEND")
     p_serve.add_argument("--alerts", metavar="RULES.json",
                          help="evaluate declarative alert rules (static "
                               "thresholds + SLO burn rates) along the "

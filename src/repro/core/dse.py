@@ -1,4 +1,4 @@
-"""Design space exploration (paper Sec. VI-B) with pruning and parallelism.
+"""Design space exploration (paper Sec. VI-B) with exact pruning.
 
 Objective::
 
@@ -22,21 +22,15 @@ naive scan:
   still evaluated fully so resource tie-breaks match the naive scan); its
   feasibility is then established with the cheap mandatory-buffer check
   so ``DseResult.feasible`` stays exact.
-
-``workers > 1`` splits the enumeration into contiguous chunks scanned by a
-``multiprocessing`` pool; a shared best-latency bound lets chunks prune
-against each other's incumbents, and the chunk-ordered reduction makes the
-returned solution identical to the serial scan.
 """
 
 from __future__ import annotations
 
-import multiprocessing
 from dataclasses import dataclass, field
 
 from ..fpga.device import FpgaDevice
 from ..hecnn.trace import NetworkTrace
-from ..obs.probes import DseProgress, ProgressCallback
+from ..obs.probes import DseProgress
 from ..obs.tracing import trace_span
 from .design_point import (
     DesignPoint,
@@ -95,42 +89,28 @@ def _scan(
     dsp_limit: int | None,
     bram_limit: int | None,
     prune: bool,
-    shared_bound=None,
-    progress: ProgressCallback | None = None,
 ) -> tuple[DesignSolution | None, DseProgress]:
     """Scan an iterable of points; returns (best, scan statistics).
 
     Exact under pruning: the returned best and the feasible count match
-    the unpruned scan over the same points (given that ``shared_bound``,
-    when present, only ever holds latencies achieved by real solutions).
-    ``progress``, if given, is invoked with an event dict on every
-    incumbent improvement.
+    the unpruned scan over the same points.
     """
     effective_dsp = dsp_limit if dsp_limit is not None else device.dsp_slices
     best: DesignSolution | None = None
-    stats = DseProgress(callback=progress)
+    stats = DseProgress()
     for point in points:
         stats.note_scanned()
         if prune and point.dsp_usage() > effective_dsp:
             # Infeasible for any trace; never counted feasible.
             stats.note_dsp_pruned()
             continue
-        bound = best.latency_cycles if best is not None else None
-        if shared_bound is not None:
-            with shared_bound.get_lock():
-                remote = shared_bound.value
-            if remote >= 0 and (bound is None or remote < bound):
-                bound = remote
-        if prune and bound is not None:
-            if latency_lower_bound(point, trace) > bound:
+        if prune and best is not None:
+            if latency_lower_bound(point, trace) > best.latency_cycles:
                 # Strictly worse than the incumbent — cannot win, but must
                 # still be counted if feasible.
                 stats.note_bound_pruned()
                 budget = _bram_budget(point, trace, device, bram_limit)
-                if (
-                    point.dsp_usage() <= effective_dsp
-                    and mandatory_bram_peak(point, trace) <= budget
-                ):
+                if mandatory_bram_peak(point, trace) <= budget:
                     stats.note_feasible()
                 continue
         solution = DesignSolution.evaluate(
@@ -142,33 +122,7 @@ def _scan(
         if best is None or _better(solution, best):
             best = solution
             stats.note_incumbent(best.latency_cycles)
-            if shared_bound is not None:
-                with shared_bound.get_lock():
-                    cur = shared_bound.value
-                    if cur < 0 or best.latency_cycles < cur:
-                        shared_bound.value = best.latency_cycles
     return best, stats
-
-
-_WORKER_BOUND = None
-
-
-def _init_worker(bound) -> None:
-    global _WORKER_BOUND
-    _WORKER_BOUND = bound
-
-
-def _scan_chunk(payload):
-    points, trace, device, dsp_limit, bram_limit, prune = payload
-    return _scan(
-        points, trace, device, dsp_limit, bram_limit, prune,
-        shared_bound=_WORKER_BOUND,
-    )
-
-
-def _chunks(items: list, n: int) -> list[list]:
-    size = -(-len(items) // n)
-    return [items[i : i + size] for i in range(0, len(items), size)]
 
 
 def explore(
@@ -178,58 +132,26 @@ def explore(
     dsp_limit: int | None = None,
     bram_limit: int | None = None,
     prune: bool = True,
-    workers: int | None = None,
-    progress: ProgressCallback | None = None,
 ) -> DseResult:
     """Search the design space for the latency-optimal point.
 
     ``dsp_limit`` / ``bram_limit`` override the device capacities — used by
     the Pareto sweep of Fig. 9, which constrains the BRAM budget directly.
     ``prune=False`` forces the naive exhaustive scan (the correctness
-    oracle); ``workers`` > 1 splits the scan across processes with a shared
-    best-latency bound.  All variants return the identical best solution,
-    and ``evaluated`` always equals the space size.
+    oracle); both variants return the identical best solution, and
+    ``evaluated`` always equals the space size.
 
-    ``progress``, if given, receives an event dict per incumbent
-    improvement (serial path: live during the scan; parallel path: during
-    the parent's chunk-ordered reduction, since workers cannot call back
-    across process boundaries).  Scan statistics land in the returned
-    :class:`DseResult` and — when observability is enabled — in the
-    ``dse_points_*`` registry counters.
+    Each incumbent improvement lands as a ``dse_incumbent`` flight event.
+    Scan statistics land in the returned :class:`DseResult` and — when
+    observability is enabled — in the ``dse_points_*`` registry counters.
     """
     space = space or DesignSpace()
     with trace_span(
         "dse.explore", category="dse", network=trace.name, device=device.name
     ) as span:
-        if workers is not None and workers > 1:
-            points = list(space.points())
-            bound = multiprocessing.Value("q", -1)
-            payloads = [
-                (chunk, trace, device, dsp_limit, bram_limit, prune)
-                for chunk in _chunks(points, workers)
-            ]
-            with multiprocessing.Pool(
-                processes=workers, initializer=_init_worker, initargs=(bound,)
-            ) as pool:
-                partials = pool.map(_scan_chunk, payloads)
-            best: DesignSolution | None = None
-            stats = DseProgress(callback=progress)
-            # Chunk-ordered reduction reproduces the serial first-minimum.
-            # Workers already counted their incumbent improvements (merged
-            # below), so the reduction only *replays* the callback — using
-            # note_incumbent here would double-count ``improvements``.
-            for chunk_best, chunk_stats in partials:
-                stats.merge(chunk_stats)
-                if chunk_best is not None and (
-                    best is None or _better(chunk_best, best)
-                ):
-                    best = chunk_best
-                    stats.replay_incumbent(best.latency_cycles)
-        else:
-            best, stats = _scan(
-                space.points(), trace, device, dsp_limit, bram_limit, prune,
-                progress=progress,
-            )
+        best, stats = _scan(
+            space.points(), trace, device, dsp_limit, bram_limit, prune
+        )
         stats.publish()
         span.set(**stats.as_dict())
     if best is None:
@@ -248,23 +170,26 @@ def explore(
     )
 
 
-def _feasible_chunk(payload):
-    points, trace, device, dsp_limit, bram_limit, prune = payload
-    return _enumerate(points, trace, device, dsp_limit, bram_limit, prune)
-
-
-def _enumerate(
-    points,
+def enumerate_feasible(
     trace: NetworkTrace,
     device: FpgaDevice,
-    dsp_limit: int | None,
-    bram_limit: int | None,
-    prune: bool,
-) -> tuple[list[DesignSolution], DseProgress]:
+    space: DesignSpace | None = None,
+    dsp_limit: int | None = None,
+    bram_limit: int | None = None,
+    prune: bool = True,
+) -> list[DesignSolution]:
+    """All feasible solutions — the scatter behind Fig. 9.
+
+    Only the exact DSP pre-check applies here (every feasible point must be
+    returned, so there is no latency bound to prune against).  Scan
+    statistics are published to the ``dse_points_*`` registry counters,
+    exactly as :func:`explore` does.
+    """
+    space = space or DesignSpace()
     effective_dsp = dsp_limit if dsp_limit is not None else device.dsp_slices
     out = []
     stats = DseProgress()
-    for point in points:
+    for point in space.points():
         stats.note_scanned()
         if prune and point.dsp_usage() > effective_dsp:
             stats.note_dsp_pruned()
@@ -275,45 +200,8 @@ def _enumerate(
         if solution.is_feasible(dsp_limit=dsp_limit, bram_limit=bram_limit):
             stats.note_feasible()
             out.append(solution)
-    return out, stats
-
-
-def enumerate_feasible(
-    trace: NetworkTrace,
-    device: FpgaDevice,
-    space: DesignSpace | None = None,
-    dsp_limit: int | None = None,
-    bram_limit: int | None = None,
-    prune: bool = True,
-    workers: int | None = None,
-) -> list[DesignSolution]:
-    """All feasible solutions — the scatter behind Fig. 9.
-
-    Only the exact DSP pre-check applies here (every feasible point must be
-    returned, so there is no latency bound to prune against); ``workers``
-    splits the scan across processes with order-preserving concatenation.
-    Worker scan statistics are merged in the parent and published to the
-    ``dse_points_*`` registry counters, exactly as :func:`explore` does.
-    """
-    space = space or DesignSpace()
-    if workers is not None and workers > 1:
-        points = list(space.points())
-        payloads = [
-            (chunk, trace, device, dsp_limit, bram_limit, prune)
-            for chunk in _chunks(points, workers)
-        ]
-        with multiprocessing.Pool(processes=workers) as pool:
-            partials = pool.map(_feasible_chunk, payloads)
-        stats = DseProgress()
-        for _, chunk_stats in partials:
-            stats.merge(chunk_stats)
-        stats.publish()
-        return [s for part, _ in partials for s in part]
-    solutions, stats = _enumerate(
-        space.points(), trace, device, dsp_limit, bram_limit, prune
-    )
     stats.publish()
-    return solutions
+    return out
 
 
 def _better(a: DesignSolution, b: DesignSolution) -> bool:

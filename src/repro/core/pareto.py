@@ -32,16 +32,14 @@ def solution_scatter(
     bram_min: int = 350,
     bram_max: int = 1500,
     space: DesignSpace | None = None,
-    workers: int | None = None,
 ) -> list[ParetoPoint]:
     """All feasible solutions whose BRAM peak lies in the budget window.
 
     DSP is constrained by the device; the BRAM axis is the budget the
-    figure sweeps.  ``workers`` fans the underlying scan out across
-    processes (see :func:`repro.core.dse.enumerate_feasible`).
+    figure sweeps.
     """
     solutions = enumerate_feasible(
-        trace, device, space=space, bram_limit=bram_max, workers=workers
+        trace, device, space=space, bram_limit=bram_max
     )
     return [
         ParetoPoint(

@@ -12,11 +12,10 @@ select with ``REPRO_KERNEL_BACKEND`` or ``kernels.set_backend``; see
 ``docs/kernels.md``.
 """
 
-from . import fastpath, kernels
+from . import kernels
 from .ciphertext import Ciphertext, Plaintext
 from .context import CkksContext
 from .encoder import CkksEncoder
-from .fastpath import FastPathConfig
 from .kernels import KernelBackend
 from .keys import GaloisKeys, KeyGenerator, KeySwitchKey, PublicKey, SecretKey
 from .modmath import (
@@ -84,7 +83,6 @@ __all__ = [
     "CkksEncoder",
     "CkksParameters",
     "Evaluator",
-    "FastPathConfig",
     "GaloisKeys",
     "KernelBackend",
     "KeyGenerator",
@@ -114,7 +112,6 @@ __all__ = [
     "batched_mod_sub",
     "build_prime_chain",
     "clear_caches",
-    "fastpath",
     "get_batched_ntt_context",
     "kernels",
     "registry_info",

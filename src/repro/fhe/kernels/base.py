@@ -50,8 +50,6 @@ class KernelBackend:
 
     #: Registry name; unique across registered backends.
     name: str = "abstract"
-    #: True when the backend relies on an optional compiled dependency.
-    compiled: bool = False
 
     # -- shared helpers ------------------------------------------------------
 
@@ -167,7 +165,3 @@ class KernelBackend:
 
     def clear_plans(self) -> None:
         """Drop backend-owned precomputed plans (no-op when stateless)."""
-
-    def describe(self) -> dict[str, object]:
-        """Small metadata dict for CLI/profile surfaces."""
-        return {"name": self.name, "compiled": self.compiled}

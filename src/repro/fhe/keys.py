@@ -102,16 +102,6 @@ class KeySwitchKey:
         lazy multiplies instead of per-element Barrett reductions."""
         return shoup_precompute(self.stacked_ba, self._ext_qs[None])
 
-    @property
-    def stacked_b_shoup(self) -> np.ndarray:
-        """Shoup quotients of :attr:`stacked_b` (a view)."""
-        return self.stacked_ba_shoup[0]
-
-    @property
-    def stacked_a_shoup(self) -> np.ndarray:
-        """Shoup quotients of :attr:`stacked_a` (a view)."""
-        return self.stacked_ba_shoup[1]
-
 
 #: Sentinel step used to index complex-conjugation keys (element 2N - 1).
 CONJUGATION_STEP = -1

@@ -23,7 +23,7 @@ from ..obs import config as obs_config
 from ..obs import lineage, probes
 from ..obs.tracing import trace_span
 from ..optypes import HeOp
-from . import fastpath, kernels
+from . import kernels
 from .ciphertext import Ciphertext, Plaintext
 from .context import CkksContext
 from .modmath import (
@@ -337,8 +337,8 @@ class Evaluator:
         """Encode a slot vector, memoizing the NTT-domain plaintext.
 
         ``values`` may be an array or a zero-argument callable (evaluated
-        only on a cache miss).  Without ``cache_key`` — or with the
-        ``plaintext_cache`` fast path disabled — this is a plain encode.
+        only on a cache miss).  Without ``cache_key`` this is a plain
+        encode.
 
         Correctness of the memoization rests on the cache key carrying the
         *exact* ``(level, scale)`` pair: after a Rescale the same weight
@@ -353,9 +353,7 @@ class Evaluator:
         if level is None:
             level = self.context.params.level
         cache = self.context.plaintext_cache
-        use_cache = (
-            cache_key is not None and fastpath.get_config().plaintext_cache
-        )
+        use_cache = cache_key is not None
         full_key = (cache_key, level, scale)
         if use_cache:
             hit = cache.get(full_key)
@@ -409,22 +407,20 @@ class Evaluator:
         ``(2**k - 1) / k``, which makes ``k = 3`` the sweet spot on this
         substrate.
 
-        Falls back to the plain rotate/add sequence when the
-        ``hoisted_rotations`` fast path is off (keeping the bit-exact
-        sequential baseline intact — a hoisted group shares one rescale, so
-        its rounding differs from the sequential walk) or when a composite
-        Galois key was not provisioned.  Recorded
-        operation counts are the *logical* ones — ``k`` KeySwitch and ``k``
-        CCadd per group — so analytic layer traces and the FPGA cost model
-        are unaffected by the execution strategy.
+        Falls back to the plain rotate/add sequence when a composite Galois
+        key was not provisioned.  A hoisted group shares one rescale, so its
+        rounding differs from the sequential walk: outputs agree within the
+        CKKS noise budget, not bit for bit.  Recorded operation counts are
+        the *logical* ones — ``k`` KeySwitch and ``k`` CCadd per group — so
+        analytic layer traces and the FPGA cost model are unaffected by the
+        execution strategy.
         """
         slots = self.context.slot_count
         seq = [s % slots for s in steps]
-        hoist = fastpath.get_config().hoisted_rotations
         acc = ct
         i = 0
         while i < len(seq):
-            if hoist and acc.is_linear:
+            if acc.is_linear:
                 grouped = False
                 for size in range(min(_FOLD_GROUP, len(seq) - i), 1, -1):
                     group = seq[i : i + size]

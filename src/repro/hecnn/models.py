@@ -46,24 +46,32 @@ def conv_as_dense_matrix(
     previous packed layer's output layout); output features ``m * P_out +
     p_out``.  The resulting (sparse, materialized dense) matrix computes
     exactly the convolution.
+
+    Filled one kernel offset ``(ky, kx)`` at a time: each offset scatters
+    one weight per (out map, in map, in-bounds output position).  Index
+    arrays for a single offset stay small next to the matrix itself.
     """
     in_positions = spec.in_size * spec.in_size
-    matrix = np.zeros((spec.output_count, spec.in_channels * in_positions))
-    bias_vec = np.zeros(spec.output_count)
     p_out = spec.out_positions
-    for m in range(spec.out_channels):
-        for oy in range(spec.out_size):
-            for ox in range(spec.out_size):
-                out_idx = m * p_out + oy * spec.out_size + ox
-                bias_vec[out_idx] = bias[m]
-                for c in range(spec.in_channels):
-                    for ky in range(spec.kernel_size):
-                        for kx in range(spec.kernel_size):
-                            iy = oy * spec.stride + ky - spec.padding
-                            ix = ox * spec.stride + kx - spec.padding
-                            if 0 <= iy < spec.in_size and 0 <= ix < spec.in_size:
-                                in_idx = c * in_positions + iy * spec.in_size + ix
-                                matrix[out_idx, in_idx] = weights[m, c, ky, kx]
+    matrix = np.zeros((spec.output_count, spec.in_channels * in_positions))
+    bias_vec = np.repeat(np.asarray(bias, dtype=float), p_out)
+    out_coords = np.arange(spec.out_size)
+    out_maps = np.arange(spec.out_channels)[:, None, None] * p_out
+    in_maps = np.arange(spec.in_channels)[None, :, None] * in_positions
+    for ky in range(spec.kernel_size):
+        iy = out_coords * spec.stride + ky - spec.padding
+        oy = (iy >= 0) & (iy < spec.in_size)
+        for kx in range(spec.kernel_size):
+            ix = out_coords * spec.stride + kx - spec.padding
+            ox = (ix >= 0) & (ix < spec.in_size)
+            # In-bounds (output, input) position pairs for this offset.
+            out_pos = (
+                out_coords[oy][:, None] * spec.out_size + out_coords[ox]
+            ).ravel()
+            in_pos = (iy[oy][:, None] * spec.in_size + ix[ox]).ravel()
+            matrix[out_maps + out_pos, in_maps + in_pos] = (
+                weights[:, :, ky, kx][:, :, None]
+            )
     return matrix, bias_vec
 
 

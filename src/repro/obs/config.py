@@ -1,17 +1,15 @@
 """The observability master switch.
 
-Mirrors :mod:`repro.fhe.fastpath`: one module-level flag, flipped either
-globally (:func:`enable` / :func:`disable` / :func:`set_enabled`) or for a
-scope (:func:`observed`).  The flag gates everything *expensive* — span
-timing, histograms, gauges; plain counters (e.g. the
-``ntt_transform_rows`` NTT transform counter) stay live regardless because
-they are a few integer adds per kernel call.
+One module-level flag, flipped either globally (:func:`enable` /
+:func:`disable` / :func:`set_enabled`) or for a scope (:func:`observed`).
+The flag gates everything *expensive* — span timing, histograms, gauges;
+plain counters (e.g. the ``ntt_transform_rows`` NTT transform counter)
+stay live regardless because they are a few integer adds per kernel call.
 
-All transitions go through a lock so concurrent flips (the parallel DSE
-worker path forks process state) cannot interleave a read-modify-write.
-The hot-path read itself is a single unlocked module-attribute load —
-reading a Python bool is atomic, and observability toggles are not
-expected mid-operation.
+All transitions go through a lock so concurrent flips from several
+threads cannot interleave a read-modify-write.  The hot-path read itself
+is a single unlocked module-attribute load — reading a Python bool is
+atomic, and observability toggles are not expected mid-operation.
 """
 
 from __future__ import annotations

@@ -106,40 +106,11 @@ def _labelset(labels: tuple[tuple[str, Any], ...],
     return "{" + ",".join(parts) + "}" if parts else ""
 
 
-def _prefix_selected(
-    name: str,
-    include_prefixes: tuple[str, ...] | None,
-    exclude_prefixes: tuple[str, ...],
-) -> bool:
-    """Include wins only when the raw name clears both filters."""
-    if include_prefixes is not None and not any(
-        name.startswith(p) for p in include_prefixes
-    ):
-        return False
-    return not any(name.startswith(p) for p in exclude_prefixes)
-
-
-def render_openmetrics(
-    registry: MetricsRegistry | None = None,
-    include_prefixes: tuple[str, ...] | list[str] | None = None,
-    exclude_prefixes: tuple[str, ...] | list[str] = (),
-) -> str:
-    """The registry in OpenMetrics text format (ends with ``# EOF``).
-
-    ``include_prefixes`` / ``exclude_prefixes`` filter families by their
-    *raw* registry name prefix (before sanitization): ``None`` includes
-    everything, and exclusion beats inclusion.  The point is scoping
-    high-cardinality families — per-tenant ``cost_*`` gauges — out of
-    small exports without losing them from the registry.
-    """
+def render_openmetrics(registry: MetricsRegistry | None = None) -> str:
+    """The registry in OpenMetrics text format (ends with ``# EOF``)."""
     registry = REGISTRY if registry is None else registry
-    include = tuple(include_prefixes) if include_prefixes is not None \
-        else None
-    exclude = tuple(exclude_prefixes)
     families: dict[tuple[str, str], list[Any]] = {}
     for (kind, name, _labels), metric in registry.items():
-        if not _prefix_selected(name, include, exclude):
-            continue
         families.setdefault((kind, name), []).append(metric)
 
     lines: list[str] = []
@@ -294,29 +265,19 @@ class Snapshotter:
         path: str | Path,
         interval_s: float = 30.0,
         registry: MetricsRegistry | None = None,
-        include_prefixes: tuple[str, ...] | list[str] | None = None,
-        exclude_prefixes: tuple[str, ...] | list[str] = (),
     ) -> None:
         if interval_s <= 0:
             raise ValueError("interval_s must be > 0")
         self.path = Path(path)
         self.interval_s = interval_s
         self.registry = REGISTRY if registry is None else registry
-        self.include_prefixes = (
-            tuple(include_prefixes) if include_prefixes is not None else None
-        )
-        self.exclude_prefixes = tuple(exclude_prefixes)
         self.snapshots_written = 0
         self._stop = threading.Event()
         self._thread: threading.Thread | None = None
 
     def write_snapshot(self) -> Path:
         """Render and atomically publish one snapshot; returns the path."""
-        text = render_openmetrics(
-            self.registry,
-            include_prefixes=self.include_prefixes,
-            exclude_prefixes=self.exclude_prefixes,
-        )
+        text = render_openmetrics(self.registry)
         tmp = self.path.with_name(self.path.name + ".tmp")
         tmp.write_text(text)
         os.replace(tmp, self.path)

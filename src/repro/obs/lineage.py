@@ -218,10 +218,6 @@ class LineageTracker:
         lid = getattr(ct, "_lineage_id", None)
         return self._bounds.get(lid) if lid is not None else None
 
-    def bits_of(self, ct) -> float | None:
-        """Tracked analytic precision bits of a ciphertext."""
-        return _bits(self.bound_of(ct))
-
     # -- recording --------------------------------------------------------------
 
     def observe(self, op_name: str, evaluator, args, kwargs, out) -> None:

@@ -4,16 +4,16 @@ Thin, import-cheap helpers that the FHE evaluator, the HE-CNN network, the
 noise estimator, the accelerator simulator and the DSE call at their
 interesting moments.  Every helper is a no-op (single flag check) while
 observability is disabled, except :class:`DseProgress`, which is a plain
-local accumulator handed back to the caller (the parallel DSE forks worker
-processes, whose registries are invisible to the parent — so DSE stats are
-counted locally and merged into the registry by the coordinating process).
+local accumulator handed back to the caller (the DSE reports its scan
+statistics in its result whether or not observability is on, and publishes
+them to the registry once per scan).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Any, Callable
+from dataclasses import dataclass
+from typing import Any
 
 from . import config
 from .flight import FLIGHT
@@ -293,31 +293,20 @@ def record_spin_up_cost(seconds: float, warm: bool) -> None:
 # DSE progress
 # ---------------------------------------------------------------------------
 
-#: Signature of the optional DSE progress callback: called with an event
-#: dict such as ``{"event": "incumbent", "latency_cycles": ..., ...}``.
-ProgressCallback = Callable[[dict[str, Any]], None]
-
 
 @dataclass
 class DseProgress:
-    """Local accumulator for one design-space scan.
-
-    Picklable (plain ints), so worker processes return one per chunk and
-    the parent merges them with :meth:`merge` before publishing to the
-    registry via :meth:`publish`.
-    """
+    """Local accumulator for one design-space scan, published to the
+    registry once via :meth:`publish`."""
 
     scanned: int = 0
     dsp_pruned: int = 0
     bound_pruned: int = 0
     feasible: int = 0
     improvements: int = 0
-    callback: ProgressCallback | None = field(
-        default=None, repr=False, compare=False
-    )
 
-    def note_scanned(self, n: int = 1) -> None:
-        self.scanned += n
+    def note_scanned(self) -> None:
+        self.scanned += 1
 
     def note_dsp_pruned(self) -> None:
         self.dsp_pruned += 1
@@ -335,36 +324,6 @@ class DseProgress:
             "dse_incumbent", latency_cycles=latency_cycles,
             scanned=self.scanned, feasible=self.feasible,
         )
-        if self.callback is not None:
-            self.callback({
-                "event": "incumbent",
-                "latency_cycles": latency_cycles,
-                "scanned": self.scanned,
-                "feasible": self.feasible,
-            })
-
-    def replay_incumbent(self, latency_cycles: int) -> None:
-        """Fire the callback for an incumbent found elsewhere.
-
-        Used by the parallel DSE reduction: worker chunks already counted
-        the improvement locally (and the counts arrive via :meth:`merge`),
-        so the parent must notify its callback *without* incrementing
-        ``improvements`` again.
-        """
-        if self.callback is not None:
-            self.callback({
-                "event": "incumbent",
-                "latency_cycles": latency_cycles,
-                "scanned": self.scanned,
-                "feasible": self.feasible,
-            })
-
-    def merge(self, other: "DseProgress") -> None:
-        self.scanned += other.scanned
-        self.dsp_pruned += other.dsp_pruned
-        self.bound_pruned += other.bound_pruned
-        self.feasible += other.feasible
-        self.improvements += other.improvements
 
     def as_dict(self) -> dict[str, int]:
         return {

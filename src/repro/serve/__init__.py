@@ -14,9 +14,9 @@ accelerator ran a trace":
 * :mod:`~repro.serve.tenants` — the multi-tenant key universe: tenant
   registry with stable key-group IDs, key rotation/eviction lifecycle
   events, and per-tenant cache shards with bounded quotas;
-* :mod:`~repro.serve.cache`   — LRU design / context caches so repeated
-  requests skip DSE and key generation (tenant-sharded variants for the
-  per-key universe);
+* :mod:`~repro.serve.cache`   — the LRU design cache so repeated
+  requests skip DSE (contexts live in plain or tenant-sharded LRU caches
+  so they skip key generation);
 * :mod:`~repro.serve.costmodel` — per-mode cost facts derived from the
   DSE'd designs (LoLa single vs slot-batched);
 * :mod:`~repro.serve.traffic` — deterministic arrival processes;
@@ -42,13 +42,7 @@ from .autoscale import (
     held_fraction,
     p99_windows,
 )
-from .cache import (
-    ContextCache,
-    DesignCache,
-    DesignKey,
-    TenantContextCache,
-    TenantDesignCache,
-)
+from .cache import DesignCache, DesignKey
 from .costmodel import ServingCostModel
 from .costs import (
     METRICS as COST_METRICS,
@@ -90,7 +84,6 @@ __all__ = [
     "BackpressureError",
     "BatchRecord",
     "COST_METRICS",
-    "ContextCache",
     "CostLedger",
     "CostReport",
     "DesignCache",
@@ -111,8 +104,6 @@ __all__ = [
     "SlotBatchScheduler",
     "Tenant",
     "TenantCharges",
-    "TenantContextCache",
-    "TenantDesignCache",
     "TenantRegistry",
     "TenantShardedCache",
     "TIERS",

@@ -20,10 +20,9 @@ a **control tick**:
 Scale-up is charged a modeled **spin-up cost** before the grown fleet
 takes effect: base node provisioning plus key generation plus
 design-cache warm-up, each component waived when the corresponding cache
-is already hot (:class:`SpinUpCostModel` — the *expected* cost reads the
-``cache_hit_ratio`` gauges the caches publish; the *charged* cost probes
-the actual caches, so a warm scale-up charges exactly zero keygen/DSE
-seconds).  The old fleet keeps serving while the new node warms.
+is already hot (:class:`SpinUpCostModel` probes the actual caches, so a
+warm scale-up charges exactly zero keygen/DSE seconds).  The old fleet
+keeps serving while the new node warms.
 Scale-down takes effect immediately for new dispatches, but the retiring
 node is **billed until its in-flight work drains** (drain-before-retire).
 Every resize re-partitions the pipeline through the existing DP
@@ -47,6 +46,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from ..cluster.fleet import Link
     from ..cluster.serving import ClusterService
 
+from ..caching import LruCache
 from ..fpga.device import FpgaDevice
 from ..hecnn.batched import cryptonets_mnist_batched, max_batch_lanes
 from ..obs.alerts import AlertEngine
@@ -56,9 +56,7 @@ from ..obs.probes import (
     record_flight,
     record_spin_up_cost,
 )
-from ..obs.registry import REGISTRY
 from ..obs.tracing import emit_virtual, trace_span
-from .cache import ContextCache
 from .costs import CostLedger
 from .loop import ServeLoop
 from .records import BatchRecord, ServeReport
@@ -145,25 +143,6 @@ class SpinUpCostModel:
     def __post_init__(self) -> None:
         if min(self.node_warm_s, self.keygen_s, self.design_warm_s) < 0:
             raise ValueError("spin-up cost components must be >= 0")
-
-    def estimate(self) -> float:
-        """*Expected* spin-up cost from the published hit-ratio gauges.
-
-        Reads ``cache_hit_ratio{cache="design"}`` and
-        ``cache_hit_ratio{cache="context"}`` — the gauges
-        :class:`~repro.caching.LruCache` keeps in lock-step with its
-        stats — instead of re-deriving warmth from raw event counters.
-        A cache that has never been touched reads 0.0 (fully cold).
-        """
-        design_ratio = REGISTRY.gauge("cache_hit_ratio", cache="design").value
-        context_ratio = REGISTRY.gauge(
-            "cache_hit_ratio", cache="context"
-        ).value
-        return (
-            self.node_warm_s
-            + (1.0 - design_ratio) * self.design_warm_s
-            + (1.0 - context_ratio) * self.keygen_s
-        )
 
     def charge(self, design_warm: bool, context_warm: bool) -> float:
         """The *charged* cost given exact cache probes: a fully warm
@@ -314,7 +293,7 @@ class FleetAutoscaler:
         policy: AutoscalerConfig | None = None,
         spin_up: SpinUpCostModel | None = None,
         planner: FleetPlanner | None = None,
-        contexts: ContextCache | None = None,
+        contexts: LruCache | None = None,
         config: SchedulerConfig | None = None,
         slos: tuple[Slo, ...] | list[Slo] | None = None,
         method: str = "dp",
@@ -335,7 +314,11 @@ class FleetAutoscaler:
         self.policy = policy or AutoscalerConfig()
         self.spin_up = spin_up or SpinUpCostModel()
         self.planner = planner or FleetPlanner()
-        self.contexts = contexts or ContextCache()
+        # ``is None``, not ``or``: an empty cache is falsy (``__len__``).
+        self.contexts = (
+            LruCache(8, name="context", flight=True)
+            if contexts is None else contexts
+        )
         self.config = config or SchedulerConfig()
         self.method = method
         self.trace = cryptonets_mnist_batched(poly_degree)

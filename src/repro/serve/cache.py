@@ -1,4 +1,4 @@
-"""Design and context caches: the reason a warm service skips DSE.
+"""The design cache: the reason a warm service skips DSE.
 
 Every cold inference pays two large one-time costs the request path must
 not repeat:
@@ -9,21 +9,24 @@ not repeat:
   for a parameter set, plus the model's weight provisioning.
 
 Both are pure functions of their keys, so the serving layer memoizes them
-in bounded :class:`~repro.caching.LruCache` instances.  The acceptance
-check for cache correctness is observable: a second scheduler run against
-a warm :class:`DesignCache` leaves the ``dse_points_*`` counters flat.
+in bounded :class:`~repro.caching.LruCache` instances: designs through
+:class:`DesignCache`, provisioned contexts in an ``LruCache(...,
+name="context", flight=True)`` — or, per tenant key group, a
+:class:`~repro.serve.tenants.TenantShardedCache` named ``"context"``.  The
+acceptance check for cache correctness is observable: a second scheduler
+run against a warm :class:`DesignCache` leaves the ``dse_points_*``
+counters flat.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Hashable
+from typing import Any
 
 from ..caching import CacheStats, LruCache
 from ..core.framework import AcceleratorDesign, FxHennFramework
 from ..fpga.device import FpgaDevice
 from ..hecnn.trace import NetworkTrace
-from .tenants import TenantShardedCache
 
 
 @dataclass(frozen=True)
@@ -106,7 +109,7 @@ class DesignCache:
 
         Does not touch hit/miss accounting — the autoscaler's spin-up
         cost model asks "would this scale-up need DSE?" without the
-        probe itself perturbing the hit-ratio gauge it also reads.
+        probe itself perturbing the hit-ratio gauge.
         """
         return DesignKey.of(trace, device, dsp_limit, bram_limit) in self._cache
 
@@ -118,134 +121,3 @@ class DesignCache:
 
     def __len__(self) -> int:
         return len(self._cache)
-
-
-class ContextCache:
-    """Provisioned execution state (CKKS context + keys + model weights).
-
-    Key generation dominates cold-start for real execution, so the
-    threaded service shares one provisioned context per key across all
-    workers.  The cache stores whatever the factory returns — typically a
-    ``(context, model)`` pair — and never inspects it; contexts are
-    thread-compatible here because serving only *reads* key material
-    (`ensure_*` provisioning happens inside the factory, before sharing).
-    """
-
-    def __init__(self, capacity: int = 8) -> None:
-        self._cache = LruCache(capacity, name="context", flight=True)
-
-    def get_or_create(
-        self, key: Hashable, factory: Callable[[], Any]
-    ) -> Any:
-        return self._cache.get_or_create(key, factory)
-
-    def __contains__(self, key: Hashable) -> bool:
-        """Warm probe without hit/miss accounting (spin-up cost model)."""
-        return key in self._cache
-
-    def stats(self) -> CacheStats:
-        return self._cache.stats()
-
-    def clear(self) -> None:
-        self._cache.clear()
-
-    def __len__(self) -> int:
-        return len(self._cache)
-
-
-class TenantContextCache:
-    """:class:`ContextCache` sharded by tenant key group.
-
-    Each tenant's provisioned contexts (CKKS keys are *per tenant* in a
-    multi-key deployment — the single most expensive warm-up op) live in
-    their own bounded shard, so one noisy tenant cannot evict every other
-    tenant's key material; the long tail of tenants is itself bounded by
-    ``max_tenants`` (coldest shard evicted whole, with a flight event).
-    All shards publish under ``cache="context"``, so the warm-rerun
-    acceptance check — ``cache_events_total{cache="context",
-    event="miss"}`` stays flat on a warm per-tenant rerun — aggregates
-    across the population.
-    """
-
-    def __init__(
-        self, per_tenant_capacity: int = 4, max_tenants: int = 64
-    ) -> None:
-        self._shards = TenantShardedCache(
-            "context", per_tenant_capacity=per_tenant_capacity,
-            max_tenants=max_tenants, flight=True,
-        )
-
-    def get_or_create(
-        self, key_group: str, key: Hashable, factory: Callable[[], Any]
-    ) -> Any:
-        """The tenant's provisioned state for ``key``, built once."""
-        return self._shards.get_or_create(key_group, key, factory)
-
-    def invalidate_tenant(self, key_group: str) -> int:
-        """Drop a tenant's shard after key rotation; returns entries lost."""
-        return self._shards.invalidate(key_group)
-
-    def stats(self) -> CacheStats:
-        return self._shards.stats()
-
-    def tenant_count(self) -> int:
-        return self._shards.tenant_count()
-
-    def clear(self) -> None:
-        self._shards.clear()
-
-    def __len__(self) -> int:
-        return len(self._shards)
-
-
-class TenantDesignCache:
-    """:class:`DesignCache` sharded by tenant key group.
-
-    Accelerator designs are pure functions of ``(network, device,
-    params)`` — not of key material — but a configurable deployment lets
-    tenants bring their own models and parameter sets, so quota
-    isolation matters here too: a tenant sweeping design points must not
-    evict the hot tenants' designs.  Shards publish under
-    ``cache="design"``; the DSE framework is shared across shards (it is
-    stateless between ``generate`` calls).
-    """
-
-    def __init__(
-        self, per_tenant_capacity: int = 8, max_tenants: int = 64
-    ) -> None:
-        self._shards = TenantShardedCache(
-            "design", per_tenant_capacity=per_tenant_capacity,
-            max_tenants=max_tenants, flight=True,
-        )
-        self._framework = FxHennFramework()
-
-    def get(
-        self,
-        key_group: str,
-        trace: NetworkTrace,
-        device: FpgaDevice,
-        dsp_limit: int | None = None,
-        bram_limit: int | None = None,
-    ) -> AcceleratorDesign:
-        key = DesignKey.of(trace, device, dsp_limit, bram_limit)
-        return self._shards.get_or_create(
-            key_group, key,
-            lambda: self._framework.generate(
-                trace, device, dsp_limit=dsp_limit, bram_limit=bram_limit
-            ),
-        )
-
-    def invalidate_tenant(self, key_group: str) -> int:
-        return self._shards.invalidate(key_group)
-
-    def stats(self) -> CacheStats:
-        return self._shards.stats()
-
-    def tenant_count(self) -> int:
-        return self._shards.tenant_count()
-
-    def clear(self) -> None:
-        self._shards.clear()
-
-    def __len__(self) -> int:
-        return len(self._shards)

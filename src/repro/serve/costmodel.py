@@ -85,10 +85,6 @@ class ServingCostModel:
             self.batched_trace, self.device
         ).latency_seconds
 
-    def amortized_per_image_seconds(self, lanes: int) -> float:
-        """Per-image cost of a batch carrying ``lanes`` live images."""
-        return self.batch_seconds(lanes) / lanes
-
     def lola_wins(self, lanes: int) -> bool:
         """True when serializing ``lanes`` LoLa runs beats one batch."""
         return lanes * self.single_request_seconds() < self.batch_seconds()

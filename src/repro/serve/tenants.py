@@ -282,8 +282,7 @@ class TenantShardedCache:
             )
             # Individual shards publish their own per-shard ratio under the
             # shared label as they are touched; republish the aggregate so
-            # the gauge always lands on the population-wide hit rate (what
-            # the autoscaler's spin-up cost model reads).
+            # the gauge always lands on the population-wide hit rate.
             REGISTRY.gauge("cache_hit_ratio", cache=self.name).set(
                 self.stats().hit_rate
             )

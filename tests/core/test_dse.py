@@ -105,20 +105,6 @@ def test_pruned_explore_identical_under_limits(mnist_trace, dev9):
     assert pruned == naive
 
 
-def test_parallel_explore_identical_to_serial(mnist_trace, dev9):
-    serial = explore(mnist_trace, dev9)
-    parallel = explore(mnist_trace, dev9, workers=2)
-    assert parallel.best == serial.best
-    assert parallel.evaluated == serial.evaluated
-    assert parallel.feasible == serial.feasible
-
-
-def test_parallel_enumerate_identical_to_serial(mnist_trace, dev9):
-    serial = enumerate_feasible(mnist_trace, dev9, bram_limit=700)
-    parallel = enumerate_feasible(mnist_trace, dev9, bram_limit=700, workers=2)
-    assert parallel == serial
-
-
 def test_enumerate_prune_flag_is_exact(mnist_trace, dev9):
     assert enumerate_feasible(mnist_trace, dev9, prune=True) == (
         enumerate_feasible(mnist_trace, dev9, prune=False)

@@ -1,28 +1,20 @@
-"""Regression tests: DSE scan statistics reach the parent obs registry.
+"""Regression tests: DSE scan statistics reach the obs registry.
 
-Two bugs pinned here:
-
-* the parallel ``explore`` reduction used to re-count each chunk's
-  incumbent as a fresh improvement, inflating ``improvements`` beyond the
-  sum of the workers' counts;
-* ``enumerate_feasible`` collected no scan statistics at all, so the
-  Fig. 9 sweep path published nothing to the ``dse_points_*`` counters.
+Pinned here: ``enumerate_feasible`` used to collect no scan statistics at
+all, so the Fig. 9 sweep path published nothing to the ``dse_points_*``
+counters; and ``explore``'s counters must equal its result telemetry.
 """
 
 from __future__ import annotations
 
-import pytest
-
 from repro import obs
 from repro.core import DesignSpace, enumerate_feasible, explore
-from repro.core.dse import _chunks, _scan
 
 
-@pytest.mark.parametrize("workers", [None, 2])
-def test_explore_counters_match_result_telemetry(mnist_trace, dev9, workers):
+def test_explore_counters_match_result_telemetry(mnist_trace, dev9):
     with obs.observed():
         obs.reset()
-        result = explore(mnist_trace, dev9, workers=workers)
+        result = explore(mnist_trace, dev9)
     reg = obs.get_registry()
     assert reg.counter("dse_points_scanned").value == result.evaluated
     assert reg.counter("dse_points_feasible").value == result.feasible
@@ -37,42 +29,10 @@ def test_explore_counters_match_result_telemetry(mnist_trace, dev9, workers):
     assert result.evaluated == DesignSpace().size()
 
 
-def test_parallel_improvements_not_double_counted(mnist_trace, dev9):
-    """Parallel ``improvements`` equals the sum over worker chunks.
-
-    With ``prune=False`` the shared bound is never consulted, so each
-    chunk scan is deterministic and we can compute the exact expected sum
-    by re-scanning the chunks serially.  Before the fix the reduction
-    added one spurious improvement per chunk that advanced the incumbent.
-    """
-    points = list(DesignSpace().points())
-    expected = 0
-    for chunk in _chunks(points, 2):
-        _, stats = _scan(chunk, mnist_trace, dev9, None, None, False)
-        expected += stats.improvements
-    result = explore(mnist_trace, dev9, prune=False, workers=2)
-    assert result.improvements == expected
-
-
-def test_parallel_progress_callback_replays_incumbents(mnist_trace, dev9):
-    events = []
-    result = explore(
-        mnist_trace, dev9, prune=False, workers=2, progress=events.append
-    )
-    assert events, "reduction must replay at least the final incumbent"
-    assert all(e["event"] == "incumbent" for e in events)
-    assert events[-1]["latency_cycles"] == result.best.latency_cycles
-    # Replays happen at most once per chunk and are not counted as
-    # improvements on top of the workers' own counts.
-    assert len(events) <= 2
-    assert result.improvements >= len(events)
-
-
-@pytest.mark.parametrize("workers", [None, 2])
-def test_enumerate_feasible_publishes_scan_stats(mnist_trace, dev9, workers):
+def test_enumerate_feasible_publishes_scan_stats(mnist_trace, dev9):
     with obs.observed():
         obs.reset()
-        solutions = enumerate_feasible(mnist_trace, dev9, workers=workers)
+        solutions = enumerate_feasible(mnist_trace, dev9)
     reg = obs.get_registry()
     assert reg.counter("dse_points_scanned").value == DesignSpace().size()
     assert reg.counter("dse_points_feasible").value == len(solutions)
@@ -81,9 +41,3 @@ def test_enumerate_feasible_publishes_scan_stats(mnist_trace, dev9, workers):
     # improvements — the counters exist but stay at zero.
     assert reg.counter("dse_points_bound_pruned").value == 0
     assert reg.counter("dse_incumbent_improvements").value == 0
-
-
-def test_enumerate_feasible_unchanged_by_workers(mnist_trace, dev9):
-    serial = enumerate_feasible(mnist_trace, dev9)
-    parallel = enumerate_feasible(mnist_trace, dev9, workers=2)
-    assert serial == parallel

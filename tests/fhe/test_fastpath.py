@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.fhe import CkksContext, Evaluator, fastpath, kernels, ops, tiny_test_params
+from repro.fhe import CkksContext, Evaluator, kernels, ops, tiny_test_params
 from repro.fhe.modmath import generate_ntt_primes
 from repro.fhe.ntt import get_ntt_context, negacyclic_convolution_reference
 from repro.fhe.poly import RnsBasis, RnsPolynomial, rescale_polys
@@ -244,21 +244,18 @@ def test_encode_cached_returns_identical_plaintext(ctx):
 
 
 def test_encode_cached_respects_disabled_flag(ctx):
+    """``cache_key=None`` disables caching: the encode leaves the cache
+    untouched, and the cached plaintext is bit-identical to it."""
     ev = Evaluator(ctx)
     values = np.ones(ctx.slot_count)
     ctx.clear_plaintext_cache()
-    with fastpath.overridden(plaintext_cache=False):
-        ev.encode_cached(values, level=3, scale=ctx.scale, cache_key="k2")
+    uncached = ev.encode_cached(values, level=3, scale=ctx.scale)
     assert len(ctx.plaintext_cache) == 0
-
-
-def test_fastpath_config_toggles():
-    assert fastpath.get_config() == fastpath.FastPathConfig(
-        plaintext_cache=True, hoisted_rotations=True
-    )
-    with fastpath.overridden(hoisted_rotations=False) as cfg:
-        assert cfg.plaintext_cache and not cfg.hoisted_rotations
-    assert fastpath.get_config().hoisted_rotations
+    cached = ev.encode_cached(values, level=3, scale=ctx.scale, cache_key="k2")
+    assert len(ctx.plaintext_cache) == 1
+    assert cached is not uncached
+    assert np.array_equal(cached.poly.residues, uncached.poly.residues)
+    ctx.clear_plaintext_cache()
 
 
 def test_encode_cached_bit_identity_across_rescale_boundary(ctx):

@@ -217,13 +217,6 @@ def test_plans_info_and_clear_plans():
     assert backend.plan_keys() == []
 
 
-def test_describe_marks_compiled_backends():
-    for name in kernels.available_backends():
-        desc = kernels.get_backend(name).describe()
-        assert desc["name"] == name
-        assert isinstance(desc["compiled"], bool)
-
-
 # -- mid-swap concurrency ----------------------------------------------------------
 
 

@@ -12,7 +12,6 @@ from repro.fhe import (
     Evaluator,
     NoiseEstimator,
     depth_capacity,
-    fastpath,
     fxhenn_mnist_params,
     kernels,
     measured_noise_bits,
@@ -185,8 +184,7 @@ def test_bounds_conservative_under_every_backend(backend):
         bound = est.square_relinearize_rescale(bound)
         assert bound.error_bits <= measured_noise_bits(ctx, ct, x)
 
-        # Hoisted rotate-and-sum fold (the default fast-path config).
-        assert fastpath.get_config().hoisted_rotations
+        # Hoisted rotate-and-sum fold.
         ct = ev.rotate_and_sum(ct, 8)
         x = sum(np.roll(x, -j) for j in range(8))
         for _ in range(3):  # three logical rotate-and-add steps

@@ -152,8 +152,8 @@ def test_rotate_and_sum_rejects_non_power_of_two(ctx, evaluator):
         evaluator.rotate_and_sum(ctx.encrypt_values(np.ones(4)), 6)
 
 
-def test_rotate_fold_hoisted_matches_sequential(ctx, evaluator):
-    from repro.fhe import fastpath
+def test_rotate_fold_hoisted_matches_sequential(ctx, evaluator, monkeypatch):
+    from repro.fhe import ops
     from repro.fhe.ops import fold_composite_steps
 
     steps = [4, 2, 1]
@@ -163,8 +163,9 @@ def test_rotate_fold_hoisted_matches_sequential(ctx, evaluator):
     a = _vals(ctx, 40)
     ct = ctx.encrypt_values(a)
     hoisted = evaluator.rotate_fold(ct, steps)
-    with fastpath.overridden(hoisted_rotations=False):
-        sequential = evaluator.rotate_fold(ct, steps)
+    # A fold group size of one forces the sequential rotate/add walk.
+    monkeypatch.setattr(ops, "_FOLD_GROUP", 1)
+    sequential = evaluator.rotate_fold(ct, steps)
     expected = a.copy()
     for s in steps:
         expected = expected + np.roll(expected, -s)

@@ -7,9 +7,10 @@ deterministic), the NTT row count must be equal (the backend changes how a
 transform runs, never which transforms run), and the result must decrypt
 to the plaintext reference.
 
-``hoisted_rotations`` is an *algorithm-level* fast path — a hoisted fold
+Hoisted rotation folds are an *algorithm-level* choice — a hoisted fold
 group shares a single rescale, so its rounding order differs from the
-sequential walk.  It is regression-tested separately for numerical
+sequential walk.  They are regression-tested separately, against the
+sequential walk forced by a fold group size of one, for numerical
 equivalence and a transform-row reduction.
 """
 
@@ -18,7 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro import obs
-from repro.fhe import Evaluator, fastpath, kernels
+from repro.fhe import Evaluator, kernels, ops
 
 
 def _component_residues(cts):
@@ -74,13 +75,14 @@ def test_reference_and_montgomery_forward_bit_identical(
 
 
 def test_hoisted_rotations_equivalent_and_fewer_transforms(
-    tiny_model, tiny_ctx, tiny_image
+    tiny_model, tiny_ctx, tiny_image, monkeypatch
 ):
-    """The hoisted-rotation fold matches the sequential fast path numerically
+    """The hoisted-rotation fold matches the sequential walk numerically
     and trims the transform-row count further."""
     encrypted = tiny_model.encrypt_input(tiny_ctx, tiny_image)
 
-    with fastpath.overridden(hoisted_rotations=False):
+    with monkeypatch.context() as patch:
+        patch.setattr(ops, "_FOLD_GROUP", 1)
         seq_out, seq_rows = _counted_forward(tiny_model, tiny_ctx, encrypted)
     hoisted_out, hoisted_rows = _counted_forward(
         tiny_model, tiny_ctx, encrypted
@@ -96,12 +98,9 @@ def test_hoisted_rotations_equivalent_and_fewer_transforms(
     assert np.max(np.abs(hoisted_vals - seq_vals)) < 0.02
     reference = tiny_model.infer_plain(tiny_image)
     assert np.max(np.abs(hoisted_vals - reference)) < 0.05
-    if hoisted_rows < seq_rows:
-        pass  # hoisting found at least one group to share a lift across
-    else:
-        # Tiny models may expose no foldable multi-step group; the hoisted
-        # path must then fall back without extra transform work.
-        assert hoisted_rows == seq_rows
+    # The tiny model's dense layers fold in multi-step groups, so hoisting
+    # shares a lift across each group.
+    assert 0 < hoisted_rows < seq_rows
 
 
 def test_cold_cache_forward_matches_warm(tiny_model, tiny_ctx, tiny_image):

@@ -107,6 +107,55 @@ def test_rotation_steps_are_provisionable(mnist_model):
     assert all(0 < s < mnist_model.input_packing.slot_count for s in steps)
 
 
+def _conv_as_dense_matrix_loop(spec, weights, bias):
+    """Element-by-element lowering: the oracle for the vectorized fill."""
+    in_positions = spec.in_size * spec.in_size
+    matrix = np.zeros((spec.output_count, spec.in_channels * in_positions))
+    bias_vec = np.zeros(spec.output_count)
+    for m in range(spec.out_channels):
+        for oy in range(spec.out_size):
+            for ox in range(spec.out_size):
+                out_idx = m * spec.out_positions + oy * spec.out_size + ox
+                bias_vec[out_idx] = bias[m]
+                for c in range(spec.in_channels):
+                    for ky in range(spec.kernel_size):
+                        for kx in range(spec.kernel_size):
+                            iy = oy * spec.stride + ky - spec.padding
+                            ix = ox * spec.stride + kx - spec.padding
+                            if 0 <= iy < spec.in_size and 0 <= ix < spec.in_size:
+                                in_idx = c * in_positions + iy * spec.in_size + ix
+                                matrix[out_idx, in_idx] = weights[m, c, ky, kx]
+    return matrix, bias_vec
+
+
+@pytest.mark.parametrize(
+    "in_channels, out_channels, kernel_size, stride, padding, in_size",
+    [
+        (2, 3, 3, 1, 0, 5),
+        (3, 4, 3, 2, 1, 7),  # stride 2 with padding: border offsets clip
+        (2, 2, 4, 2, 1, 8),
+        (1, 5, 5, 2, 1, 28),  # FxHENN-MNIST Cnv1 geometry
+        (4, 3, 5, 1, 0, 5),  # a single output position
+    ],
+)
+def test_conv_as_dense_matrix_bit_identical_to_loop(
+    in_channels, out_channels, kernel_size, stride, padding, in_size
+):
+    spec = ConvSpec(
+        in_channels=in_channels, out_channels=out_channels,
+        kernel_size=kernel_size, stride=stride, padding=padding,
+        in_size=in_size,
+    )
+    rng = np.random.default_rng(in_size)
+    w = rng.normal(size=(out_channels, in_channels, kernel_size, kernel_size))
+    b = rng.normal(size=out_channels)
+    matrix, bias_vec = conv_as_dense_matrix(spec, w, b)
+    want_matrix, want_bias = _conv_as_dense_matrix_loop(spec, w, b)
+    assert matrix.dtype == want_matrix.dtype
+    assert np.array_equal(matrix, want_matrix)
+    assert np.array_equal(bias_vec, want_bias)
+
+
 def test_conv_as_dense_matrix_equivalence():
     """The lowered matrix reproduces the convolution on map-major vectors."""
     rng = np.random.default_rng(3)

@@ -1,11 +1,10 @@
-"""Master switch and fast-path config: scoping and concurrent flips."""
+"""Observability master switch: scoping and concurrent flips."""
 
 from __future__ import annotations
 
 import threading
 
 from repro import obs
-from repro.fhe import fastpath
 
 
 def test_switch_defaults_off_and_scopes_restore():
@@ -58,49 +57,3 @@ def test_concurrent_switch_flips_never_tear():
         t.join()
     assert not errors
 
-
-def test_fastpath_concurrent_configure_never_tears():
-    """Concurrent ``configure`` calls always leave a whole config object.
-
-    (Overlapping ``overridden`` scopes from different threads restore in
-    exit order by design; this exercises the locked swap itself.)
-    """
-    baseline = fastpath.get_config()
-    errors = []
-
-    def toggler(flag: str):
-        try:
-            for i in range(200):
-                cfg = fastpath.configure(**{flag: bool(i % 2)})
-                assert isinstance(getattr(cfg, flag), bool)
-                # Reads see a whole config object, never a torn one.
-                assert isinstance(fastpath.get_config().plaintext_cache, bool)
-        except Exception as exc:  # pragma: no cover
-            errors.append(exc)
-
-    threads = [
-        threading.Thread(target=toggler, args=(flag,))
-        for flag in ("plaintext_cache", "hoisted_rotations")
-        for _ in range(2)
-    ]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    assert not errors
-    fastpath.configure(
-        plaintext_cache=baseline.plaintext_cache,
-        hoisted_rotations=baseline.hoisted_rotations,
-    )
-    assert fastpath.get_config() == baseline
-
-
-def test_fastpath_overridden_scope_restores():
-    baseline = fastpath.get_config()
-    with fastpath.overridden(hoisted_rotations=False) as cfg:
-        assert cfg.hoisted_rotations is False
-        assert fastpath.get_config() is cfg
-    assert fastpath.get_config() == baseline
-    with fastpath.overridden(plaintext_cache=False, hoisted_rotations=False) as cfg:
-        assert not (cfg.plaintext_cache or cfg.hoisted_rotations)
-    assert fastpath.get_config() == baseline

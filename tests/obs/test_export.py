@@ -151,68 +151,6 @@ def test_user_label_cannot_shadow_quantile():
     assert 'quantile_2="user-supplied",quantile="0.5"' in text
 
 
-def test_include_prefixes_scope_the_exposition():
-    reg = _golden_registry()
-    text = render_openmetrics(reg, include_prefixes=("queue_", "noise"))
-    validate_openmetrics(text)
-    assert "# TYPE queue_depth gauge" in text
-    assert "noise_bits" in text
-    assert "requests" not in text
-    assert "latency" not in text
-
-
-def test_exclude_prefixes_beat_inclusion():
-    reg = _golden_registry()
-    text = render_openmetrics(
-        reg, include_prefixes=("noise",), exclude_prefixes=("noise.",)
-    )
-    validate_openmetrics(text)
-    # Raw-name prefixes: "noise.bits" is excluded before sanitization,
-    # "noise bits" survives the include.
-    assert "# TYPE noise_bits gauge" in text
-    assert "-14.5" not in text
-    assert "7.25" in text
-
-
-def test_exclude_prefixes_drop_high_cardinality_families():
-    reg = MetricsRegistry()
-    reg.gauge("cost_slot_seconds", tenant="a").set(1.0)
-    reg.gauge("cost_slot_seconds", tenant="b").set(2.0)
-    reg.gauge("queue_depth").set(3)
-    text = render_openmetrics(reg, exclude_prefixes=("cost_",))
-    validate_openmetrics(text)
-    assert "cost_" not in text
-    assert "queue_depth 3" in text
-
-
-def test_filtered_everything_renders_bare_eof():
-    text = render_openmetrics(
-        _golden_registry(), include_prefixes=("zzz_",)
-    )
-    assert text == "# EOF\n"
-    validate_openmetrics(text)
-
-
-def test_unfiltered_render_still_matches_golden_file():
-    # The filter plumbing must not perturb the default exposition.
-    assert render_openmetrics(
-        _golden_registry(), include_prefixes=None, exclude_prefixes=()
-    ) == GOLDEN.read_text()
-
-
-def test_snapshotter_honours_prefix_filters(tmp_path):
-    reg = _golden_registry()
-    snap = Snapshotter(
-        tmp_path / "metrics.txt", registry=reg,
-        include_prefixes=("queue_",),
-    )
-    path = snap.write_snapshot()
-    assert path.read_text() == render_openmetrics(
-        reg, include_prefixes=("queue_",)
-    )
-    validate_openmetrics(path.read_text())
-
-
 def test_snapshotter_writes_atomically_on_demand(tmp_path):
     reg = _golden_registry()
     snap = Snapshotter(tmp_path / "metrics.txt", registry=reg)

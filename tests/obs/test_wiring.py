@@ -100,10 +100,16 @@ def test_dse_result_carries_scan_statistics(mnist_trace):
 
 
 def test_dse_progress_callback_sees_incumbents(mnist_trace):
-    events = []
-    result = explore(mnist_trace, acu9eg(), progress=events.append)
+    """DSE progress is reported as one ``dse_incumbent`` flight event per
+    incumbent improvement, carrying the scan position."""
+    with obs.observed():
+        obs.reset()
+        result = explore(mnist_trace, acu9eg())
+        events = obs.FLIGHT.events("dse_incumbent")
     assert len(events) == result.improvements
-    assert all(e["event"] == "incumbent" for e in events)
+    scanned = [e["scanned"] for e in events]
+    assert scanned == sorted(scanned)
+    assert all(e["feasible"] <= e["scanned"] for e in events)
     latencies = [e["latency_cycles"] for e in events]
     assert latencies == sorted(latencies, reverse=True)
     assert latencies[-1] == result.best.latency_cycles

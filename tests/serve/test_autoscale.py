@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro import obs
+from repro.caching import LruCache
 from repro.fpga import acu15eg
 from repro.obs.flight import FLIGHT
 from repro.obs.registry import REGISTRY
@@ -18,7 +19,6 @@ from repro.serve import (
     p99_windows,
     uniform_arrivals,
 )
-from repro.serve.cache import ContextCache
 from repro.serve.records import RequestResult, ServeReport
 
 #: Small deterministic overload: 120 uniform arrivals at 4/s against a
@@ -55,7 +55,7 @@ def planner():
 @pytest.fixture()
 def elastic(planner):
     """One full elastic session, with observability snapshots."""
-    contexts = ContextCache()
+    contexts = LruCache(8, name="context", flight=True)
     scaler = _scaler(planner, contexts)
     with obs.observed():
         obs.reset()
@@ -117,17 +117,6 @@ def test_charge_waives_components_per_cache():
     assert model.charge(False, True) == pytest.approx(5.5)
     assert model.charge(True, False) == pytest.approx(30.5)
     assert model.charge(False, False) == pytest.approx(35.5)
-
-
-def test_estimate_reads_hit_ratio_gauges():
-    model = SpinUpCostModel(node_warm_s=0.5, keygen_s=30.0, design_warm_s=5.0)
-    with obs.observed():
-        obs.reset()
-        # Untouched gauges read 0.0: the full cold cost.
-        assert model.estimate() == pytest.approx(35.5)
-        REGISTRY.gauge("cache_hit_ratio", cache="design").set(1.0)
-        REGISTRY.gauge("cache_hit_ratio", cache="context").set(0.5)
-        assert model.estimate() == pytest.approx(0.5 + 0.0 + 15.0)
 
 
 # -- window verdicts -------------------------------------------------------
@@ -225,7 +214,7 @@ def test_cooldown_suppresses_flapping_once_per_streak(planner):
     # A long cooldown after the scale-up vetoes the post-drain
     # scale-down: the wanted decision surfaces as one flap_suppressed
     # event, not one per tick.
-    contexts = ContextCache()
+    contexts = LruCache(8, name="context", flight=True)
     scaler = _scaler(planner, contexts, cooldown_s=50.0)
     with obs.observed():
         obs.reset()
@@ -246,12 +235,22 @@ def test_cooldown_suppresses_flapping_once_per_streak(planner):
     assert flight[0]["wanted"] == "scale_down"
 
 
+def test_prewarm_provisions_the_callers_empty_context_cache(planner):
+    # An empty cache is falsy (``__len__``); the autoscaler must still
+    # use the caller's cache rather than a fresh default.
+    contexts = LruCache(8, name="context", flight=True)
+    scaler = _scaler(planner, contexts)
+    assert scaler.contexts is contexts
+    assert len(contexts) == 1
+
+
 def test_cold_context_scale_up_charges_keygen(planner):
     # Warm design cache (shared planner) but a fresh, unprovisioned
     # context cache: the first scale-up pays keygen but no DSE.
     scaler = FleetAutoscaler(
         acu15eg(), policy=_policy(), planner=planner,
-        contexts=ContextCache(), config=SchedulerConfig(max_lanes=8),
+        contexts=LruCache(8, name="context", flight=True),
+        config=SchedulerConfig(max_lanes=8),
         slos=_SLOS, prewarm=False,
     )
     report = scaler.run(uniform_arrivals(120, 4.0))

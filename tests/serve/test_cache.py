@@ -3,8 +3,9 @@
 from __future__ import annotations
 
 from repro import obs
+from repro.caching import LruCache
 from repro.hecnn import cryptonets_mnist_batched, fxhenn_mnist_model
-from repro.serve import ContextCache, DesignCache, DesignKey
+from repro.serve import DesignCache, DesignKey
 
 
 def test_design_key_identity(dev9):
@@ -56,7 +57,7 @@ def test_design_cache_distinguishes_limits(dev9):
 
 
 def test_context_cache_builds_once():
-    cache = ContextCache(capacity=2)
+    cache = LruCache(2, name="context", flight=True)
     built = []
 
     def factory():

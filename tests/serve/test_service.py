@@ -13,9 +13,9 @@ import time
 
 import pytest
 
+from repro.caching import LruCache
 from repro.serve import (
     BackpressureError,
-    ContextCache,
     InferenceService,
     ServiceClosed,
 )
@@ -154,7 +154,7 @@ def test_real_ckks_execution_through_service():
     from repro.fhe import CkksContext, tiny_test_params
     from repro.hecnn import tiny_mnist_model
 
-    contexts = ContextCache()
+    contexts = LruCache(8, name="context", flight=True)
 
     def provision():
         params = tiny_test_params(poly_degree=512, level=7)

@@ -13,7 +13,6 @@ from repro.serve import (
     SchedulerConfig,
     SlotBatchScheduler,
     Tenant,
-    TenantContextCache,
     TenantRegistry,
     TenantShardedCache,
     tier_of_rank,
@@ -165,7 +164,9 @@ def test_sharded_cache_publishes_population_wide_hit_ratio():
 def test_concurrent_same_tenant_context_provisioning_builds_once():
     """Satellite hammer: N threads warming one tenant's context run the
     (expensive keygen) factory exactly once."""
-    cache = TenantContextCache(per_tenant_capacity=4, max_tenants=8)
+    cache = TenantShardedCache(
+        "context", per_tenant_capacity=4, max_tenants=8, flight=True
+    )
     builds = []
     barrier = threading.Barrier(8)
     errors = []
@@ -194,7 +195,9 @@ def test_concurrent_same_tenant_context_provisioning_builds_once():
 
 def test_warm_per_tenant_rerun_performs_zero_keygen():
     """Acceptance: a warm rerun leaves the context miss counter flat."""
-    cache = TenantContextCache(per_tenant_capacity=4, max_tenants=16)
+    cache = TenantShardedCache(
+        "context", per_tenant_capacity=4, max_tenants=16, flight=True
+    )
     groups = [f"tenant-{i:04d}:k0" for i in range(6)]
     with obs.observed():
         obs.reset()
