@@ -7,8 +7,9 @@ hardware characterization of Table I: KeySwitch > Rescale >> elementwise.
 ``test_bench_fastpath_end_to_end`` additionally times the full encrypted
 FxHENN-MNIST forward under the production kernel backend against the
 ``reference`` kernel oracle on the same ciphertexts, checks the two agree
-bit for bit, and writes the machine-readable record to
-``benchmarks/output/BENCH_fhe.json``.
+bit for bit and that the forward pass fetches exactly the provisioned
+Galois keys, and writes the machine-readable record (with key generation
+time and key count) to ``benchmarks/output/BENCH_fhe.json``.
 """
 
 from __future__ import annotations
@@ -21,8 +22,14 @@ import numpy as np
 import pytest
 
 from repro import obs
-from repro.fhe import CkksContext, Evaluator, get_ntt_context, tiny_test_params
-from repro.fhe import kernels
+from repro.fhe import (
+    CkksContext,
+    Evaluator,
+    GaloisKeys,
+    get_ntt_context,
+    kernels,
+    tiny_test_params,
+)
 from repro.fhe.modmath import BarrettConstant, barrett_reduce, generate_ntt_primes
 from repro.hecnn import fxhenn_mnist_model, synthetic_mnist_image
 
@@ -142,22 +149,35 @@ def _timed_forward(net, ctx, encrypted):
     return out, seconds, {k: after[k] - before[k] for k in after}
 
 
-def test_bench_fastpath_end_to_end(save_report):
+def test_bench_fastpath_end_to_end(save_report, monkeypatch):
     """The encrypted MNIST forward (reduced N=2048, L=7 ring) under the
     default kernel backend vs the ``reference`` oracle, emitting
     ``BENCH_fhe.json``."""
     params = tiny_test_params(poly_degree=2048, level=7)
     net = fxhenn_mnist_model(seed=0, params=params)
     ctx = CkksContext(params, seed=1)
+    start = time.perf_counter()
     net.provision_keys(ctx)
+    keygen_seconds = time.perf_counter() - start
     image = synthetic_mnist_image(seed=2)
     reference = net.infer_plain(image)
     encrypted = net.encrypt_input(ctx, image)
     layout = net.layers[-1].output_layout
 
     # One warm-up populates the per-network plaintext cache (the steady
-    # state both timed runs measure).
-    net.forward_encrypted(Evaluator(ctx), encrypted)
+    # state both timed runs measure) and logs every Galois key fetched,
+    # misses included; the log wraps only the warm-up, so the timed runs
+    # call the plain lookup.
+    fetched = set()
+    get = GaloisKeys.get
+
+    def logged_get(keys, step, level):
+        fetched.add((step, level))
+        return get(keys, step, level)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(GaloisKeys, "get", logged_get)
+        net.forward_encrypted(Evaluator(ctx), encrypted)
 
     # Baseline: the per-prime reference kernels, same algorithm and flags.
     with kernels.using_backend("reference"):
@@ -217,6 +237,8 @@ def test_bench_fastpath_end_to_end(save_report):
                       "hoisted_rotations (warm cache)",
         },
         "speedup": speedup,
+        "keygen_seconds": keygen_seconds,
+        "galois_keys": len(ctx.galois_keys.keys),
         "op_latency_ms": op_latency,
         "baseline_max_err": _max_err(baseline_out),
         "fastpath_max_err": _max_err(fast_out),
@@ -241,6 +263,9 @@ def test_bench_fastpath_end_to_end(save_report):
         for a, b in zip(got.components, want.components, strict=True):
             assert np.array_equal(a.to_ntt().residues, b.to_ntt().residues)
     assert fast_stats["total_rows"] == baseline_stats["total_rows"]
+    # Provisioning is exact: every key generated is fetched, and no fetch
+    # missed (a miss would fall back to the sequential fold).
+    assert fetched == set(ctx.galois_keys.keys)
     # The production backend must earn its place (measured ~2.6x).
     assert speedup >= 1.5
     # The observed pass produced a per-op latency distribution.

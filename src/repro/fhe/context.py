@@ -83,14 +83,19 @@ class CkksContext:
     def ensure_galois_keys(
         self, steps: list[int], levels: list[int] | None = None
     ) -> None:
-        """Generate rotation keys for the given steps/levels if absent."""
+        """Generate rotation keys for every step at every given level
+        (default: all) if absent."""
         levels = levels or list(range(1, self.params.level + 1))
-        needed = [
-            s for s in dict.fromkeys(steps)
-            if any((s, lvl) not in self.galois_keys.keys for lvl in levels)
+        self.ensure_rotation_keys([(s, lvl) for s in steps for lvl in levels])
+
+    def ensure_rotation_keys(self, pairs: list[tuple[int, int]]) -> None:
+        """Generate the Galois keys for exactly these ``(step, level)``
+        pairs, skipping those already present."""
+        missing = [
+            p for p in dict.fromkeys(pairs) if p not in self.galois_keys.keys
         ]
-        if needed:
-            fresh = self.keygen.generate_galois_keys(needed, levels)
+        if missing:
+            fresh = self.keygen.generate_galois_keys(missing)
             self.galois_keys.keys.update(fresh.keys)
 
     def ensure_conjugation_keys(self, levels: list[int] | None = None) -> None:

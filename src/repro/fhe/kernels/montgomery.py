@@ -24,8 +24,10 @@ entirely.  Values grow by ``+2q`` per stage and are renormalized with a
 division-free approximate reduction (``x - ((x * floor(2**32/q)) >> 32) *
 q``, mapping ``[0, 2**32) -> [0, 2q)``) only when the running bound would
 overflow ``2**32``; a 28-bit chain renormalizes every ~7 stages.  A single
-exit pass converts back with an exact reduction, so outputs stay
-bit-identical to the reference transform.
+exit pass converts back with an exact reduction on every forward, so
+outputs are canonical (below ``q``) and bit-identical to the reference
+transform; the KeySwitch inner product (``repro.fhe.ops._inner_product``)
+relies on canonical digits for its overflow budget.
 
 **Relaxed Gentleman-Sande (inverse).**  The difference leg reuses Shoup
 twiddle quotients but defers all reductions: the working bound *doubles*
@@ -394,19 +396,9 @@ def _exit_reduce(x: np.ndarray, mu, q) -> None:
 
 
 def plan_forward(
-    plan: MontgomeryPlan,
-    flat: np.ndarray,
-    mode: str | None = None,
-    lazy: bool = False,
+    plan: MontgomeryPlan, flat: np.ndarray, mode: str | None = None
 ) -> np.ndarray:
-    """Forward NTT of a ``(rows, L, N)`` uint64 working copy (mutated).
-
-    With ``lazy=True`` the final exact exit reduction is skipped: outputs
-    are correct modulo ``q`` but live in ``[0, bound*q)`` with
-    ``bound*q <= 2**32`` — exactly the domain the lazy Shoup inner
-    product accepts.  Only callers that feed the result into a deferred
-    Barrett reduction may use it.
-    """
+    """Forward NTT of a ``(rows, L, N)`` uint64 working copy (mutated)."""
     rows = flat.shape[0]
     if mode is None:
         wide = rows * plan.level > NARROW_MAX_R_FORWARD
@@ -415,8 +407,8 @@ def plan_forward(
     s1 = np.empty(flat.size // 2, dtype=_U64)
     s2 = np.empty(flat.size // 2, dtype=_U64)
     if wide:
-        return _forward_wide(plan, flat, s1, s2, lazy)
-    return _forward_narrow(plan, flat, s1, s2, lazy)
+        return _forward_wide(plan, flat, s1, s2)
+    return _forward_narrow(plan, flat, s1, s2)
 
 
 def plan_inverse(
@@ -435,7 +427,7 @@ def plan_inverse(
     return _inverse_narrow(plan, flat, s1, s2)
 
 
-def _forward_wide(plan, flat, s1, s2, lazy=False):
+def _forward_wide(plan, flat, s1, s2):
     n = plan.n
     rows = flat.shape[0]
     bmax = plan.bmax
@@ -484,18 +476,17 @@ def _forward_wide(plan, flat, s1, s2, lazy=False):
             x = np.ascontiguousarray(
                 y.reshape(rows, n // m1, m1).transpose(0, 2, 1)
             ).reshape(rows, n)
-        if not lazy:
-            _exit_reduce(x, mu, q)
+        _exit_reduce(x, mu, q)
         flat[:, i, :] = x
     return flat
 
 
-def _forward_narrow(plan, flat, s1, s2, lazy=False):
+def _forward_narrow(plan, flat, s1, s2):
     n, level = plan.n, plan.level
     rows = flat.shape[0]
     tab = plan.tiled_forward(rows)
     if tab is None:
-        return _forward_wide(plan, flat, s1, s2, lazy)
+        return _forward_wide(plan, flat, s1, s2)
     R = rows * level
     x = flat.reshape(R, n)
     for t, m, we, pe, renorm in tab.std:
@@ -535,8 +526,7 @@ def _forward_narrow(plan, flat, s1, s2, lazy=False):
             y.reshape(R, n // m1, m1).transpose(0, 2, 1)
         ).reshape(R, n)
         flat = x.reshape(rows, level, n)
-    if not lazy:
-        _exit_reduce(x, tab.mun, tab.qn)
+    _exit_reduce(x, tab.mun, tab.qn)
     return flat
 
 
@@ -679,16 +669,6 @@ class MontgomeryBackend(KernelBackend):
         flat, shape = self._residue_copy(n, plan.primes, values)
         count_transform("forward", flat.shape[0] * plan.level, self.name)
         return plan_forward(plan, flat).reshape(shape)
-
-    def forward_lazy(self, n, primes, values):
-        """Forward NTT with a lazy exit — outputs are ``[0, 4q)``-bounded
-        representatives (exact modulo ``q``), for callers that immediately
-        feed them into lazy Shoup inner products.  Not part of the
-        :class:`KernelBackend` contract; resolved via ``getattr``."""
-        plan = self.plan(n, primes)
-        flat, shape = self._residue_copy(n, plan.primes, values)
-        count_transform("forward", flat.shape[0] * plan.level, self.name)
-        return plan_forward(plan, flat, lazy=True).reshape(shape)
 
     def inverse(self, n, primes, values):
         plan = self.plan(n, primes)

@@ -17,11 +17,10 @@ are also stored in off-chip memory").
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
-from .modmath import mod_inverse, shoup_precompute
+from .modmath import mod_inverse
 from .poly import RnsBasis, RnsPolynomial
 from .sampling import sample_gaussian, sample_ternary, sample_uniform
 
@@ -59,48 +58,31 @@ class KeySwitchKey:
     """Per-level key-switching key toward secret ``s`` from target ``s'``.
 
     ``b[i] + a[i]*s = e_i + p * D_i * s'`` over the extended basis
-    ``(q_1..q_l, p)``; all components stored in NTT domain.
+    ``(q_1..q_l, p)``, stored once as the NTT-domain stack
+    ``stacked_ba[0] = b`` and ``stacked_ba[1] = a``, shaped
+    ``(2, level, ext_level, N)`` so one broadcast multiply per digit covers
+    both key halves of the KeySwitch inner product.
     """
 
     level: int
     basis: RnsBasis  # extended basis including the special prime (last)
-    b: tuple[RnsPolynomial, ...]
-    a: tuple[RnsPolynomial, ...]
+    stacked_ba: np.ndarray
 
-    @cached_property
-    def stacked_ba(self) -> np.ndarray:
-        """Both key halves stacked to ``(2, level, ext_level, N)`` so one
-        broadcast Shoup multiply covers the whole KeySwitch inner product."""
-        return np.stack(
-            [
-                np.stack([p.residues for p in self.b]),
-                np.stack([p.residues for p in self.a]),
-            ]
+    @property
+    def b(self) -> tuple[RnsPolynomial, ...]:
+        """The ``b[i]`` halves, as views into :attr:`stacked_ba`."""
+        return tuple(
+            RnsPolynomial(self.basis, row, is_ntt=True)
+            for row in self.stacked_ba[0]
         )
 
     @property
-    def stacked_b(self) -> np.ndarray:
-        """All ``b[i]`` residues stacked to ``(level, ext_level, N)`` (a view
-        into :attr:`stacked_ba`)."""
-        return self.stacked_ba[0]
-
-    @property
-    def stacked_a(self) -> np.ndarray:
-        """All ``a[i]`` residues stacked to ``(level, ext_level, N)`` (a view
-        into :attr:`stacked_ba`)."""
-        return self.stacked_ba[1]
-
-    @cached_property
-    def _ext_qs(self) -> np.ndarray:
-        """Extended-chain moduli shaped ``(1, ext_level, 1)`` for broadcasts."""
-        return np.array(self.basis.primes, dtype=_U64).reshape(1, -1, 1)
-
-    @cached_property
-    def stacked_ba_shoup(self) -> np.ndarray:
-        """Shoup quotients of :attr:`stacked_ba` — the key rows are fixed
-        multiplicands, so the KeySwitch inner product can use division-free
-        lazy multiplies instead of per-element Barrett reductions."""
-        return shoup_precompute(self.stacked_ba, self._ext_qs[None])
+    def a(self) -> tuple[RnsPolynomial, ...]:
+        """The ``a[i]`` halves, as views into :attr:`stacked_ba`."""
+        return tuple(
+            RnsPolynomial(self.basis, row, is_ntt=True)
+            for row in self.stacked_ba[1]
+        )
 
 
 #: Sentinel step used to index complex-conjugation keys (element 2N - 1).
@@ -205,18 +187,16 @@ class KeyGenerator:
         for q in q_chain:
             big_q *= q
         p = self.special_prime
-        bs: list[RnsPolynomial] = []
-        As: list[RnsPolynomial] = []
+        stacked = np.empty((2, level, ext.level, ext.n), dtype=_U64)
         for i, q_i in enumerate(q_chain):
             q_hat = big_q // q_i
             d_i = q_hat * mod_inverse(q_hat % q_i, q_i)
             a_i = sample_uniform(ext, self.rng).to_ntt()
             e_i = sample_gaussian(ext, self.rng, self.error_std).to_ntt()
             gadget = s_prime.scalar_multiply(p * d_i)
-            b_i = -(a_i * s) + e_i + gadget
-            bs.append(b_i)
-            As.append(a_i)
-        return KeySwitchKey(level=level, basis=ext, b=tuple(bs), a=tuple(As))
+            stacked[0, i] = (-(a_i * s) + e_i + gadget).residues
+            stacked[1, i] = a_i.residues
+        return KeySwitchKey(level=level, basis=ext, stacked_ba=stacked)
 
     def generate_relin_keys(
         self, levels: list[int] | None = None
@@ -234,24 +214,28 @@ class KeyGenerator:
         return {lvl: self._generate_kswitch_key(signed, lvl) for lvl in levels}
 
     def generate_galois_keys(
-        self, steps: list[int], levels: list[int] | None = None
+        self, pairs: list[tuple[int, int]]
     ) -> GaloisKeys:
-        """Rotation keys for every (step, level) pair requested.
+        """Rotation keys for exactly the requested ``(step, level)`` pairs.
 
         ``step`` is a left-rotation amount in slots; the Galois element is
         ``5^step mod 2N``.
         """
-        levels = levels or list(range(1, len(self.chain_primes) + 1))
         out = GaloisKeys()
         n = self.n
-        for step in steps:
-            if step == CONJUGATION_STEP:
-                g = 2 * n - 1
-            else:
-                g = pow(5, step % (n // 2), 2 * n)
-            rotated = _apply_galois_signed(self.secret_key.signed_coeffs, g, n)
-            for lvl in levels:
-                out.keys[(step, lvl)] = self._generate_kswitch_key(rotated, lvl)
+        rotated: dict[int, np.ndarray] = {}
+        for step, lvl in pairs:
+            if step not in rotated:
+                if step == CONJUGATION_STEP:
+                    g = 2 * n - 1
+                else:
+                    g = pow(5, step % (n // 2), 2 * n)
+                rotated[step] = _apply_galois_signed(
+                    self.secret_key.signed_coeffs, g, n
+                )
+            out.keys[(step, lvl)] = self._generate_kswitch_key(
+                rotated[step], lvl
+            )
         return out
 
 

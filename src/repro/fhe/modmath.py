@@ -199,9 +199,9 @@ def batched_mod_mul(a: np.ndarray, b: np.ndarray, bb: BatchedBarrett) -> np.ndar
 # Division-free RNS helpers
 #
 # The base-conversion steps of Rescale and KeySwitch lift centered values
-# into new moduli, and the key inner product multiplies NTT residues by
-# fixed key rows.  Both are hot enough that the integer divisions hidden in
-# ``np.mod`` / Barrett are worth eliminating when precomputation allows.
+# into new moduli, and Rescale multiplies residues by fixed inverse rows.
+# Both are hot enough that the integer divisions hidden in ``np.mod`` /
+# Barrett are worth eliminating when precomputation allows.
 
 
 def centered_lift_fits(source_q: int, target_primes: tuple[int, ...]) -> bool:
@@ -228,8 +228,8 @@ def centered_lift(signed: np.ndarray, qs: np.ndarray) -> np.ndarray:
     return np.where(s < 0, s + qs, s).astype(_U64)
 
 
-#: Shoup quotients for :func:`shoup_mul_lazy` use beta = 32, matching the
-#: NTT twiddle tables — valid for any modulus below 2**30.
+#: Shoup quotients for :func:`shoup_mul` use beta = 32, matching the NTT
+#: twiddle tables — valid for any modulus below 2**30.
 _SHOUP_SHIFT = _U64(32)
 
 
@@ -242,34 +242,23 @@ def shoup_precompute(b: np.ndarray, qs: np.ndarray) -> np.ndarray:
     return (np.asarray(b, dtype=_U64) << _SHOUP_SHIFT) // np.asarray(qs, dtype=_U64)
 
 
-def shoup_mul_lazy(
-    a: np.ndarray, b: np.ndarray, b_shoup: np.ndarray, qs: np.ndarray
-) -> np.ndarray:
-    """Lazy Shoup product ``a * b mod q`` in ``[0, 2q)`` — no division.
-
-    ``b_shoup`` comes from :func:`shoup_precompute`; ``a`` may be any value
-    below ``2**32`` (it multiplies the 32-bit quotient inside uint64).
-    Useful for inner products: accumulate the ``[0, 2q)`` outputs and
-    reduce the sum once.
-    """
-    a64 = np.asarray(a, dtype=_U64)
-    hi = np.multiply(a64, np.asarray(b_shoup, dtype=_U64))
-    hi >>= _SHOUP_SHIFT
-    hi *= np.asarray(qs, dtype=_U64)
-    out = np.multiply(a64, np.asarray(b, dtype=_U64))
-    out -= hi
-    return out
-
-
 def shoup_mul(
     a: np.ndarray, b: np.ndarray, b_shoup: np.ndarray, qs: np.ndarray
 ) -> np.ndarray:
     """Canonical Shoup product ``a * b mod q`` in ``[0, q)``.
 
-    The lazy product plus one conditional subtract — bit-identical to the
-    Barrett route for any inputs in range, without the integer division.
+    ``b_shoup`` comes from :func:`shoup_precompute`; ``a`` may be any value
+    below ``2**32`` (it multiplies the 32-bit quotient inside uint64).  The
+    lazy product lands in ``[0, 2q)`` and one conditional subtract makes it
+    canonical — bit-identical to the Barrett route for any inputs in range,
+    without the integer division.
     """
-    r = shoup_mul_lazy(a, b, b_shoup, qs)
+    a64 = np.asarray(a, dtype=_U64)
+    hi = np.multiply(a64, np.asarray(b_shoup, dtype=_U64))
+    hi >>= _SHOUP_SHIFT
+    hi *= np.asarray(qs, dtype=_U64)
+    r = np.multiply(a64, np.asarray(b, dtype=_U64))
+    r -= hi
     return np.where(r >= qs, r - qs, r)
 
 

@@ -31,7 +31,6 @@ from .modmath import (
     batched_barrett_reduce_tiled,
     centered_lift,
     centered_lift_fits,
-    shoup_mul_lazy,
 )
 from .ntt import get_batched_ntt_context
 from .poly import RnsPolynomial, rescale_polys
@@ -486,8 +485,8 @@ class Evaluator:
 
 
 def _reduce_ext(acc: np.ndarray, ext_ctx) -> np.ndarray:
-    """Barrett-reduce a lazy inner-product accumulator against the extended
-    chain, preferring the contiguous tiled-constant kernel."""
+    """Barrett-reduce a lazy sum of canonical residues (below ``2**(2k)``)
+    against the chain, preferring the contiguous tiled-constant kernel."""
     if ext_ctx.barrett_k is not None:
         return batched_barrett_reduce_tiled(
             acc, ext_ctx.qs_full, ext_ctx.barrett_mus_full, ext_ctx.barrett_k
@@ -495,26 +494,10 @@ def _reduce_ext(acc: np.ndarray, ext_ctx) -> np.ndarray:
     return batched_barrett_reduce(acc, ext_ctx.barrett)
 
 
-def _forward_for_products(backend, n: int, primes: tuple[int, ...], rows):
-    """Forward-transform key-switch digits destined for Shoup products.
-
-    Uses the backend's *lazy-exit* forward when offered (outputs in
-    ``[0, 4q)`` instead of canonical ``[0, q)``): the lazy Shoup product
-    only needs its left operand below ``2**32`` and is exact modulo ``q``
-    for any representative, so the deferred Barrett reduction of the inner
-    product yields bit-identical results while the transform skips its
-    final correction pass.
-    """
-    lazy = getattr(backend, "forward_lazy", None)
-    if lazy is not None:
-        return lazy(n, primes, rows)
-    return backend.forward(n, primes, rows)
-
-
 def _lift_digits_ntt(component: RnsPolynomial, ext, ext_ctx) -> np.ndarray:
     """Decompose ``component`` into per-prime digits, centre-lift them into
-    the extended basis and forward-transform: the ``(L, ext_L, N)`` matrix
-    every key-switch inner product consumes.
+    the extended basis and forward-transform: the canonical ``(L, ext_L, N)``
+    matrix every key-switch inner product consumes.
 
     Applies the *diagonal skip*: digit ``i`` reduced modulo its own prime
     ``q_i`` is the component's residue row ``i`` unchanged (centred
@@ -522,9 +505,9 @@ def _lift_digits_ntt(component: RnsPolynomial, ext, ext_ctx) -> np.ndarray:
     is already NTT-resident its resident row *is* the transform of the
     diagonal entry.  Only the ``L * ext_L - L`` off-diagonal rows are
     transformed — the diagonal is spliced in from the live residues,
-    trimming the dominant forward-NTT batch by ``1/ext_L``.  Mixing the
-    canonical diagonal rows with lazy-exit off-diagonal rows is safe: the
-    downstream Shoup product accepts any representative below ``2**32``.
+    trimming the dominant forward-NTT batch by ``1/ext_L``.  Both sources
+    are canonical (below their column's prime), as :func:`_inner_product`
+    requires.
     """
     basis = component.basis
     d = component.to_coefficient()
@@ -545,7 +528,7 @@ def _lift_digits_ntt(component: RnsPolynomial, ext, ext_ctx) -> np.ndarray:
         and ext_level == level + 1
         and ext.primes[:level] == basis.primes
     ):
-        return _forward_for_products(backend, ext.n, ext.primes, lifted)
+        return backend.forward(ext.n, ext.primes, lifted)
     out = np.empty_like(lifted)
     out[np.arange(level), np.arange(level)] = component.residues
     if level > 1:
@@ -558,16 +541,64 @@ def _lift_digits_ntt(component: RnsPolynomial, ext, ext_ctx) -> np.ndarray:
         gathered = np.take_along_axis(
             lifted[:, :level, :], idx[:, :, None], axis=0
         )
-        transformed = _forward_for_products(
-            backend, ext.n, ext.primes[:level], gathered
-        )
+        transformed = backend.forward(ext.n, ext.primes[:level], gathered)
         np.put_along_axis(chain, idx[:, :, None], transformed, axis=0)
     # Special column: all L digits, one (L, 1, N) batch over the special
     # prime (it reduces no digit, so it has no diagonal to splice).
-    out[:, level:, :] = _forward_for_products(
-        backend, ext.n, ext.primes[level:], lifted[:, level:, :]
+    out[:, level:, :] = backend.forward(
+        ext.n, ext.primes[level:], lifted[:, level:, :]
     )
     return out
+
+
+#: Largest value a uint64 accumulator can hold.
+_U64_MAX = (1 << 64) - 1
+
+
+def _inner_product(digits: np.ndarray, rotations, ext_ctx) -> np.ndarray:
+    """Exact KeySwitch inner product over the extended chain.
+
+    ``digits`` is the canonical ``(L, ext_L, N)`` matrix of
+    :func:`_lift_digits_ntt`; ``rotations`` holds ``(perm, key)`` pairs,
+    where ``perm`` is an NTT-domain Galois permutation of the digits (or
+    ``None``) and ``key`` a :class:`~repro.fhe.keys.KeySwitchKey`.  Returns
+    the canonical ``(2, ext_L, N)`` residues of the sum, over every pair and
+    digit ``i``, of ``perm(digits[i]) * key.stacked_ba[:, i]``.
+
+    Both operands of every product are below their prime, so a product is
+    at most ``(q - 1)**2`` and plain uint64 multiply-adds stay exact for
+    ``budget = (2**64 - 1) // (q_max - 1)**2`` terms (256 at 28-bit primes,
+    16 at 30-bit).  Products go one digit at a time into preallocated
+    buffers; one ``np.remainder`` folds the accumulator below ``q`` at the
+    end and whenever the next term could pass ``2**64``.
+    """
+    qs = ext_ctx.qs_full
+    budget = _U64_MAX // (max(ext_ctx.primes) - 1) ** 2
+    acc = np.zeros((2,) + digits.shape[1:], dtype=np.uint64)
+    prod = np.empty_like(acc)
+    row = np.empty_like(digits[0])
+    terms = 0
+    for perm, key in rotations:
+        for i in range(len(digits)):
+            digit = digits[i]
+            if perm is not None:
+                digit = np.take(digit, perm, axis=-1, out=row)
+            if terms == budget:
+                # The reduced accumulator is below q <= (q - 1)**2: it
+                # counts as one term.
+                np.remainder(acc, qs, out=acc)
+                terms = 1
+            np.multiply(digit, key.stacked_ba[:, i], out=prod)
+            np.add(acc, prod, out=acc)
+            terms += 1
+    return np.remainder(acc, qs, out=acc)
+
+
+def _check_key_level(key, basis) -> None:
+    if key.level != basis.level:
+        raise ValueError(
+            f"key generated for level {key.level}, ciphertext at {basis.level}"
+        )
 
 
 def _key_switch(
@@ -579,34 +610,16 @@ def _key_switch(
     the extended basis, inner-products with the key, and divides out the
     special prime.  Returns NTT-domain polynomials over the chain basis.
     """
-    basis = component.basis
-    if key.level != basis.level:
-        raise ValueError(
-            f"key generated for level {key.level}, ciphertext at {basis.level}"
-        )
+    _check_key_level(key, component.basis)
     ext = key.basis
-    # Lift every decomposition digit into the extended basis at once
-    # ((L, ext_L, N) signed mod) and run all forward NTTs in a single
-    # batched call (minus the spliced diagonal — see _lift_digits_ntt); the
-    # inner product with the stacked key follows as one multiply + one lazy
-    # sum + one Barrett pass per key half.
     ext_ctx = get_batched_ntt_context(ext.n, ext.primes)
-    lifted_ntt = _lift_digits_ntt(component, ext, ext_ctx)  # (L, ext_L, N)
-    # Inner product against the fixed key rows via division-free lazy Shoup
-    # multiplies: each term lands in [0, 2q), summing L <= 8 of them stays
-    # far below the Barrett input bound, so one deferred reduction per key
-    # half suffices.  Broadcasting the digits over the stacked (b, a) pair
-    # covers both key halves in a single call.
-    prod = shoup_mul_lazy(
-        lifted_ntt[None], key.stacked_ba, key.stacked_ba_shoup, ext_ctx.qs_full
-    )
-    red = _reduce_ext(prod.sum(axis=1), ext_ctx)  # (2, ext_L, N)
+    digits = _lift_digits_ntt(component, ext, ext_ctx)  # (L, ext_L, N)
+    red = _inner_product(digits, ((None, key),), ext_ctx)  # (2, ext_L, N)
     acc0 = RnsPolynomial(ext, red[0], is_ntt=True)
     acc1 = RnsPolynomial(ext, red[1], is_ntt=True)
     # Divide by the special prime (last in the extended basis); both halves
     # share one stacked rescale.
-    out0, out1 = rescale_polys((acc0, acc1))
-    return out0, out1
+    return rescale_polys((acc0, acc1))
 
 
 def _key_switch_hoisted(
@@ -620,38 +633,21 @@ def _key_switch_hoisted(
     the centered lift and the NTT (where it is a pure permutation of
     evaluation points), the digits of ``galois_g(d)`` equal the permuted
     digits of ``d`` bit-for-bit — so the expensive lift + batched forward
-    NTT run once and each rotation costs only an index permutation plus a
-    lazy Shoup inner product.  All lazy products are accumulated before a
-    single Barrett reduction per key half (at most ``(2**k - 1) * L`` terms
-    for a ``k``-step fold group, each below ``2q`` — still orders of
-    magnitude under the Barrett input bound of ``2**(2*barrett_k)``) and one
-    shared rescale by the special prime.
+    NTT run once and each rotation costs only an index permutation plus its
+    share of one :func:`_inner_product`, which accumulates every rotation's
+    ``L`` products before its exact reduction, followed by one shared
+    rescale by the special prime.
     """
-    basis = component.basis
-    ext = rotations[0][1].basis
     for _g, key in rotations:
-        if key.level != basis.level:
-            raise ValueError(
-                f"key generated for level {key.level}, "
-                f"ciphertext at {basis.level}"
-            )
+        _check_key_level(key, component.basis)
+    ext = rotations[0][1].basis
     ext_ctx = get_batched_ntt_context(ext.n, ext.primes)
-    lifted_ntt = _lift_digits_ntt(component, ext, ext_ctx)  # (L, ext_L, N)
-    qs_u64 = ext_ctx.qs_full  # (ext_L, N) contiguous tile
-    acc = None
-    for g, key in rotations:
-        perm = ext_ctx.galois_permutation(g)
-        dig = lifted_ntt[..., perm]
-        # One broadcast lazy Shoup call covers both key halves.
-        p = shoup_mul_lazy(
-            dig[None], key.stacked_ba, key.stacked_ba_shoup, qs_u64
-        )
-        s = p.sum(axis=1)  # (2, ext_L, N)
-        if acc is None:
-            acc = s
-        else:
-            np.add(acc, s, out=acc)
-    red = _reduce_ext(acc, ext_ctx)  # (2, ext_L, N)
+    digits = _lift_digits_ntt(component, ext, ext_ctx)  # (L, ext_L, N)
+    red = _inner_product(
+        digits,
+        [(ext_ctx.galois_permutation(g), key) for g, key in rotations],
+        ext_ctx,
+    )
     out0 = RnsPolynomial(ext, red[0], is_ntt=True)
     out1 = RnsPolynomial(ext, red[1], is_ntt=True)
     return rescale_polys((out0, out1))
@@ -689,10 +685,10 @@ def fold_composite_steps(steps, slot_count: int) -> list[int]:
     """Rotation steps :meth:`Evaluator.rotate_fold` will need keys for,
     mirroring its grouping walk exactly (subset sums of each hoisted group).
 
-    Layers advertise these alongside their base rotation steps so key
-    provisioning covers the hoisted execution; a missing composite key only
-    costs the fallback to a smaller group or the sequential path, never an
-    error.
+    Layers list these, with the fold's non-zero steps, in their
+    ``rotation_keys`` so key provisioning covers exactly the hoisted
+    execution; a missing composite key only costs the fallback to a smaller
+    group or the sequential path, never an error.
     """
     seq = [s % slot_count for s in steps]
     out: list[int] = []

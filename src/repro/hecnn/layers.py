@@ -33,6 +33,16 @@ from .trace import LayerTrace
 _cache_tokens = itertools.count()
 
 
+def _fold_keys(steps, slot_count: int, level: int) -> set[tuple[int, int]]:
+    """Keys :meth:`~repro.fhe.ops.Evaluator.rotate_fold` fetches at
+    ``level``: the subset sums of its hoisted groups plus every non-zero
+    step (a grouped step is its own one-element subset sum; the rest run
+    through the sequential walk)."""
+    fetched = {s % slot_count for s in steps} - {0}
+    fetched.update(fold_composite_steps(steps, slot_count))
+    return {(s, level) for s in fetched}
+
+
 class PackedLayer:
     """Interface of a packed HE-CNN layer."""
 
@@ -55,7 +65,9 @@ class PackedLayer:
     def output_layout(self) -> SlotLayout:
         raise NotImplementedError
 
-    def rotation_steps(self) -> list[int]:
+    def rotation_keys(self, level: int) -> list[tuple[int, int]]:
+        """The ``(step, level)`` Galois keys :meth:`forward` fetches when
+        entered at ``level``."""
         return []
 
     def propagate_noise(
@@ -225,19 +237,21 @@ class PackedDense(PackedLayer):
         """Masked merges spend one extra level on the mask PCmult."""
         return 2 if self.packing.needs_mask else 1
 
-    def rotation_steps(self) -> list[int]:
-        """Rotation steps to provision keys for.
-
-        Includes the pairwise-composite steps the evaluator's hoisted
-        rotate-fold uses at runtime; the layer's *analytic* trace keeps the
+    def rotation_keys(self, level: int) -> list[tuple[int, int]]:
+        """Mirrors :meth:`forward`: replication folds at the entry level,
+        rotate-and-sum phases after the weight rescale (one lower), merge
+        rotations after the mask rescale.  The *analytic* trace keeps the
         logical schedule (``packing.rotation_steps_needed()``) unchanged.
         """
         pk = self.packing
-        steps = set(pk.rotation_steps_needed())
-        steps.update(fold_composite_steps(pk.replication_steps(), pk.slot_count))
+        keys: set[tuple[int, int]] = set()
+        if pk.replicated and pk.copies > 1:
+            keys |= _fold_keys(pk.replication_steps(), pk.slot_count, level)
         for phase in pk.rotation_phases():
-            steps.update(fold_composite_steps(phase.steps, pk.slot_count))
-        return sorted(steps)
+            keys |= _fold_keys(phase.steps, pk.slot_count, level - 1)
+        merge_level = level - self.levels_consumed
+        keys.update((s, merge_level) for s in pk.merge_rotation_steps())
+        return sorted(keys)
 
     def _rotate_sum(self, evaluator: Evaluator, ct: Ciphertext) -> Ciphertext:
         for phase in self.packing.rotation_phases():
@@ -411,6 +425,10 @@ class PackedAveragePool(PackedLayer):
         horizontal = list(range(1, k))
         vertical = [dy * s for dy in range(1, k)]
         return sorted(set(horizontal + vertical))
+
+    def rotation_keys(self, level: int) -> list[tuple[int, int]]:
+        """Both window passes rotate at the entry level."""
+        return [(s, level) for s in self.rotation_steps()]
 
     def _anchor_slots(self, ct: int) -> np.ndarray:
         """Slots holding window anchors within one input ciphertext."""

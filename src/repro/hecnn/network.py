@@ -120,24 +120,23 @@ class HeCnn:
 
     # -- key provisioning --------------------------------------------------------------
 
+    def rotation_keys(self) -> list[tuple[int, int]]:
+        """Every ``(step, level)`` Galois key the forward pass fetches."""
+        return sorted({
+            key
+            for layer, lvl in zip(self.layers, self.layer_entry_levels())
+            for key in layer.rotation_keys(lvl)
+        })
+
     def provision_keys(self, context: CkksContext) -> None:
-        """Generate exactly the relin/Galois keys the forward pass needs."""
+        """Generate exactly the relin/Galois keys the forward pass fetches."""
         levels = self.layer_entry_levels()
         relin_levels = sorted(
             {lvl for layer, lvl in zip(self.layers, levels) if _is_square(layer)}
         )
         if relin_levels:
             context.ensure_relin_keys(relin_levels)
-        for layer, lvl in zip(self.layers, levels):
-            steps = layer.rotation_steps()
-            if steps:
-                # Replication rotates at the entry level; rotate-and-sum
-                # after the weight rescale (one lower); merge rotations
-                # after an eventual mask rescale (two lower).
-                key_levels = [lvl, lvl - 1]
-                if layer.levels_consumed > 1:
-                    key_levels.append(lvl - 2)
-                context.ensure_galois_keys(steps, levels=key_levels)
+        context.ensure_rotation_keys(self.rotation_keys())
 
     # -- inference ----------------------------------------------------------------------
 

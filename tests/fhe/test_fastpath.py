@@ -1,11 +1,11 @@
 """Property tests: the production ring paths are bit-identical to their oracles.
 
 The production paths (stacked NTT through the active kernel backend,
-NTT-domain Galois, NTT-resident Rescale, vectorized KeySwitch, plaintext
-caching) are pinned, bit for bit, to the per-prime transforms, to the
-coefficient-domain ring operations, to a per-digit KeySwitch written out
-below and to the schoolbook negacyclic convolution.  No tolerances
-anywhere.
+NTT-domain Galois, NTT-resident Rescale, vectorized and hoisted KeySwitch,
+plaintext caching) are pinned, bit for bit, to the per-prime transforms,
+to the coefficient-domain ring operations, to a per-digit KeySwitch
+written out below, to exact Python-int sums and to the schoolbook
+negacyclic convolution.  No tolerances anywhere.
 """
 
 from __future__ import annotations
@@ -15,9 +15,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.fhe import CkksContext, Evaluator, kernels, ops, tiny_test_params
-from repro.fhe.modmath import generate_ntt_primes
-from repro.fhe.ntt import get_ntt_context, negacyclic_convolution_reference
+from repro.fhe import (
+    CkksContext,
+    CkksParameters,
+    Evaluator,
+    KeySwitchKey,
+    kernels,
+    ops,
+    tiny_test_params,
+)
+from repro.fhe.modmath import MAX_MODULUS_BITS, generate_ntt_primes
+from repro.fhe.ntt import (
+    get_batched_ntt_context,
+    get_ntt_context,
+    negacyclic_convolution_reference,
+)
 from repro.fhe.poly import RnsBasis, RnsPolynomial, rescale_polys
 
 
@@ -172,11 +184,12 @@ def _residues(ciphertext):
     return [c.to_ntt().residues.copy() for c in ciphertext.components]
 
 
-def _per_digit_key_switch(component, key):
-    """KeySwitch oracle: lift and transform one decomposition digit at a
-    time, accumulate with modular ring ops, then rescale by the special
-    prime."""
-    basis, ext = component.basis, key.basis
+def _per_digit_key_switch_hoisted(component, rotations):
+    """Hoisted KeySwitch oracle: lift and transform one decomposition digit
+    at a time, apply each rotation's Galois element to it (``None`` leaves
+    it unpermuted), accumulate every digit x key product with modular ring
+    ops, then rescale by the special prime."""
+    basis, ext = component.basis, rotations[0][1].basis
     d = component.to_coefficient()
     acc0 = RnsPolynomial.zero(ext, is_ntt=True)
     acc1 = RnsPolynomial.zero(ext, is_ntt=True)
@@ -187,9 +200,16 @@ def _per_digit_key_switch(component, key):
             [np.mod(signed, np.int64(q_j)).astype(np.uint64) for q_j in ext.primes]
         )
         lifted = RnsPolynomial(ext, rows, is_ntt=False).to_ntt()
-        acc0 = acc0 + lifted * key.b[i]
-        acc1 = acc1 + lifted * key.a[i]
+        for g, key in rotations:
+            digit = lifted if g is None else lifted.galois_transform(g)
+            acc0 = acc0 + digit * key.b[i]
+            acc1 = acc1 + digit * key.a[i]
     return tuple(p.to_coefficient().rescale().to_ntt() for p in (acc0, acc1))
+
+
+def _per_digit_key_switch(component, key):
+    """KeySwitch oracle: the hoisted oracle with one unpermuted key."""
+    return _per_digit_key_switch_hoisted(component, [(None, key)])
 
 
 @pytest.mark.parametrize("step", [1, 2])
@@ -200,6 +220,67 @@ def test_keyswitch_matches_per_digit_oracle(ctx, ct, step, monkeypatch):
     slow = ev.rotate(ct, step)
     for f, s in zip(_residues(fast), _residues(slow)):
         assert np.array_equal(f, s)
+
+
+@pytest.mark.parametrize("prime_bits", [28, MAX_MODULUS_BITS])
+def test_hoisted_keyswitch_matches_per_digit_oracle(prime_bits, monkeypatch):
+    """A hoisted 3-step fold group (7 rotations sharing one decomposition,
+    L = 5) equals the modular per-digit oracle bit for bit.  Its 35 terms
+    fit the 256-term budget of 28-bit primes in one pass and exceed the
+    16-term budget of 30-bit primes, where intermediate reductions fire."""
+    params = CkksParameters(
+        poly_degree=256, prime_bits=prime_bits, level=5,
+        scale_bits=prime_bits - 2,
+    )
+    context = CkksContext(params, seed=5)
+    steps = [1, 2, 4]
+    context.ensure_galois_keys(
+        ops._subset_steps(steps, context.slot_count), levels=[params.level]
+    )
+    rng = np.random.default_rng(3)
+    ct = context.encrypt_values(rng.uniform(-1, 1, context.slot_count))
+    ev = Evaluator(context)
+    groups = []
+    hoisted = ops._key_switch_hoisted
+
+    def counted(component, rotations):
+        groups.append(len(rotations))
+        return hoisted(component, rotations)
+
+    monkeypatch.setattr(ops, "_key_switch_hoisted", counted)
+    fast = ev.rotate_fold(ct, steps)
+    assert groups == [7]  # one hoisted group, no sequential fallback
+    monkeypatch.setattr(
+        ops, "_key_switch_hoisted", _per_digit_key_switch_hoisted
+    )
+    slow = ev.rotate_fold(ct, steps)
+    for f, s in zip(_residues(fast), _residues(slow)):
+        assert np.array_equal(f, s)
+
+
+def test_inner_product_worst_case_at_max_modulus_bits():
+    """Every digit and key residue at ``q - 1`` with 30-bit primes, L = 7
+    and one 7-rotation group: 49 maximal terms pass 2**64 in plain uint64,
+    so the 16-term budget's intermediate reductions must fire.  The result
+    equals the exact Python-int sum."""
+    n, level = 16, 7
+    primes = tuple(generate_ntt_primes(MAX_MODULUS_BITS, level + 1, n))
+    ext_ctx = get_batched_ntt_context(n, primes)
+    qs = np.array(primes, dtype=np.uint64).reshape(-1, 1)
+    digits = np.broadcast_to(qs - 1, (level, level + 1, n)).copy()
+    stack = np.broadcast_to(qs - 1, (2, level, level + 1, n)).copy()
+    key = KeySwitchKey(level=level, basis=RnsBasis(n, primes), stacked_ba=stack)
+    rotations = [
+        (ext_ctx.galois_permutation(pow(5, s, 2 * n)), key) for s in range(1, 8)
+    ]
+    assert len(rotations) * level * (max(primes) - 1) ** 2 >= 2**64
+    expected = sum(
+        digits[i][..., perm].astype(object) * stack[:, i].astype(object)
+        for perm, _key in rotations
+        for i in range(level)
+    ) % qs.astype(object)
+    got = ops._inner_product(digits, rotations, ext_ctx)
+    assert np.array_equal(got, expected.astype(np.uint64))
 
 
 def test_relinearize_matches_legacy(ctx, ct, monkeypatch):

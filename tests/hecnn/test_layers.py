@@ -107,7 +107,7 @@ def test_packed_dense_replicated(layer_ctx):
     w = rng.normal(0, 0.3, (8, 18))
     b = rng.normal(0, 0.05, 8)
     layer = PackedDense("Fc", packing, w, b)
-    layer_ctx.ensure_galois_keys(layer.rotation_steps())
+    layer_ctx.ensure_rotation_keys(layer.rotation_keys(layer_ctx.params.level))
     ev = Evaluator(layer_ctx)
     x = rng.uniform(-1, 1, 18)
     vec = np.zeros(layer_ctx.slot_count)
@@ -127,7 +127,7 @@ def test_packed_dense_unmerged_output(layer_ctx):
     w = rng.normal(0, 0.3, (3, 6))
     b = rng.normal(0, 0.05, 3)
     layer = PackedDense("FcOut", packing, w, b)
-    layer_ctx.ensure_galois_keys(layer.rotation_steps())
+    layer_ctx.ensure_rotation_keys(layer.rotation_keys(layer_ctx.params.level))
     ev = Evaluator(layer_ctx)
     x = rng.uniform(-1, 1, 6)
     vec = np.zeros(layer_ctx.slot_count)
@@ -169,7 +169,7 @@ def test_packed_dense_masked_merge_functional(layer_ctx):
     w = rng.normal(0, 0.3, (out_f, in_f))
     b = rng.normal(0, 0.05, out_f)
     layer = PackedDense("Fc", packing, w, b)
-    layer_ctx.ensure_galois_keys(layer.rotation_steps())
+    layer_ctx.ensure_rotation_keys(layer.rotation_keys(layer_ctx.params.level))
     ev = Evaluator(layer_ctx)
     x = rng.uniform(-1, 1, in_f)
     vec = np.zeros(layer_ctx.slot_count)

@@ -5,7 +5,15 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.fhe import CkksContext, OperationRecorder, fxhenn_mnist_params
+from repro import obs
+from repro.fhe import (
+    CkksContext,
+    Evaluator,
+    GaloisKeys,
+    OperationRecorder,
+    fxhenn_mnist_params,
+    tiny_test_params,
+)
 from repro.hecnn import fxhenn_mnist_model, synthetic_mnist_image
 
 
@@ -86,6 +94,69 @@ def test_provision_keys_covers_forward(tiny_params, tiny_model, tiny_image):
     ctx = CkksContext(tiny_params, seed=123)
     tiny_model.provision_keys(ctx)
     tiny_model.infer(ctx, tiny_image)  # must not raise
+
+
+def _fetch_log(monkeypatch) -> set[tuple[int, int]]:
+    """Record every ``(step, level)`` passed to ``GaloisKeys.get``, misses
+    included."""
+    fetched: set[tuple[int, int]] = set()
+    real = GaloisKeys.get
+
+    def get(self, step, level):
+        fetched.add((step, level))
+        return real(self, step, level)
+
+    monkeypatch.setattr(GaloisKeys, "get", get)
+    return fetched
+
+
+def _forward_ntt_rows(model, ctx, image) -> int:
+    """NTT rows transformed by one forward pass (the always-live counter)."""
+
+    def rows() -> int:
+        return sum(
+            obs.get_registry().counter("ntt_transform_rows", direction=d).value
+            for d in ("forward", "inverse")
+        )
+
+    cts = model.encrypt_input(ctx, image)
+    before = rows()
+    model.forward_encrypted(Evaluator(ctx), cts)
+    return rows() - before
+
+
+def test_tiny_provisions_exactly_the_fetched_keys(
+    tiny_params, tiny_model, tiny_image, monkeypatch
+):
+    """The forward pass fetches every provisioned Galois key and no other.
+
+    A missing composite key would be fetched, miss, and silently fall back
+    to the sequential fold, so the NTT work must also equal a run on a
+    context holding every fetched step at every level.
+    """
+    ctx = CkksContext(tiny_params, seed=123)
+    tiny_model.provision_keys(ctx)
+    fetched = _fetch_log(monkeypatch)
+    rows = _forward_ntt_rows(tiny_model, ctx, tiny_image)
+    assert fetched == set(ctx.galois_keys.keys) == set(tiny_model.rotation_keys())
+
+    every = CkksContext(tiny_params, seed=123)
+    every.ensure_relin_keys()
+    every.ensure_galois_keys(sorted({step for step, _ in fetched}))
+    assert _forward_ntt_rows(tiny_model, every, tiny_image) == rows
+
+
+def test_mnist_n2048_provisions_exactly_the_fetched_keys(monkeypatch):
+    """The same on FxHENN-MNIST at N=2048, where Fc1's hoisted folds fetch
+    composite keys at one level only."""
+    params = tiny_test_params(poly_degree=2048, level=7)
+    model = fxhenn_mnist_model(seed=0, params=params)
+    ctx = CkksContext(params, seed=1)
+    model.provision_keys(ctx)
+    fetched = _fetch_log(monkeypatch)
+    image = synthetic_mnist_image(seed=2)
+    model.forward_encrypted(Evaluator(ctx), model.encrypt_input(ctx, image))
+    assert fetched == set(ctx.galois_keys.keys) == set(model.rotation_keys())
 
 
 @pytest.mark.slow
