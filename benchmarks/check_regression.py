@@ -119,7 +119,7 @@ _INVARIANTS: dict[str, tuple[str, ...]] = {
     "BENCH_tenants": ("isolation_ok", "warm_rerun.keygen_skipped"),
     "BENCH_cluster": ("all_dp_beat_equal", "warm_rerun.flat"),
     "BENCH_fhe_kernels": ("default_beats_reference",),
-    "BENCH_noise": ("networks.0.audit_ok",),
+    "BENCH_noise": ("networks.0.audit_ok", "networks.1.audit_ok"),
     # The elasticity story is made of correctness properties: the SLO
     # held through the surge, the elastic bill beat static-max, warm
     # scale-ups paid no keygen and scanned no DSE points, and every

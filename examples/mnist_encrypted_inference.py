@@ -7,7 +7,9 @@ the plaintext reference.
 By default the run uses the paper's exact HE parameters (N=8192, 30-bit
 primes, L=7), which takes a few minutes of pure-Python FHE — pass
 ``--fast`` to run a reduced N=2048 variant of the same topology in
-seconds.
+seconds.  At N=2048, LoLa's Fc1 packing would degenerate to 100 one-row
+chunks, so Fc1 runs as a baby-step/giant-step diagonal matmul instead
+(25 KeySwitches instead of 1000); the other layers are LoLa's.
 
 Usage::
 

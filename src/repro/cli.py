@@ -231,168 +231,6 @@ def _write_or_fail(path: str, text: str, what: str) -> bool:
     return True
 
 
-def _load_profile(path: str) -> dict:
-    """Load one ``repro profile --format json`` record, or exit."""
-    import json
-
-    try:
-        data = json.loads(Path(path).read_text())
-    except OSError as exc:
-        raise SystemExit(f"cannot read profile {path!r}: {exc}") from None
-    except ValueError as exc:
-        raise SystemExit(f"{path!r} is not valid JSON: {exc}") from None
-    if not isinstance(data, dict) or "layers" not in data or "ops" not in data:
-        raise SystemExit(
-            f"{path!r} is not a 'repro profile --format json' record "
-            f"(missing 'layers'/'ops')"
-        )
-    return data
-
-
-def _diff_flags(
-    wall_old: float, wall_new: float, head_old: float | None,
-    head_new: float | None, tolerance: float,
-) -> list[str]:
-    """Regression flags for one profile row.
-
-    A row regresses when it got *slower* by more than ``tolerance``
-    (relative) or *noisier* by more than half a bit of headroom —
-    absolute, because headroom near zero is exactly where relative
-    comparison degenerates.
-    """
-    flags = []
-    if wall_old > 0 and wall_new > wall_old * (1.0 + tolerance):
-        flags.append("slower")
-    if head_old is not None and head_new is not None \
-            and head_new < head_old - 0.5:
-        flags.append("noisier")
-    return flags
-
-
-def _profile_diff(args: argparse.Namespace) -> int:
-    """Compare two ``repro profile --format json`` records."""
-    import json
-
-    old_path, new_path = args.diff
-    old, new = _load_profile(old_path), _load_profile(new_path)
-    tol = args.diff_tolerance
-
-    old_layers = {r["name"]: r for r in old["layers"]}
-    new_layers = {r["name"]: r for r in new["layers"]}
-    names = [r["name"] for r in new["layers"]]
-    names += [n for n in old_layers if n not in new_layers]
-    layer_rows = []
-    for name in names:
-        o, n = old_layers.get(name), new_layers.get(name)
-        if o is None or n is None:
-            layer_rows.append({
-                "name": name, "status": "added" if o is None else "removed",
-                "wall_ms_old": o["wall_ms"] if o else None,
-                "wall_ms_new": n["wall_ms"] if n else None,
-                "wall_ms_delta": None, "headroom_old": None,
-                "headroom_new": None, "headroom_delta": None, "flags": [],
-            })
-            continue
-        flags = _diff_flags(o["wall_ms"], n["wall_ms"],
-                            o.get("headroom_bits"), n.get("headroom_bits"),
-                            tol)
-        layer_rows.append({
-            "name": name, "status": "common",
-            "wall_ms_old": o["wall_ms"], "wall_ms_new": n["wall_ms"],
-            "wall_ms_delta": n["wall_ms"] - o["wall_ms"],
-            "headroom_old": o.get("headroom_bits"),
-            "headroom_new": n.get("headroom_bits"),
-            "headroom_delta": (
-                n["headroom_bits"] - o["headroom_bits"]
-                if "headroom_bits" in o and "headroom_bits" in n else None
-            ),
-            "flags": flags,
-        })
-
-    old_ops = {r["op"]: r for r in old["ops"]}
-    new_ops = {r["op"]: r for r in new["ops"]}
-    op_names = [r["op"] for r in new["ops"]]
-    op_names += [o for o in old_ops if o not in new_ops]
-    op_rows = []
-    for op in op_names:
-        o, n = old_ops.get(op), new_ops.get(op)
-        if o is None or n is None:
-            op_rows.append({
-                "op": op, "status": "added" if o is None else "removed",
-                "total_ms_old": o["total_ms"] if o else None,
-                "total_ms_new": n["total_ms"] if n else None,
-                "total_ms_delta": None, "p95_ms_old": None,
-                "p95_ms_new": None, "flags": [],
-            })
-            continue
-        flags = _diff_flags(o["total_ms"], n["total_ms"], None, None, tol)
-        op_rows.append({
-            "op": op, "status": "common",
-            "total_ms_old": o["total_ms"], "total_ms_new": n["total_ms"],
-            "total_ms_delta": n["total_ms"] - o["total_ms"],
-            "p95_ms_old": o["p95_ms"], "p95_ms_new": n["p95_ms"],
-            "flags": flags,
-        })
-
-    regressions = [r["name"] for r in layer_rows if r["flags"]] \
-        + [r["op"] for r in op_rows if r["flags"]]
-
-    if args.format == "json":
-        print(json.dumps({
-            "old": old_path, "new": new_path,
-            "old_network": old.get("network"),
-            "new_network": new.get("network"),
-            "old_kernel_backend": old.get("kernel_backend"),
-            "new_kernel_backend": new.get("kernel_backend"),
-            "wall_s_old": old.get("wall_s"), "wall_s_new": new.get("wall_s"),
-            "tolerance": tol,
-            "layers": layer_rows,
-            "ops": op_rows,
-            "regressions": regressions,
-        }, indent=2))
-        return 0
-
-    def _num(v, fmt="{:.1f}"):
-        return "-" if v is None else fmt.format(v)
-
-    def _mark(row):
-        if row["status"] != "common":
-            return row["status"].upper()
-        return ",".join(row["flags"]) if row["flags"] else ""
-
-    print(format_table(
-        ["layer", "wall ms old", "wall ms new", "delta ms", "headroom old",
-         "headroom new", "delta bits", "flag"],
-        [(r["name"], _num(r["wall_ms_old"]), _num(r["wall_ms_new"]),
-          _num(r["wall_ms_delta"], "{:+.1f}"),
-          _num(r["headroom_old"]), _num(r["headroom_new"]),
-          _num(r["headroom_delta"], "{:+.1f}"), _mark(r))
-         for r in layer_rows],
-        title=f"profile diff: {old_path} -> {new_path} "
-              f"(tolerance {tol:.0%})",
-    ))
-    print()
-    print(format_table(
-        ["op", "total ms old", "total ms new", "delta ms", "p95 ms old",
-         "p95 ms new", "flag"],
-        [(r["op"], _num(r["total_ms_old"]), _num(r["total_ms_new"]),
-          _num(r["total_ms_delta"], "{:+.1f}"),
-          _num(r["p95_ms_old"], "{:.2f}"), _num(r["p95_ms_new"], "{:.2f}"),
-          _mark(r))
-         for r in op_rows],
-        title="per-op latency diff",
-    ))
-    if old.get("wall_s") is not None and new.get("wall_s") is not None:
-        print(f"\nend-to-end wall: {old['wall_s']:.2f} s -> "
-              f"{new['wall_s']:.2f} s")
-    if regressions:
-        print(f"{len(regressions)} regression(s) past tolerance "
-              f"{tol:.0%}: {', '.join(regressions)}")
-    else:
-        print(f"no regressions past tolerance {tol:.0%}")
-    return 0
-
-
 def cmd_profile(args: argparse.Namespace) -> int:
     """Encrypted inference under the observability layer (``repro.obs``).
 
@@ -403,17 +241,9 @@ def cmd_profile(args: argparse.Namespace) -> int:
     exports the span tree as Chrome-trace JSON loadable in
     chrome://tracing or https://ui.perfetto.dev; an unwritable trace
     path exits nonzero.
-
-    ``--diff OLD.json NEW.json`` instead compares two previously saved
-    ``--format json`` records (no inference runs): per-layer wall-time
-    and noise-headroom deltas plus per-op latency deltas, flagging rows
-    that got slower past the tolerance or lost headroom.
     """
     import json
     import time
-
-    if args.diff:
-        return _profile_diff(args)
 
     from . import obs
     from .fhe import CkksContext
@@ -1316,13 +1146,6 @@ def build_parser() -> argparse.ArgumentParser:
                              "column (default 8)")
     p_prof.add_argument("--kernel-backend", metavar="NAME",
                         help=_KERNEL_BACKEND_HELP)
-    p_prof.add_argument("--diff", nargs=2, metavar=("OLD.json", "NEW.json"),
-                        help="compare two saved '--format json' profiles "
-                             "instead of running an inference: per-layer "
-                             "and per-op deltas with regressions flagged")
-    p_prof.add_argument("--diff-tolerance", type=float, default=0.10,
-                        help="relative slowdown past which a --diff row "
-                             "is flagged as a regression (default 0.10)")
 
     p_expl = sub.add_parser(
         "explain",

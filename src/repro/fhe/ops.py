@@ -1,9 +1,10 @@
 """The homomorphic evaluator: every HE operation of paper Sec. II-A.
 
 Implements PCadd, PCmult, CCadd, CCmult, Rescale, Relinearize and Rotate.
-Relinearize and Rotate share the :func:`_key_switch` core, matching the
-paper's observation that both reduce to the same *KeySwitch* algorithm
-(and hence share one hardware module, Table I OP5).
+Relinearize and Rotate share one key-switch core (:func:`_lift` then
+:func:`_switch_lifted`), matching the paper's observation that both reduce
+to the same *KeySwitch* algorithm (and hence share one hardware module,
+Table I OP5).
 
 The evaluator optionally records every operation it executes into an
 :class:`OperationRecorder`; the HE-CNN layers use this to validate their
@@ -260,20 +261,50 @@ class Evaluator:
         self._note(HeOp.KEY_SWITCH)
         return Ciphertext(components=(c0, c1), scale=ct.scale)
 
-    @_probed("Rotate")
     def rotate(self, ct: Ciphertext, step: int) -> Ciphertext:
-        """Rotate slot contents left by ``step`` positions (Galois + KeySwitch)."""
+        """Rotate slot contents left by ``step`` positions (Galois +
+        KeySwitch): the one-step case of :meth:`rotate_hoisted`."""
+        return self.rotate_hoisted(ct, (step,))[0]
+
+    def rotate_hoisted(self, ct: Ciphertext, steps) -> list[Ciphertext]:
+        """Rotations of one ciphertext by each of ``steps``, sharing one
+        digit decomposition (Halevi-Shoup hoisting).
+
+        The ``c1`` digits are lifted and forward-transformed once; each
+        non-zero step then costs one Galois permutation of the digits
+        inside its own :func:`_inner_product` and one rescale by the
+        special prime.  Every output is bit-identical to a separate
+        :meth:`rotate` and is recorded, traced and lineage-tracked as one
+        ``Rotate`` (one KeySwitch); a zero step returns ``ct`` itself.
+        Every key is fetched before any work, so a missing one raises
+        ``KeyError`` up front.
+        """
         if not ct.is_linear:
             raise ValueError("relinearize before rotating")
-        step = step % self.context.slot_count
-        if step == 0:
-            return ct
+        slots = self.context.slot_count
+        steps = [s % slots for s in steps]
+        keys = {
+            s: self.context.galois_keys.get(s, ct.level)
+            for s in steps if s
+        }
+        if not keys:
+            return [ct] * len(steps)
+        digits, ext_ctx = _lift(ct.components[1], keys.values())
         n = self.context.params.poly_degree
-        g = pow(5, step, 2 * n)
-        key = self.context.galois_keys.get(step, ct.level)
+        return [
+            self._rotate_lifted(ct, pow(5, s, 2 * n), keys[s], digits,
+                                ext_ctx) if s else ct
+            for s in steps
+        ]
+
+    @_probed("Rotate")
+    def _rotate_lifted(
+        self, ct: Ciphertext, g: int, key, digits: np.ndarray, ext_ctx
+    ) -> Ciphertext:
+        """One rotation of ``ct`` by Galois element ``g`` from the lifted
+        digits of its ``c1`` component (:func:`_lift`)."""
+        k0, k1 = _switch_lifted(digits, ((g, key),), ext_ctx)
         rot0 = ct.components[0].galois_transform(g)
-        rot1 = ct.components[1].galois_transform(g)
-        k0, k1 = _key_switch(rot1, key)
         self._note(HeOp.KEY_SWITCH)
         return Ciphertext(
             components=(rot0.to_ntt() + k0, k1), scale=ct.scale
@@ -601,6 +632,40 @@ def _check_key_level(key, basis) -> None:
         )
 
 
+def _lift(component: RnsPolynomial, keys) -> tuple[np.ndarray, object]:
+    """Check that every key in ``keys`` matches the component's level and
+    lift the component's digits into the first key's extended basis
+    (:func:`_lift_digits_ntt`).  Returns the digits and the extended
+    basis's NTT context."""
+    keys = list(keys)
+    for key in keys:
+        _check_key_level(key, component.basis)
+    ext = keys[0].basis
+    ext_ctx = get_batched_ntt_context(ext.n, ext.primes)
+    return _lift_digits_ntt(component, ext, ext_ctx), ext_ctx
+
+
+def _switch_lifted(
+    digits: np.ndarray, rotations, ext_ctx
+) -> tuple[RnsPolynomial, RnsPolynomial]:
+    """Sum of ``key``-switched digits over ``(galois_element, key)`` pairs
+    (``None`` leaves the digits unpermuted), divided by the special prime
+    (last in the extended basis) with one stacked rescale of both halves.
+    Returns NTT-domain polynomials over the chain basis."""
+    ext = rotations[0][1].basis
+    red = _inner_product(
+        digits,
+        [
+            (None if g is None else ext_ctx.galois_permutation(g), key)
+            for g, key in rotations
+        ],
+        ext_ctx,
+    )  # (2, ext_L, N)
+    out0 = RnsPolynomial(ext, red[0], is_ntt=True)
+    out1 = RnsPolynomial(ext, red[1], is_ntt=True)
+    return rescale_polys((out0, out1))
+
+
 def _key_switch(
     component: RnsPolynomial, key
 ) -> tuple[RnsPolynomial, RnsPolynomial]:
@@ -610,23 +675,16 @@ def _key_switch(
     the extended basis, inner-products with the key, and divides out the
     special prime.  Returns NTT-domain polynomials over the chain basis.
     """
-    _check_key_level(key, component.basis)
-    ext = key.basis
-    ext_ctx = get_batched_ntt_context(ext.n, ext.primes)
-    digits = _lift_digits_ntt(component, ext, ext_ctx)  # (L, ext_L, N)
-    red = _inner_product(digits, ((None, key),), ext_ctx)  # (2, ext_L, N)
-    acc0 = RnsPolynomial(ext, red[0], is_ntt=True)
-    acc1 = RnsPolynomial(ext, red[1], is_ntt=True)
-    # Divide by the special prime (last in the extended basis); both halves
-    # share one stacked rescale.
-    return rescale_polys((acc0, acc1))
+    digits, ext_ctx = _lift(component, (key,))
+    return _switch_lifted(digits, ((None, key),), ext_ctx)
 
 
 def _key_switch_hoisted(
     component: RnsPolynomial, rotations
 ) -> tuple[RnsPolynomial, RnsPolynomial]:
     """Hoisted key switch: one decomposition/lift/forward-NTT shared by
-    several rotations of the same component (Halevi-Shoup hoisting).
+    several rotations of the same component (Halevi-Shoup hoisting),
+    summed into one result.
 
     ``rotations`` is a sequence of ``(galois_element, key)`` pairs.  Because
     the Galois automorphism commutes with the per-prime digit decomposition,
@@ -638,19 +696,8 @@ def _key_switch_hoisted(
     ``L`` products before its exact reduction, followed by one shared
     rescale by the special prime.
     """
-    for _g, key in rotations:
-        _check_key_level(key, component.basis)
-    ext = rotations[0][1].basis
-    ext_ctx = get_batched_ntt_context(ext.n, ext.primes)
-    digits = _lift_digits_ntt(component, ext, ext_ctx)  # (L, ext_L, N)
-    red = _inner_product(
-        digits,
-        [(ext_ctx.galois_permutation(g), key) for g, key in rotations],
-        ext_ctx,
-    )
-    out0 = RnsPolynomial(ext, red[0], is_ntt=True)
-    out1 = RnsPolynomial(ext, red[1], is_ntt=True)
-    return rescale_polys((out0, out1))
+    digits, ext_ctx = _lift(component, (key for _g, key in rotations))
+    return _switch_lifted(digits, rotations, ext_ctx)
 
 
 #: Maximum logical fold steps hoisted into one KeySwitch group.  Each group

@@ -25,6 +25,7 @@ from .layers import (
     PackedAveragePool,
     PackedConv,
     PackedDense,
+    PackedDiagonalDense,
     PackedLayer,
     PackedSquare,
 )
@@ -35,7 +36,14 @@ from .models import (
     tiny_mnist_model,
 )
 from .network import HeCnn
-from .packing import ConvPacking, DensePacking, RotationPhase, SlotLayout, next_pow2
+from .packing import (
+    ConvPacking,
+    DensePacking,
+    DiagonalPacking,
+    RotationPhase,
+    SlotLayout,
+    next_pow2,
+)
 from .reference import (
     ConvSpec,
     DenseSpec,
@@ -54,6 +62,7 @@ __all__ = [
     "ConvSpec",
     "DensePacking",
     "DenseSpec",
+    "DiagonalPacking",
     "HeCnn",
     "NetworkBuilder",
     "PackedAveragePool",
@@ -61,6 +70,7 @@ __all__ = [
     "NetworkTrace",
     "PackedConv",
     "PackedDense",
+    "PackedDiagonalDense",
     "PackedLayer",
     "PackedSquare",
     "PlainAveragePool",

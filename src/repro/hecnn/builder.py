@@ -19,6 +19,11 @@ packing); the final dense layer is automatically built unmerged (LoLa's
 output-layer convention, saving the mask level).  Mid-network convolutions
 are lowered to matrix layers via :func:`~repro.hecnn.models
 .conv_as_dense_matrix`, exactly like the paper's FxHENN-CIFAR10 ``Cnv2``.
+
+Matrix layers use LoLa's packing, except where its replicated plan has a
+single copy and several chunks: there each chunk is one row paying a full
+rotate-and-sum and a mask, and the diagonal packing
+(:class:`~repro.hecnn.packing.DiagonalPacking`) replaces it.
 """
 
 from __future__ import annotations
@@ -31,10 +36,12 @@ from .layers import (
     PackedAveragePool,
     PackedConv,
     PackedDense,
+    PackedDiagonalDense,
+    PackedLayer,
     PackedSquare,
 )
 from .network import HeCnn
-from .packing import ConvPacking, DensePacking
+from .packing import ConvPacking, DensePacking, DiagonalPacking
 from .reference import (
     ConvSpec,
     DenseSpec,
@@ -129,10 +136,7 @@ class NetworkBuilder:
             in_features=channels * size * size,
             out_features=spec.output_count,
         )
-        packing = DensePacking(
-            spec=dspec, input_layout=self._layers[-1].output_layout
-        )
-        self._layers.append(PackedDense(name, packing, matrix, bias_vec))
+        self._layers.append(self._matrix_layer(name, dspec, matrix, bias_vec))
         self._plain.append(PlainDense(dspec, matrix, bias_vec))
         self._grid = (out_channels, spec.out_size)
         return self
@@ -178,13 +182,26 @@ class NetworkBuilder:
             (out_features, in_features), self.rng
         )
         b = bias if bias is not None else small_bias(out_features, self.rng)
-        packing = DensePacking(
-            spec=spec, input_layout=self._layers[-1].output_layout
-        )
-        self._layers.append(PackedDense(name, packing, w, b))
+        self._layers.append(self._matrix_layer(name, spec, w, b))
         self._plain.append(PlainDense(spec, w, b))
         self._grid = None
         return self
+
+    def _matrix_layer(
+        self, name: str, spec: DenseSpec, weights: np.ndarray,
+        bias: np.ndarray,
+    ) -> PackedLayer:
+        """The packed layer for a matrix over the current layout: LoLa's,
+        or the diagonal one where LoLa's replicated plan has one copy and
+        more than one chunk."""
+        layout = self._layers[-1].output_layout
+        packing = DensePacking(spec=spec, input_layout=layout)
+        if packing.replicated and packing.copies == 1 and packing.num_chunks > 1:
+            return PackedDiagonalDense(
+                name, DiagonalPacking(spec=spec, input_layout=layout),
+                weights, bias,
+            )
+        return PackedDense(name, packing, weights, bias)
 
     # -- assembly ------------------------------------------------------------------
 

@@ -23,7 +23,7 @@ from ..fhe.ciphertext import Ciphertext
 from ..fhe.noise import NoiseBound, NoiseEstimator
 from ..fhe.ops import Evaluator, fold_composite_steps
 from ..optypes import HeOp
-from .packing import ConvPacking, DensePacking, SlotLayout
+from .packing import ConvPacking, DensePacking, DiagonalPacking, SlotLayout
 from .reference import PoolSpec
 from .trace import LayerTrace
 
@@ -204,16 +204,12 @@ class PackedSquare(PackedLayer):
 
 
 @dataclass
-class PackedDense(PackedLayer):
-    """LoLa fully connected layer (a **KS** layer).
-
-    ``PCmult`` with stacked/masked matrix rows, rotate-and-sum reduction,
-    chunk merging and a bias PCadd.  See :class:`~repro.hecnn.packing
-    .DensePacking` for the two packing regimes.
-    """
+class _MatrixLayer(PackedLayer):
+    """A fully connected layer: ``out x in`` weights and a bias over a
+    packing plan that owns the output layout."""
 
     name: str
-    packing: DensePacking
+    packing: DensePacking | DiagonalPacking
     weights: np.ndarray
     bias: np.ndarray
     _cache_token: int = field(init=False, repr=False, compare=False)
@@ -231,6 +227,17 @@ class PackedDense(PackedLayer):
     @property
     def output_layout(self) -> SlotLayout:
         return self.packing.output_layout()
+
+
+class PackedDense(_MatrixLayer):
+    """LoLa fully connected layer (a **KS** layer).
+
+    ``PCmult`` with stacked/masked matrix rows, rotate-and-sum reduction,
+    chunk merging and a bias PCadd.  See :class:`~repro.hecnn.packing
+    .DensePacking` for the two packing regimes.
+    """
+
+    packing: DensePacking
 
     @property
     def levels_consumed(self) -> int:
@@ -382,6 +389,101 @@ class PackedDense(PackedLayer):
             rotation_steps=tuple(pk.rotation_steps_needed()),
             macs=pk.spec.macs,
             plaintext_count=chunks * g + mask_ops + 1,
+        )
+
+
+class PackedDiagonalDense(_MatrixLayer):
+    """Fully connected layer by generalized diagonals (a **KS** layer).
+
+    Baby-step rotations of the input (one hoisted decomposition), per giant
+    step ``n1`` PCmults by pre-rotated diagonals summed before one Rescale
+    and one giant rotation, a fold adding the ``S / m`` copies of each row,
+    and a bias PCadd.  See :class:`~repro.hecnn.packing.DiagonalPacking`.
+    """
+
+    packing: DiagonalPacking
+
+    def rotation_keys(self, level: int) -> list[tuple[int, int]]:
+        """Baby steps at the entry level; giant steps and the fold after
+        the Rescale, one level lower."""
+        pk = self.packing
+        keys = {(s, level) for s in pk.baby_steps() if s}
+        keys.update((s, level - 1) for s in pk.giant_steps() if s)
+        keys |= _fold_keys(pk.fold_steps(), pk.slot_count, level - 1)
+        return sorted(keys)
+
+    def forward(self, evaluator: Evaluator, cts: list[Ciphertext]) -> list[Ciphertext]:
+        if len(cts) != 1:
+            raise ValueError(f"expected 1 ciphertext, got {len(cts)}")
+        pk = self.packing
+        babies = evaluator.rotate_hoisted(cts[0], pk.baby_steps())
+        # Encoded at the prime the Rescale divides out, so each giant
+        # step's sum returns to the input scale.
+        q_last = float(cts[0].basis.primes[-1])
+        total: Ciphertext | None = None
+        for g, giant in enumerate(pk.giant_steps()):
+            partial: Ciphertext | None = None
+            for b, baby in enumerate(babies):
+                pt = evaluator.encode_cached(
+                    lambda g=g, b=b: pk.weight_vector(g, b, self.weights),
+                    level=baby.level,
+                    scale=q_last,
+                    cache_key=(self._cache_token, "w", g, b),
+                )
+                term = evaluator.multiply_plain(baby, pt)
+                partial = term if partial is None else evaluator.add(partial, term)
+            partial = evaluator.rotate(evaluator.rescale(partial), giant)
+            total = partial if total is None else evaluator.add(total, partial)
+        total = evaluator.rotate_fold(total, pk.fold_steps())
+        bias_pt = evaluator.encode_cached(
+            lambda: pk.bias_vector(self.bias),
+            level=total.level,
+            scale=total.scale,
+            cache_key=(self._cache_token, "b"),
+        )
+        return [evaluator.add_plain(total, bias_pt)]
+
+    def propagate_noise(
+        self, est: NoiseEstimator, bound: NoiseBound
+    ) -> NoiseBound:
+        pk = self.packing
+        w_bound = max(float(np.max(np.abs(self.weights))), 1e-12)
+        partial = est.multiply_plain(bound, w_bound)
+        rotated = est.multiply_plain(est.rotate(bound), w_bound)
+        for _ in range(pk.baby - 1):
+            partial = est.add(partial, rotated)
+        partial = est.rescale(partial)
+        total = partial
+        for _ in range(pk.giant - 1):
+            total = est.add(total, est.rotate(partial))
+        for _ in pk.fold_steps():
+            total = est.add(total, est.rotate(total))
+        return est.add_plain(total, float(np.max(np.abs(self.bias))))
+
+    def trace(self, level: int) -> LayerTrace:
+        pk = self.packing
+        products = pk.baby * pk.giant
+        folds = len(pk.fold_steps())
+        rotations = (pk.baby - 1) + (pk.giant - 1) + folds
+        counts = {
+            HeOp.PC_MULT: products,
+            HeOp.RESCALE: pk.giant,
+            HeOp.KEY_SWITCH: rotations,
+            HeOp.CC_ADD: pk.giant * (pk.baby - 1) + (pk.giant - 1) + folds,
+            HeOp.PC_ADD: 1,
+        }
+        return LayerTrace(
+            name=self.name,
+            kind="KS",
+            op_counts=counts,
+            nks_units=products,
+            ks_units=rotations,
+            level=level,
+            num_input_cts=1,
+            num_output_cts=1,
+            rotation_steps=tuple(pk.rotation_steps_needed()),
+            macs=pk.spec.macs,
+            plaintext_count=products + 1,
         )
 
 

@@ -36,6 +36,12 @@ rotations.  For scattered inputs (the output of a previous dense layer) the
 reduction uses a two-phase schedule (intra-block window then inter-block
 strides), and per-row results merge through a shift-by-one accumulator that
 needs only a single rotation key.
+
+**Dense, diagonal.**  Where the replicated plan degenerates to one copy
+and many one-row chunks (``C = 1``), :class:`DiagonalPacking` multiplies
+by the matrix's generalized diagonals instead, with baby-step/giant-step
+rotations and a final fold; its output repeats every ``m`` slots, which a
+following replicated dense layer uses as its copies (``SlotLayout.period``).
 """
 
 from __future__ import annotations
@@ -67,12 +73,17 @@ class SlotLayout:
     ct_index / slot_index:
         Parallel arrays mapping value ``v`` to ``(ct, slot)``.
     clean:
-        True if every slot *not* listed is exactly zero — required before a
-        dense layer may replicate the input into multiple blocks.
+        True if every slot *not* listed (nor a periodic copy of a listed
+        one) is exactly zero — required before a dense layer may
+        replicate the input into multiple blocks.
     block_stride / offset_span:
         Structural metadata set by dense outputs: values sit at slots
         ``b * block_stride + j`` with ``j < offset_span``.  Enables the
         reduced two-phase rotation schedule downstream.
+    period:
+        Set by diagonal dense outputs: every slot ``s`` holds the same
+        value as ``s + period`` (cyclically), so the listed slots, all
+        below ``period``, have copies at every ``s + t * period``.
     """
 
     slot_count: int
@@ -82,13 +93,17 @@ class SlotLayout:
     clean: bool
     block_stride: int | None = None
     offset_span: int | None = None
+    period: int | None = None
 
     def __post_init__(self) -> None:
         if self.ct_index.shape != self.slot_index.shape:
             raise ValueError("ct_index and slot_index must align")
         if len(self.ct_index) and int(self.ct_index.max()) >= self.num_cts:
             raise ValueError("ct_index out of range")
-        if len(self.slot_index) and int(self.slot_index.max()) >= self.slot_count:
+        limit = self.slot_count if self.period is None else self.period
+        if self.slot_count % limit:
+            raise ValueError("period must divide the slot count")
+        if len(self.slot_index) and int(self.slot_index.max()) >= limit:
             raise ValueError("slot_index out of range")
 
     @property
@@ -121,8 +136,9 @@ class SlotLayout:
         if len(flat_values) != self.value_count:
             raise ValueError("value count mismatch")
         out = [np.zeros(self.slot_count) for _ in range(self.num_cts)]
+        copies = np.arange(0, self.slot_count, self.period or self.slot_count)
         for v, (c, s) in enumerate(zip(self.ct_index, self.slot_index)):
-            out[c][s] = flat_values[v]
+            out[c][s + copies] = flat_values[v]
         return out
 
     def extract(self, slot_vectors: list[np.ndarray]) -> np.ndarray:
@@ -304,13 +320,17 @@ class DensePacking:
         """Left-rotation steps that replicate block 0 into all ``C`` blocks.
 
         Each step doubles the number of copies (rotate right by
-        ``B * 2^t`` == rotate left by ``S - B * 2^t``, then CCadd).
+        ``B * 2^t`` == rotate left by ``S - B * 2^t``, then CCadd).  An
+        input whose layout has a ``period`` already holds a copy every
+        ``period`` slots, so the doubling stops there: summing those
+        copies again would scale the input instead of replicating it.
         """
         if not self.replicated or self.copies == 1:
             return []
         steps = []
         width = self.block_width
-        while width * 2 <= self.block_width * self.copies:
+        span = self.input_layout.period or self.block_width * self.copies
+        while width * 2 <= span:
             steps.append(self.slot_count - width)
             width *= 2
         return steps
@@ -491,4 +511,107 @@ class DensePacking:
             clean=self.needs_mask,
             block_stride=self.slot_count,
             offset_span=self.spec.out_features,
+        )
+
+
+@dataclass(frozen=True)
+class DiagonalPacking:
+    """Packing plan for a dense layer by generalized diagonals: the hybrid
+    Halevi-Shoup method with baby-step/giant-step rotations.
+
+    The ``out x in`` weights are zero-padded to ``m x S`` (``m`` the next
+    power of two of ``out``, ``S`` the slot count).  Diagonal ``k`` holds
+    ``W[i mod m][(i + k) mod S]`` at slot ``i``, so
+    ``sum_k diag_k * rot(x, k)`` over ``k < m`` leaves at slot ``i`` the
+    partial dot product of row ``i mod m`` with the columns ``i + k``.
+    Folding by ``S/2, ..., m`` adds the ``S/m`` slots of each residue class
+    mod ``m``, whose columns together cover all of ``0..S-1`` once: row
+    ``r``'s full dot product lands at every slot ``r + t * m``.  No mask is
+    needed, so the layer consumes one level.
+
+    With ``k = g * n1 + b`` (``n1`` baby steps, ``n2 = m / n1`` giant
+    steps), ``rot(diag_k, -g * n1)`` is encoded in place of ``diag_k`` so
+    the ``n1`` baby rotations of the input are shared by every giant step,
+    which rotates its partial sum once.
+    """
+
+    spec: DenseSpec
+    input_layout: SlotLayout
+    slot_count: int = field(init=False)
+    rows: int = field(init=False)
+    baby: int = field(init=False)
+    giant: int = field(init=False)
+
+    def __post_init__(self) -> None:
+        lay = self.input_layout
+        if lay.value_count != self.spec.in_features:
+            raise ValueError(
+                f"layout carries {lay.value_count} values, layer expects "
+                f"{self.spec.in_features}"
+            )
+        if lay.num_cts != 1 or not np.array_equal(
+            lay.slot_index, np.arange(lay.value_count)
+        ):
+            raise ValueError("diagonal packing needs values at slots 0..in-1")
+        m = next_pow2(self.spec.out_features)
+        if m > lay.slot_count:
+            raise ValueError("more rows than slots")
+        baby = 1 << (m.bit_length() // 2)  # ceil(log2(m) / 2) doublings
+        object.__setattr__(self, "slot_count", lay.slot_count)
+        object.__setattr__(self, "rows", m)
+        object.__setattr__(self, "baby", baby)
+        object.__setattr__(self, "giant", m // baby)
+
+    def baby_steps(self) -> list[int]:
+        """Rotations of the input shared by every giant step (0 first)."""
+        return list(range(self.baby))
+
+    def giant_steps(self) -> list[int]:
+        """Rotation of each giant step's partial sum (0 first)."""
+        return [g * self.baby for g in range(self.giant)]
+
+    def fold_steps(self) -> list[int]:
+        """Rotate-and-sum steps adding the ``S / m`` copies of each row."""
+        steps = []
+        step = self.slot_count // 2
+        while step >= self.rows:
+            steps.append(step)
+            step //= 2
+        return steps
+
+    def rotation_steps_needed(self) -> list[int]:
+        """All distinct non-zero rotation steps."""
+        steps = self.baby_steps() + self.giant_steps() + self.fold_steps()
+        return sorted(set(steps) - {0})
+
+    def weight_vector(
+        self, giant: int, baby: int, weights: np.ndarray
+    ) -> np.ndarray:
+        """Diagonal ``giant * n1 + baby``, pre-rotated right by the giant
+        step (``weights`` is ``out x in``)."""
+        s = self.slot_count
+        i = np.arange(s)
+        row, col = i % self.rows, (i + giant * self.baby + baby) % s
+        inside = (row < weights.shape[0]) & (col < weights.shape[1])
+        diagonal = np.zeros(s)
+        diagonal[inside] = weights[row[inside], col[inside]]
+        return np.roll(diagonal, giant * self.baby)
+
+    def bias_vector(self, bias: np.ndarray) -> np.ndarray:
+        """Bias at every copy ``r + t * m`` of each row ``r``."""
+        block = np.zeros(self.rows)
+        block[: len(bias)] = bias
+        return np.tile(block, self.slot_count // self.rows)
+
+    def output_layout(self) -> SlotLayout:
+        """Row ``r`` at slot ``r``, repeated every ``m`` slots; the padded
+        rows' slots are exactly zero."""
+        rows = np.arange(self.spec.out_features)
+        return SlotLayout(
+            slot_count=self.slot_count,
+            num_cts=1,
+            ct_index=np.zeros_like(rows),
+            slot_index=rows.astype(np.int64),
+            clean=True,
+            period=self.rows,
         )

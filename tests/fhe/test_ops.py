@@ -138,6 +138,73 @@ def test_rotate_at_reduced_level(ctx, evaluator):
     assert np.allclose(out, np.roll(a, -2), atol=ATOL)
 
 
+def _rotate_direct(ctx, ct, step):
+    """A rotation as one Galois map of both components and one key switch
+    of the mapped ``c1`` (no shared decomposition)."""
+    from repro.fhe.ops import _key_switch
+
+    g = pow(5, step, 2 * ctx.params.poly_degree)
+    c0, c1 = (c.galois_transform(g) for c in ct.components)
+    k0, k1 = _key_switch(c1, ctx.galois_keys.get(step, ct.level))
+    return [(c0.to_ntt() + k0).residues, k1.residues]
+
+
+def test_rotate_hoisted_is_bit_identical_per_step(ctx):
+    rec = OperationRecorder()
+    ev = Evaluator(ctx, recorder=rec)
+    ct = ctx.encrypt_values(_vals(ctx, 21))
+    steps = [1, 2, 4, 16, 128]
+    hoisted = ev.rotate_hoisted(ct, steps)
+    assert rec.count(HeOp.KEY_SWITCH) == len(steps)
+    for step, out in zip(steps, hoisted, strict=True):
+        single = ev.rotate(ct, step)
+        for got, a, b in zip(
+            out.components, single.components, _rotate_direct(ctx, ct, step),
+            strict=True,
+        ):
+            assert np.array_equal(got.to_ntt().residues, a.to_ntt().residues)
+            assert np.array_equal(got.to_ntt().residues, b)
+        assert out.scale == ct.scale and out.level == ct.level
+
+
+def test_rotate_hoisted_zero_step_returns_input(ctx):
+    rec = OperationRecorder()
+    ev = Evaluator(ctx, recorder=rec)
+    ct = ctx.encrypt_values(_vals(ctx, 22))
+    zero, one, wrapped = ev.rotate_hoisted(ct, [0, 1, ctx.slot_count])
+    assert zero is ct and wrapped is ct
+    assert one is not ct
+    assert rec.count(HeOp.KEY_SWITCH) == 1
+    assert ev.rotate_hoisted(ct, [0]) == [ct]
+
+
+def test_rotate_hoisted_missing_key_raises(ctx, evaluator):
+    ct = ctx.encrypt_values(_vals(ctx, 23))
+    with pytest.raises(KeyError, match="rotation step 3"):
+        evaluator.rotate_hoisted(ct, [1, 3])
+
+
+def test_rotate_hoisted_observed_as_one_rotate_per_step(ctx, evaluator):
+    from repro import obs
+    from repro.fhe import NoiseEstimator
+
+    ct = ctx.encrypt_values(_vals(ctx, 24))
+    tracker = obs.LineageTracker(estimator=NoiseEstimator.for_context(ctx))
+    with obs.observed(), obs.lineage_context(tracker):
+        outs = evaluator.rotate_hoisted(ct, [0, 1, 2, 4])
+        spans = {
+            r["name"]: r["count"]
+            for r in obs.get_tracer().summary(category="he_op")
+        }
+    assert spans == {"Rotate": 3}
+    assert tracker.op_counts() == {"Source": 1, "Rotate": 3}
+    assert tracker.propagation_failures == 0
+    for out in outs[1:]:
+        node = tracker.nodes[out.lineage_id]
+        assert node.parents == (ct.lineage_id,)
+        assert node.noise_bits_after is not None
+
+
 def test_rotate_and_sum(ctx, evaluator):
     rng = np.random.default_rng(20)
     width = 16

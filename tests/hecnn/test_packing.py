@@ -11,7 +11,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.hecnn import ConvPacking, ConvSpec, DensePacking, DenseSpec, SlotLayout
+from repro.hecnn import (
+    ConvPacking,
+    ConvSpec,
+    DensePacking,
+    DenseSpec,
+    DiagonalPacking,
+    SlotLayout,
+)
 from repro.hecnn.packing import next_pow2
 
 
@@ -50,6 +57,24 @@ def _simulate_dense(packing: DensePacking, weights: np.ndarray, x_slots: list[np
         for result in reversed(chunk_results[:-1]):
             merged = _rotate_left(merged, packing.slot_count - 1) + result
     return merged
+
+
+def _simulate_diagonal(
+    packing: DiagonalPacking, weights: np.ndarray, bias: np.ndarray,
+    x_slots: np.ndarray,
+) -> np.ndarray:
+    """Noiseless slot-level simulation of PackedDiagonalDense.forward."""
+    babies = [_rotate_left(x_slots, s) for s in packing.baby_steps()]
+    total = np.zeros(packing.slot_count)
+    for g, giant in enumerate(packing.giant_steps()):
+        partial = sum(
+            baby * packing.weight_vector(g, b, weights)
+            for b, baby in enumerate(babies)
+        )
+        total = total + _rotate_left(partial, giant)
+    for step in packing.fold_steps():
+        total = total + _rotate_left(total, step)
+    return total + packing.bias_vector(bias)
 
 
 # -- utilities -------------------------------------------------------------------
@@ -294,3 +319,105 @@ def test_rotation_steps_needed_dedup():
     steps = pk.rotation_steps_needed()
     assert steps == sorted(set(steps))
     assert 512 in steps and 1 in steps and (4096 - 1024) in steps
+
+
+# -- DiagonalPacking --------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("in_features,out_features,slots", [
+    (10, 1, 64),        # one row: m = 1, no baby or giant rotation
+    (20, 6, 64),        # rows not a power of two: m = 8
+    (40, 64, 64),       # m = S: no fold
+    (144, 16, 256),     # the N=512 builder network's first dense layer
+    (845, 100, 1024),   # FxHENN-MNIST Fc1 at N=2048: 16 baby x 8 giant
+])
+def test_diagonal_simulation_fills_every_period_block(
+    in_features, out_features, slots
+):
+    """Every ``m``-slot block holds W x + b, the padded rows hold zero, and
+    slots beyond the input's width are ignored."""
+    rng = np.random.default_rng(in_features + out_features)
+    lay = SlotLayout.contiguous(slot_count=slots, width=in_features)
+    pk = DiagonalPacking(
+        spec=DenseSpec(in_features, out_features), input_layout=lay
+    )
+    assert pk.baby * pk.giant == pk.rows == next_pow2(out_features)
+    w = rng.normal(size=(out_features, in_features))
+    b = rng.normal(size=out_features)
+    x = rng.normal(size=in_features)
+    x_slots = rng.normal(size=slots)  # junk past the input's width
+    x_slots[:in_features] = x
+    out = _simulate_diagonal(pk, w, b, x_slots)
+    y = w @ x + b
+    for block in out.reshape(-1, pk.rows):
+        assert np.allclose(block[:out_features], y)
+        assert np.allclose(block[out_features:], 0.0)
+    layout = pk.output_layout()
+    assert layout.period == pk.rows
+    assert np.allclose(layout.extract([out]), y)
+    assert np.allclose(layout.gather(y)[0], out)
+
+
+def test_diagonal_rotation_counts():
+    lay = SlotLayout.contiguous(slot_count=1024, width=845)
+    pk = DiagonalPacking(spec=DenseSpec(845, 100), input_layout=lay)
+    assert (pk.rows, pk.baby, pk.giant) == (128, 16, 8)
+    assert pk.giant_steps() == [0, 16, 32, 48, 64, 80, 96, 112]
+    assert pk.fold_steps() == [512, 256, 128]
+    assert len(pk.rotation_steps_needed()) == 15 + 7 + 3
+
+
+def test_diagonal_rejects_scattered_input():
+    lay = SlotLayout(
+        slot_count=64, num_cts=1, ct_index=np.zeros(4, dtype=np.int64),
+        slot_index=np.array([0, 8, 16, 24]), clean=True,
+    )
+    with pytest.raises(ValueError, match="slots 0..in-1"):
+        DiagonalPacking(spec=DenseSpec(4, 2), input_layout=lay)
+
+
+def test_dense_after_diagonal_replicates_nothing():
+    """A replicated dense layer reading a periodic layout takes its copies
+    as they are: no replication rotation, and still W2 (W1 x + b1)."""
+    rng = np.random.default_rng(12)
+    lay = SlotLayout.contiguous(slot_count=256, width=144)
+    fc1 = DiagonalPacking(spec=DenseSpec(144, 16), input_layout=lay)
+    w1, b1 = rng.normal(size=(16, 144)), rng.normal(size=16)
+    x = rng.normal(size=144)
+    mid = _simulate_diagonal(fc1, w1, b1, lay.gather(x)[0])
+
+    fc2 = DensePacking(spec=DenseSpec(16, 4), input_layout=fc1.output_layout())
+    assert fc2.replicated and fc2.copies == 16
+    assert fc2.replication_steps() == []
+    w2 = rng.normal(size=(4, 16))
+    out = _simulate_dense(fc2, w2, [mid])
+    assert np.allclose(fc2.output_layout().extract([out]), w2 @ (w1 @ x + b1))
+
+
+def test_period_replication_stops_at_the_period():
+    """Copies every 2B slots leave one doubling (by B) to do."""
+    values = np.arange(3, dtype=np.int64)
+    lay = SlotLayout(
+        slot_count=64, num_cts=1, ct_index=np.zeros(3, dtype=np.int64),
+        slot_index=values, clean=True, period=8,
+    )
+    pk = DensePacking(spec=DenseSpec(3, 2), input_layout=lay)
+    assert pk.block_width == 4 and pk.copies == 16
+    assert pk.replication_steps() == [64 - 4]
+    rng = np.random.default_rng(13)
+    w, x = rng.normal(size=(2, 3)), rng.normal(size=3)
+    out = _simulate_dense(pk, w, lay.gather(x))
+    assert np.allclose(pk.output_layout().extract([out]), w @ x)
+
+
+def test_period_layout_validation():
+    with pytest.raises(ValueError, match="divide"):
+        SlotLayout(
+            slot_count=64, num_cts=1, ct_index=np.zeros(2, dtype=np.int64),
+            slot_index=np.arange(2), clean=True, period=24,
+        )
+    with pytest.raises(ValueError, match="out of range"):
+        SlotLayout(
+            slot_count=64, num_cts=1, ct_index=np.zeros(2, dtype=np.int64),
+            slot_index=np.array([0, 9]), clean=True, period=8,
+        )

@@ -410,92 +410,6 @@ def test_autoscale_bad_policy_exits_nonzero():
     assert excinfo.value.code != 0
 
 
-def _profile_record(**overrides):
-    base = {
-        "network": "tiny",
-        "kernel_backend": "reference",
-        "wall_s": 1.0,
-        "layers": [
-            {"name": "conv1", "wall_ms": 100.0, "headroom_bits": 10.0},
-            {"name": "fc1", "wall_ms": 50.0, "headroom_bits": 12.0},
-        ],
-        "ops": [
-            {"op": "CMult", "total_ms": 60.0, "p95_ms": 1.5},
-            {"op": "CAdd", "total_ms": 10.0, "p95_ms": 0.2},
-        ],
-    }
-    base.update(overrides)
-    return base
-
-
-def test_profile_diff_flags_regressions(tmp_path, capsys):
-    old = tmp_path / "old.json"
-    new = tmp_path / "new.json"
-    old.write_text(json.dumps(_profile_record()))
-    new.write_text(json.dumps(_profile_record(
-        wall_s=1.4,
-        layers=[
-            # >10% slower AND >0.5 bits less headroom.
-            {"name": "conv1", "wall_ms": 150.0, "headroom_bits": 8.0},
-            {"name": "fc1", "wall_ms": 51.0, "headroom_bits": 12.0},
-            {"name": "pool1", "wall_ms": 5.0, "headroom_bits": 20.0},
-        ],
-        ops=[
-            {"op": "CMult", "total_ms": 90.0, "p95_ms": 2.0},
-            {"op": "CAdd", "total_ms": 10.0, "p95_ms": 0.2},
-        ],
-    )))
-    assert main(["profile", "--diff", str(old), str(new)]) == 0
-    out = capsys.readouterr().out
-    assert "slower,noisier" in out
-    assert "ADDED" in out  # pool1 only exists in the new profile
-    assert "end-to-end wall: 1.00 s -> 1.40 s" in out
-    assert "2 regression(s) past tolerance 10%" in out
-    assert "conv1" in out and "CMult" in out
-
-
-def test_profile_diff_json_payload(tmp_path, capsys):
-    old = tmp_path / "old.json"
-    new = tmp_path / "new.json"
-    old.write_text(json.dumps(_profile_record()))
-    new.write_text(json.dumps(_profile_record()))
-    assert main([
-        "profile", "--diff", str(old), str(new), "--format", "json",
-    ]) == 0
-    payload = json.loads(capsys.readouterr().out)
-    assert payload["regressions"] == []
-    assert all(r["status"] == "common" for r in payload["layers"])
-    assert payload["tolerance"] == pytest.approx(0.10)
-
-
-def test_profile_diff_round_trips_a_real_profile(tmp_path, capsys):
-    assert main([
-        "profile", "--network", "tiny", "--format", "json",
-    ]) == 0
-    record = capsys.readouterr().out
-    old = tmp_path / "old.json"
-    new = tmp_path / "new.json"
-    old.write_text(record)
-    new.write_text(record)
-    assert main(["profile", "--diff", str(old), str(new)]) == 0
-    assert "no regressions past tolerance 10%" in capsys.readouterr().out
-
-
-def test_profile_diff_rejects_non_profile_json(tmp_path):
-    bogus = tmp_path / "bogus.json"
-    bogus.write_text("{}")
-    with pytest.raises(SystemExit) as excinfo:
-        main(["profile", "--diff", str(bogus), str(bogus)])
-    assert "missing 'layers'/'ops'" in str(excinfo.value)
-
-
-def test_profile_diff_missing_file_exits_nonzero(tmp_path):
-    with pytest.raises(SystemExit) as excinfo:
-        main(["profile", "--diff", str(tmp_path / "no.json"),
-              str(tmp_path / "pe.json")])
-    assert "cannot read profile" in str(excinfo.value)
-
-
 _BURN_RULES = {
     "rules": [
         {
