@@ -20,9 +20,7 @@ from .kernels import KernelBackend
 from .keys import GaloisKeys, KeyGenerator, KeySwitchKey, PublicKey, SecretKey
 from .modmath import (
     BarrettConstant,
-    BatchedBarrett,
     barrett_reduce,
-    batched_barrett_reduce,
     batched_mod_add,
     batched_mod_mul,
     batched_mod_neg,
@@ -76,7 +74,6 @@ from .serialization import (
 
 __all__ = [
     "BarrettConstant",
-    "BatchedBarrett",
     "BatchedNttContext",
     "Ciphertext",
     "CkksContext",
@@ -105,7 +102,6 @@ __all__ = [
     "plaintext_to_bytes",
     "plaintext_wire_size",
     "barrett_reduce",
-    "batched_barrett_reduce",
     "batched_mod_add",
     "batched_mod_mul",
     "batched_mod_neg",

@@ -137,7 +137,12 @@ class CkksContext:
     # -- encryption ------------------------------------------------------------------
 
     def encrypt(self, plaintext: Plaintext) -> Ciphertext:
-        """Public-key encryption: ``ct = (b*u + e0 + m, a*u + e1)``."""
+        """Public-key encryption: ``ct = (b*u + e0 + m, a*u + e1)``.
+
+        A coefficient-domain message is added to ``e0`` before the one
+        forward transform of their sum (the NTT is linear, so ``NTT(e0 +
+        m) = NTT(e0) + NTT(m)``): three transforms per ciphertext.
+        """
         basis = plaintext.basis
         full = self.basis()
         if basis.primes != full.primes[: basis.level]:
@@ -145,10 +150,11 @@ class CkksContext:
         pk_b = self.public_key.b.drop_to_basis(basis)
         pk_a = self.public_key.a.drop_to_basis(basis)
         u = sample_ternary(basis, self.rng).to_ntt()
-        e0 = sample_gaussian(basis, self.rng, self.params.error_std).to_ntt()
+        e0 = sample_gaussian(basis, self.rng, self.params.error_std)
         e1 = sample_gaussian(basis, self.rng, self.params.error_std).to_ntt()
-        m = plaintext.poly.to_ntt()
-        c0 = pk_b * u + e0 + m
+        m = plaintext.poly
+        e0_m = e0.to_ntt() + m if m.is_ntt else (e0 + m).to_ntt()
+        c0 = pk_b * u + e0_m
         c1 = pk_a * u + e1
         return Ciphertext(components=(c0, c1), scale=plaintext.scale)
 

@@ -83,8 +83,9 @@ class CkksEncoder:
         real_coeffs = self._embed(slots) * scale
         if np.max(np.abs(real_coeffs)) >= 2**62:
             raise OverflowError("scaled message too large for exact rounding")
-        int_coeffs = [int(c) for c in np.rint(real_coeffs)]
-        return RnsPolynomial.from_coefficients(basis, int_coeffs)
+        return RnsPolynomial.from_signed(
+            basis, np.rint(real_coeffs).astype(np.int64)
+        )
 
     def encode_scalar(
         self, value: float, scale: float, basis: RnsBasis

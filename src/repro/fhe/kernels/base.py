@@ -54,7 +54,7 @@ class KernelBackend:
     # -- shared helpers ------------------------------------------------------
 
     def context(self, n: int, primes: tuple[int, ...]) -> BatchedNttContext:
-        """Cached per-chain precomputed tables (qs, twiddles, Barrett...)."""
+        """Cached per-chain precomputed tables (qs, twiddles, ...)."""
         return get_batched_ntt_context(n, tuple(primes))
 
     def _residue_copy(
@@ -116,7 +116,7 @@ class KernelBackend:
     ) -> np.ndarray:
         """Element-wise modular product of residue matrices."""
         ctx = self.context(n, primes)
-        return batched_mod_mul(np.asarray(a), np.asarray(b), ctx.barrett)
+        return batched_mod_mul(np.asarray(a), np.asarray(b), ctx.qs_full)
 
     def modmul_const(
         self,
@@ -130,7 +130,7 @@ class KernelBackend:
 
         ``values_shoup`` holds the Shoup quotients of ``values`` (see
         :func:`~repro.fhe.modmath.shoup_precompute`), letting the product
-        skip the Barrett division entirely.  Bit-identical to
+        skip the integer division entirely.  Bit-identical to
         :meth:`modmul` for canonical inputs.
         """
         ctx = self.context(n, primes)

@@ -131,68 +131,36 @@ def mod_mul(a: np.ndarray, b: np.ndarray, bc: BarrettConstant) -> np.ndarray:
 #
 # RNS residue matrices have shape (..., L, N) with one row per prime; these
 # kernels apply the per-prime operation to all L rows in a single numpy call
-# by broadcasting the per-prime constants over a trailing axis of length 1.
-
-
-@dataclass(frozen=True)
-class BatchedBarrett:
-    """Stacked Barrett constants for a chain of primes.
-
-    ``qs``, ``ks`` and ``mus`` have shape ``(L, 1)`` so they broadcast over
-    residue matrices of shape ``(..., L, N)``.
-    """
-
-    qs: np.ndarray
-    ks: np.ndarray
-    mus: np.ndarray
-
-    @classmethod
-    def for_primes(cls, primes: tuple[int, ...]) -> "BatchedBarrett":
-        for q in primes:
-            _check_modulus(q)
-        qs = np.array(primes, dtype=_U64).reshape(-1, 1)
-        ks = np.array([q.bit_length() for q in primes], dtype=_U64).reshape(-1, 1)
-        mus = np.array(
-            [(1 << (2 * q.bit_length())) // q for q in primes], dtype=_U64
-        ).reshape(-1, 1)
-        return cls(qs=qs, ks=ks, mus=mus)
-
-
-def batched_barrett_reduce(x: np.ndarray, bb: BatchedBarrett) -> np.ndarray:
-    """Row-wise Barrett reduction of ``(..., L, N)`` against ``L`` primes."""
-    arr = np.asarray(x, dtype=_U64)
-    one = _U64(1)
-    q1 = arr >> (bb.ks - one)
-    q3 = (q1 * bb.mus) >> (bb.ks + one)
-    r = arr - q3 * bb.qs
-    r = np.where(r >= bb.qs, r - bb.qs, r)
-    r = np.where(r >= bb.qs, r - bb.qs, r)
-    return r
+# by broadcasting ``qs`` (the per-prime moduli, ``(L, 1)`` or tiled to a
+# contiguous ``(L, N)``) over the residues.  Operands are canonical (below
+# their prime), so a sum, difference or negation is off by at most one
+# modulus: it is computed with uint64 wraparound and corrected by taking the
+# smaller of the two candidates (the wrong one has wrapped past ``2**63``).
+# A product is below ``2**60`` and is reduced by one exact ``np.remainder``.
 
 
 def batched_mod_add(a: np.ndarray, b: np.ndarray, qs: np.ndarray) -> np.ndarray:
-    """Row-wise ``(a + b) mod q_i`` with ``qs`` shaped ``(L, 1)``."""
-    s = np.asarray(a, dtype=_U64) + np.asarray(b, dtype=_U64)
-    return np.where(s >= qs, s - qs, s)
+    """Row-wise ``(a + b) mod q_i``."""
+    s = np.add(a, b, dtype=_U64)
+    return np.minimum(s, s - qs, out=s)
 
 
 def batched_mod_sub(a: np.ndarray, b: np.ndarray, qs: np.ndarray) -> np.ndarray:
-    """Row-wise ``(a - b) mod q_i`` with ``qs`` shaped ``(L, 1)``."""
-    a64 = np.asarray(a, dtype=_U64)
-    b64 = np.asarray(b, dtype=_U64)
-    return np.where(a64 >= b64, a64 - b64, a64 + qs - b64)
+    """Row-wise ``(a - b) mod q_i``."""
+    d = np.subtract(a, b, dtype=_U64)
+    return np.minimum(d, d + qs, out=d)
 
 
 def batched_mod_neg(a: np.ndarray, qs: np.ndarray) -> np.ndarray:
-    """Row-wise ``(-a) mod q_i`` with ``qs`` shaped ``(L, 1)``."""
-    a64 = np.asarray(a, dtype=_U64)
-    return np.where(a64 == 0, a64, qs - a64)
+    """Row-wise ``(-a) mod q_i``."""
+    d = np.subtract(qs, a, dtype=_U64)
+    return np.minimum(d, d - qs, out=d)
 
 
-def batched_mod_mul(a: np.ndarray, b: np.ndarray, bb: BatchedBarrett) -> np.ndarray:
-    """Row-wise ``(a * b) mod q_i`` via batched Barrett reduction."""
-    prod = np.asarray(a, dtype=_U64) * np.asarray(b, dtype=_U64)
-    return batched_barrett_reduce(prod, bb)
+def batched_mod_mul(a: np.ndarray, b: np.ndarray, qs: np.ndarray) -> np.ndarray:
+    """Row-wise ``(a * b) mod q_i``."""
+    prod = np.multiply(a, b, dtype=_U64)
+    return np.remainder(prod, qs, out=prod)
 
 
 # ---------------------------------------------------------------------------
@@ -204,15 +172,20 @@ def batched_mod_mul(a: np.ndarray, b: np.ndarray, bb: BatchedBarrett) -> np.ndar
 # Barrett are worth eliminating when precomputation allows.
 
 
-def centered_lift_fits(source_q: int, target_primes: tuple[int, ...]) -> bool:
-    """True when :func:`centered_lift` is exact for values centered mod
-    ``source_q`` lifted into every prime of ``target_primes``.
+def centered_lift_fits(
+    source_q: int, target_primes: tuple[int, ...], terms: int = 1
+) -> bool:
+    """True when :func:`centered_lift` is exact for sums of ``terms``
+    values centered mod ``source_q`` lifted into every prime of
+    ``target_primes``.
 
     A centered value satisfies ``|x| <= (source_q - 1) // 2``; the
-    division-free lift is valid iff that magnitude is below every target
-    modulus (so ``x`` or ``x + q_j`` is already the reduced residue).
+    division-free lift is valid iff the sum's magnitude bound is below
+    every target modulus (so ``x`` or ``x + q_j`` is already the reduced
+    residue).
     """
-    return (int(source_q) - 1) // 2 < min(int(q) for q in target_primes)
+    bound = terms * ((int(source_q) - 1) // 2)
+    return bound < min(int(q) for q in target_primes)
 
 
 def centered_lift(signed: np.ndarray, qs: np.ndarray) -> np.ndarray:
@@ -260,25 +233,6 @@ def shoup_mul(
     r = np.multiply(a64, np.asarray(b, dtype=_U64))
     r -= hi
     return np.where(r >= qs, r - qs, r)
-
-
-def batched_barrett_reduce_tiled(
-    x: np.ndarray, qs_full: np.ndarray, mus_full: np.ndarray, k: int
-) -> np.ndarray:
-    """Barrett reduction against pre-tiled contiguous ``(L, N)`` constants.
-
-    Requires every prime in the batch to share bit length ``k`` (so the
-    shifts are scalars).  Bit-identical to :func:`batched_barrett_reduce`;
-    the tiled operands just avoid stride-0 broadcast passes on the hot
-    KeySwitch inner-product reduction.
-    """
-    arr = np.asarray(x, dtype=_U64)
-    q1 = arr >> _U64(k - 1)
-    q3 = (q1 * mus_full) >> _U64(k + 1)
-    r = arr - q3 * qs_full
-    r = np.where(r >= qs_full, r - qs_full, r)
-    r = np.where(r >= qs_full, r - qs_full, r)
-    return r
 
 
 def mod_pow(base: int, exp: int, q: int) -> int:

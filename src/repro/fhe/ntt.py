@@ -13,8 +13,8 @@ the FHE substrate; its hardware cost model (``LAT_NTT = log2(N) * N /
   backend runs it row by row; it is the one correctness oracle.
 * :class:`BatchedNttContext` — the per-chain tables shared by the
   production kernels and the ring code: stacked twiddles and their Shoup
-  quotients, tiled modulus/Barrett constants, NTT-domain Galois
-  permutations and the Rescale inverses.
+  quotients, tiled moduli, NTT-domain Galois permutations and the Rescale
+  inverses.
 
 HE call sites transform through :func:`repro.fhe.kernels.active_backend`
 (``montgomery`` by default).  Contexts are cached in an explicit,
@@ -32,7 +32,6 @@ import numpy as np
 from ..obs.registry import REGISTRY as _OBS_REGISTRY
 from .modmath import (
     BarrettConstant,
-    BatchedBarrett,
     find_root_of_unity,
     mod_add,
     mod_inverse,
@@ -207,10 +206,10 @@ class BatchedNttContext:
     Per-prime constants are stacked along a leading ``(L, ...)`` prime axis
     so kernels broadcast them over ``(..., L, N)`` residue matrices:
     bit-reversed twiddles, the Shoup quotients ``w' = floor(w * 2**32 /
-    q)`` of the inverse twiddles and of ``1/N``, tiled modulus and Barrett
-    constants, plus lazily built NTT-domain Galois permutations and Rescale
-    inverses.  Since q < 2**30, every Shoup product ``v * w'`` with ``v <
-    4q <= 2**32`` fits in uint64.
+    q)`` of the inverse twiddles and of ``1/N``, tiled moduli, plus lazily
+    built NTT-domain Galois permutations and Rescale inverses.  Since
+    q < 2**30, every Shoup product ``v * w'`` with ``v < 4q <= 2**32`` fits
+    in uint64.
     """
 
     def __init__(self, n: int, primes: tuple[int, ...]) -> None:
@@ -228,7 +227,6 @@ class BatchedNttContext:
             [c.n_inv for c in contexts], dtype=_U64
         ).reshape(level, 1)
         self.n_inv_shoup = (self.n_inv << _SHOUP_SHIFT) // self.qs
-        self.barrett = BatchedBarrett.for_primes(self.primes)
         # Fully-tiled (L, N) copies of the per-prime constants.  Broadcasting
         # an ``(L, 1)`` column over the slot axis forces stride-0 inner loops
         # in numpy (1.5-2x slower per pass on this substrate); the hot
@@ -236,14 +234,6 @@ class BatchedNttContext:
         # instead.  Values are identical, so outputs stay bit-identical.
         self.qs_full = np.ascontiguousarray(np.broadcast_to(self.qs, (level, n)))
         self.qs_full_i64 = self.qs_full.astype(np.int64)
-        self.barrett_mus_full = np.ascontiguousarray(
-            np.broadcast_to(self.barrett.mus, (level, n))
-        )
-        bits = [q.bit_length() for q in self.primes]
-        #: Uniform Barrett shift when every prime has the same bit length
-        #: (the common case for generated chains); ``None`` disables the
-        #: tiled Barrett fast path.
-        self.barrett_k: int | None = bits[0] if len(set(bits)) == 1 else None
         self._galois_perms: dict[int, np.ndarray] = {}
         self._index_exponents: np.ndarray | None = None
         self._rescale_inverses: np.ndarray | None = None

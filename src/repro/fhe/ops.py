@@ -27,14 +27,9 @@ from ..optypes import HeOp
 from . import kernels
 from .ciphertext import Ciphertext, Plaintext
 from .context import CkksContext
-from .modmath import (
-    batched_barrett_reduce,
-    batched_barrett_reduce_tiled,
-    centered_lift,
-    centered_lift_fits,
-)
+from .modmath import centered_lift, centered_lift_fits
 from .ntt import get_batched_ntt_context
-from .poly import RnsPolynomial, rescale_polys
+from .poly import RnsPolynomial, rescale_polys, rescale_sum
 
 _RELATIVE_SCALE_TOLERANCE = 1e-9
 
@@ -198,6 +193,100 @@ class Evaluator:
         comps = tuple(c.to_ntt() * pt_ntt for c in ct.components)
         self._note(HeOp.PC_MULT)
         return Ciphertext(components=comps, scale=ct.scale * pt.scale)
+
+    @_probed("PCmultSum")
+    def multiply_plain_sum(self, cts, pts) -> Ciphertext:
+        """``sum_i PCmult(cts[i], pts[i])``: the PCmult + CCadd loop in one
+        exact reduction.
+
+        The NTT-domain products are accumulated in uint64 and reduced once
+        (:func:`_product_sum`), bit-identical to the sequential loop.  Its
+        logical operations are recorded: ``k`` PCmult and ``k - 1`` CCadd.
+        """
+        basis, comps, plains, scale = self._sum_operands(cts, pts)
+        ctx = basis.ntt()
+        out = tuple(
+            RnsPolynomial(
+                basis, _product_sum(zip((c[j] for c in comps), plains), ctx),
+                is_ntt=True,
+            )
+            for j in range(len(comps[0]))
+        )
+        self._note_sum(len(cts), rescaled=False)
+        return Ciphertext(components=out, scale=scale)
+
+    @_probed("PCmultRescaleSum")
+    def multiply_plain_rescale_sum(self, cts, pts) -> Ciphertext:
+        """``sum_i Rescale(PCmult(cts[i], pts[i]))``: the NKS-layer loop
+        (paper Listing 1) with one exact reduction and one forward
+        transform.
+
+        The kept rows' products are summed as in
+        :meth:`multiply_plain_sum`; every term's last-prime row goes to
+        :func:`~repro.fhe.poly.rescale_sum`, which inverse-transforms them
+        in one kernel call and forward-transforms the sum of their centred
+        lifts once.  Bit-identical to the sequential loop, whose logical
+        operations are recorded: ``k`` PCmult, ``k`` Rescale and ``k - 1``
+        CCadd.
+        """
+        basis, comps, plains, scale = self._sum_operands(cts, pts)
+        if basis.level <= 1:
+            raise ValueError("cannot rescale a level-1 ciphertext")
+        q_last = basis.primes[-1]
+        kept_ctx = get_batched_ntt_context(basis.n, basis.primes[:-1])
+        kept = np.stack([
+            _product_sum(
+                ((c[j][:-1], p[:-1]) for c, p in zip(comps, plains)), kept_ctx
+            )
+            for j in range(len(comps[0]))
+        ])
+        last = np.array([[row[-1:] for row in c] for c in comps])
+        last *= np.array(plains)[:, None, -1:, :]  # (k, C, 1, N)
+        np.remainder(last, np.uint64(q_last), out=last)
+        rows = rescale_sum(basis, kept, last)
+        new_basis = basis.drop_last()
+        self._note_sum(len(cts), rescaled=True)
+        return Ciphertext(
+            components=tuple(
+                RnsPolynomial(new_basis, row, is_ntt=True) for row in rows
+            ),
+            scale=scale / q_last,
+        )
+
+    def _sum_operands(self, cts, pts):
+        """Check the terms of a fused sum as :meth:`multiply_plain` and
+        :meth:`add` would, except that every ciphertext must sit at one
+        level.  Returns their basis, each term's NTT-domain component
+        residues and plaintext residues, and the sum's scale (the first
+        product's, which the sequential loop keeps)."""
+        if not cts or len(cts) != len(pts):
+            raise ValueError("need one plaintext per ciphertext")
+        basis, size = cts[0].basis, cts[0].size
+        scale = cts[0].scale * pts[0].scale
+        comps, plains = [], []
+        for ct, pt in zip(cts, pts):
+            if ct.basis != basis:
+                raise ValueError(f"level mismatch: {ct.level} vs {basis.level}")
+            if ct.size != size:
+                raise ValueError("component-count mismatch; relinearize first")
+            if pt.level < ct.level:
+                raise ValueError("plaintext level below ciphertext level")
+            self._check_scales(scale, ct.scale * pt.scale)
+            poly = pt.poly
+            if pt.level > ct.level:
+                poly = poly.drop_to_basis(basis)
+            plains.append(poly.to_ntt().residues)
+            comps.append([c.to_ntt().residues for c in ct.components])
+        return basis, comps, plains, scale
+
+    def _note_sum(self, terms: int, rescaled: bool) -> None:
+        """Record a fused sum as the loop it replaces: one PCmult (and one
+        Rescale) per term, one CCadd per term after the first."""
+        self._note(HeOp.PC_MULT, terms)
+        if rescaled:
+            self._note(HeOp.RESCALE, terms)
+        if terms > 1:
+            self._note(HeOp.CC_ADD, terms - 1)
 
     @_probed("CCmult")
     def multiply(self, a: Ciphertext, b: Ciphertext) -> Ciphertext:
@@ -507,22 +596,13 @@ class Evaluator:
         for g, _key in rotations:
             perm = ntt_ctx.galois_permutation(g)
             np.add(acc, c0.residues[..., perm], out=acc)
-        sum0 = RnsPolynomial(basis, _reduce_ext(acc, ntt_ctx), is_ntt=True)
+        np.remainder(acc, ntt_ctx.qs_full, out=acc)
+        sum0 = RnsPolynomial(basis, acc, is_ntt=True)
         # Logical accounting: a k-step group performs k Rotate (KeySwitch)
         # and k CCadd operations, regardless of the hoisted execution.
         self._note(HeOp.KEY_SWITCH, logical)
         self._note(HeOp.CC_ADD, logical)
         return Ciphertext(components=(sum0 + k0, c1 + k1), scale=ct.scale)
-
-
-def _reduce_ext(acc: np.ndarray, ext_ctx) -> np.ndarray:
-    """Barrett-reduce a lazy sum of canonical residues (below ``2**(2k)``)
-    against the chain, preferring the contiguous tiled-constant kernel."""
-    if ext_ctx.barrett_k is not None:
-        return batched_barrett_reduce_tiled(
-            acc, ext_ctx.qs_full, ext_ctx.barrett_mus_full, ext_ctx.barrett_k
-        )
-    return batched_barrett_reduce(acc, ext_ctx.barrett)
 
 
 def _lift_digits_ntt(component: RnsPolynomial, ext, ext_ctx) -> np.ndarray:
@@ -586,6 +666,36 @@ def _lift_digits_ntt(component: RnsPolynomial, ext, ext_ctx) -> np.ndarray:
 _U64_MAX = (1 << 64) - 1
 
 
+def _product_sum(pairs, ctx) -> np.ndarray:
+    """Exact ``sum a * b mod q`` over ``(a, b)`` pairs of residue arrays.
+
+    Every operand is canonical (below its row's prime in ``ctx``, a
+    :class:`~repro.fhe.ntt.BatchedNttContext`), so a product is at most
+    ``(q - 1)**2`` and plain uint64 multiply-adds stay exact for
+    ``budget = (2**64 - 1) // (q_max - 1)**2`` terms (256 at 28-bit primes,
+    16 at 30-bit).  One ``np.remainder`` folds the accumulator below ``q``
+    at the end and whenever the next term could pass ``2**64``.  ``pairs``
+    may reuse one buffer for its ``a`` operands: each product is taken
+    before the next pair is drawn.
+    """
+    budget = _U64_MAX // (max(ctx.primes) - 1) ** 2
+    pairs = iter(pairs)
+    a, b = next(pairs)
+    acc = np.multiply(a, b)
+    prod = np.empty_like(acc)
+    terms = 1
+    for a, b in pairs:
+        if terms == budget:
+            # The reduced accumulator is below q <= (q - 1)**2: it counts
+            # as one term.
+            np.remainder(acc, ctx.qs_full, out=acc)
+            terms = 1
+        np.multiply(a, b, out=prod)
+        np.add(acc, prod, out=acc)
+        terms += 1
+    return np.remainder(acc, ctx.qs_full, out=acc)
+
+
 def _inner_product(digits: np.ndarray, rotations, ext_ctx) -> np.ndarray:
     """Exact KeySwitch inner product over the extended chain.
 
@@ -594,35 +704,19 @@ def _inner_product(digits: np.ndarray, rotations, ext_ctx) -> np.ndarray:
     where ``perm`` is an NTT-domain Galois permutation of the digits (or
     ``None``) and ``key`` a :class:`~repro.fhe.keys.KeySwitchKey`.  Returns
     the canonical ``(2, ext_L, N)`` residues of the sum, over every pair and
-    digit ``i``, of ``perm(digits[i]) * key.stacked_ba[:, i]``.
-
-    Both operands of every product are below their prime, so a product is
-    at most ``(q - 1)**2`` and plain uint64 multiply-adds stay exact for
-    ``budget = (2**64 - 1) // (q_max - 1)**2`` terms (256 at 28-bit primes,
-    16 at 30-bit).  Products go one digit at a time into preallocated
-    buffers; one ``np.remainder`` folds the accumulator below ``q`` at the
-    end and whenever the next term could pass ``2**64``.
+    digit ``i``, of ``perm(digits[i]) * key.stacked_ba[:, i]``, one digit
+    at a time through :func:`_product_sum`.
     """
-    qs = ext_ctx.qs_full
-    budget = _U64_MAX // (max(ext_ctx.primes) - 1) ** 2
-    acc = np.zeros((2,) + digits.shape[1:], dtype=np.uint64)
-    prod = np.empty_like(acc)
     row = np.empty_like(digits[0])
-    terms = 0
-    for perm, key in rotations:
-        for i in range(len(digits)):
-            digit = digits[i]
-            if perm is not None:
-                digit = np.take(digit, perm, axis=-1, out=row)
-            if terms == budget:
-                # The reduced accumulator is below q <= (q - 1)**2: it
-                # counts as one term.
-                np.remainder(acc, qs, out=acc)
-                terms = 1
-            np.multiply(digit, key.stacked_ba[:, i], out=prod)
-            np.add(acc, prod, out=acc)
-            terms += 1
-    return np.remainder(acc, qs, out=acc)
+
+    def pairs():
+        for perm, key in rotations:
+            for i, digit in enumerate(digits):
+                if perm is not None:
+                    digit = np.take(digit, perm, axis=-1, out=row)
+                yield digit, key.stacked_ba[:, i]
+
+    return _product_sum(pairs(), ext_ctx)
 
 
 def _check_key_level(key, basis) -> None:

@@ -19,12 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from . import kernels
-from .modmath import (
-    BarrettConstant,
-    centered_lift,
-    centered_lift_fits,
-    mod_inverse,
-)
+from .modmath import centered_lift, centered_lift_fits, mod_inverse
 from .ntt import get_batched_ntt_context
 
 _U64 = np.uint64
@@ -73,14 +68,11 @@ class RnsBasis:
             raise ValueError(f"level {level} out of range 1..{self.level}")
         return RnsBasis(self.n, self.primes[:level])
 
-    def barrett(self, i: int) -> BarrettConstant:
-        return BarrettConstant.for_modulus(self.primes[i])
-
     def ntt(self):
         """The (cached) batched NTT context for this chain.
 
-        Also carries the stacked elementwise kernel constants (``qs``,
-        ``barrett``) used by the vectorized polynomial arithmetic.
+        Also carries the stacked moduli (``qs``, ``qs_full``) used by the
+        vectorized polynomial arithmetic.
         """
         return get_batched_ntt_context(self.n, self.primes)
 
@@ -137,9 +129,15 @@ class RnsPolynomial:
             rows = np.empty((basis.level, basis.n), dtype=_U64)
             for i, q in enumerate(basis.primes):
                 rows[i] = np.array([int(c) % q for c in coeffs], dtype=_U64)
-        else:
-            qs = np.array(basis.primes, dtype=np.int64).reshape(-1, 1)
-            rows = np.mod(small[None, :], qs).astype(_U64)
+            return cls(basis, rows, is_ntt=False)
+        return cls.from_signed(basis, small)
+
+    @classmethod
+    def from_signed(cls, basis: RnsBasis, signed: np.ndarray) -> "RnsPolynomial":
+        """Build from int64 coefficients (coefficient domain), reducing
+        every coefficient into all primes with one ``np.mod``."""
+        qs = np.array(basis.primes, dtype=np.int64).reshape(-1, 1)
+        rows = np.mod(np.asarray(signed, dtype=np.int64), qs).astype(_U64)
         return cls(basis, rows, is_ntt=False)
 
     # -- domain conversions ---------------------------------------------------
@@ -285,17 +283,13 @@ class RnsPolynomial:
         """CRT-reconstruct centered integer coefficients in ``(-Q/2, Q/2]``."""
         coeff = self.to_coefficient()
         big_q = self.basis.modulus
-        # Garner-style CRT via per-prime basis constants.
-        result = [0] * self.basis.n
-        for i, q in enumerate(self.basis.primes):
+        # CRT via per-prime basis constants, on object (Python int) arrays.
+        total = np.zeros(self.basis.n, dtype=object)
+        for q, row in zip(self.basis.primes, coeff.residues):
             q_hat = big_q // q
-            q_hat_inv = mod_inverse(q_hat % q, q)
-            row = coeff.residues[i]
-            factor = q_hat * q_hat_inv
-            for j in range(self.basis.n):
-                result[j] = (result[j] + int(row[j]) * factor) % big_q
-        half = big_q // 2
-        return [c - big_q if c > half else c for c in result]
+            total += row.astype(object) * (q_hat * mod_inverse(q_hat % q, q))
+        total %= big_q
+        return np.where(total > big_q // 2, total - big_q, total).tolist()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         domain = "ntt" if self.is_ntt else "coeff"
@@ -323,27 +317,45 @@ def rescale_polys(polys: tuple["RnsPolynomial", ...]) -> tuple["RnsPolynomial", 
     )
     if not stackable:
         return tuple(p.rescale() for p in polys)
-    n = basis.n
-    q_last = basis.primes[-1]
-    new_basis = basis.drop_last()
-    new_ctx = new_basis.ntt()
-    backend = kernels.active_backend()
     stacked = np.stack([p.residues for p in polys])  # (C, L, N)
-    # Inverse-transform only the dropped rows (C rows, single-prime chain).
-    last_rows = backend.inverse(n, (q_last,), stacked[:, -1:, :])
-    half = q_last // 2
-    signed = last_rows.astype(np.int64)
-    signed = np.where(last_rows > half, signed - np.int64(q_last), signed)
-    qs_i64 = new_ctx.qs_full_i64
-    if centered_lift_fits(q_last, new_basis.primes):
-        lifted = centered_lift(signed, qs_i64)
-    else:
-        lifted = np.mod(signed, qs_i64).astype(_U64)
-    lifted = backend.forward(n, new_basis.primes, lifted)
-    diff = backend.modsub(n, new_basis.primes, stacked[:, :-1, :], lifted)
-    inv_full, inv_shoup = basis.ntt().rescale_inverses_tiled()
-    rows = backend.modmul_const(n, new_basis.primes, diff, inv_full, inv_shoup)
+    rows = rescale_sum(basis, stacked[:, :-1, :], stacked[None, :, -1:, :])
+    new_basis = basis.drop_last()
     return tuple(
         RnsPolynomial(new_basis, np.ascontiguousarray(rows[c]), is_ntt=True)
         for c in range(len(polys))
     )
+
+
+def rescale_sum(
+    basis: RnsBasis, kept: np.ndarray, last_rows: np.ndarray
+) -> np.ndarray:
+    """NTT-domain sum of the rescales of ``T`` terms over ``basis``.
+
+    ``kept`` holds the canonical ``(C, L-1, N)`` sum of the terms' leading
+    rows and ``last_rows`` the ``(T, C, 1, N)`` last-prime rows of every
+    term, both NTT-domain.  Rescale of one term is ``(x_i -
+    NTT(lift(x_last))) * q_last^-1 mod q_i`` with ``lift`` the centred
+    lift of the inverse-transformed last row.  The NTT and the reduction
+    mod each ``q_i`` are linear, so the sum over the terms is ``(sum x_i -
+    NTT(sum lift)) * q_last^-1``: every last row is inverse-transformed in
+    one kernel call, the centred lifts are summed as int64 and the sum is
+    forward-transformed once.  Bit-identical to summing the rescaled terms
+    with modular adds.
+    """
+    n = basis.n
+    q_last = basis.primes[-1]
+    new_primes = basis.primes[:-1]
+    backend = kernels.active_backend()
+    last = backend.inverse(n, (q_last,), last_rows)
+    signed = last.astype(np.int64)
+    signed = np.where(last > q_last // 2, signed - np.int64(q_last), signed)
+    total = signed.sum(axis=0)  # (C, 1, N), |total| <= T * q_last / 2
+    qs_i64 = get_batched_ntt_context(n, new_primes).qs_full_i64
+    if centered_lift_fits(q_last, new_primes, terms=len(last_rows)):
+        lifted = centered_lift(total, qs_i64)
+    else:
+        lifted = np.mod(total, qs_i64).astype(_U64)
+    lifted = backend.forward(n, new_primes, lifted)
+    diff = backend.modsub(n, new_primes, kept, lifted)
+    inv_full, inv_shoup = basis.ntt().rescale_inverses_tiled()
+    return backend.modmul_const(n, new_primes, diff, inv_full, inv_shoup)

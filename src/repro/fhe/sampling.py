@@ -36,7 +36,7 @@ def sample_uniform(basis: RnsBasis, rng: np.random.Generator) -> RnsPolynomial:
 def sample_ternary(basis: RnsBasis, rng: np.random.Generator) -> RnsPolynomial:
     """Ternary polynomial with i.i.d. coefficients in {-1, 0, 1}."""
     signed = rng.integers(-1, 2, size=basis.n, dtype=np.int64)
-    return _from_signed(basis, signed)
+    return RnsPolynomial.from_signed(basis, signed)
 
 
 def sample_gaussian(
@@ -46,11 +46,4 @@ def sample_gaussian(
     noise = np.rint(rng.normal(0.0, std, size=basis.n)).astype(np.int64)
     bound = int(np.ceil(6 * std))
     noise = np.clip(noise, -bound, bound)
-    return _from_signed(basis, noise)
-
-
-def _from_signed(basis: RnsBasis, signed: np.ndarray) -> RnsPolynomial:
-    rows = np.empty((basis.level, basis.n), dtype=_U64)
-    for i, q in enumerate(basis.primes):
-        rows[i] = np.mod(signed, np.int64(q)).astype(_U64)
-    return RnsPolynomial(basis, rows, is_ntt=False)
+    return RnsPolynomial.from_signed(basis, noise)

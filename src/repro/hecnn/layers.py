@@ -86,7 +86,12 @@ class PackedLayer:
 @dataclass
 class PackedConv(PackedLayer):
     """LoLa convolution: one ``PCmult -> Rescale -> CCadd`` pass per kernel
-    offset per output group, plus a bias PCadd (an **NKS** layer)."""
+    offset per output group, plus a bias PCadd (an **NKS** layer).
+
+    Each group's passes execute as one
+    :meth:`~repro.fhe.ops.Evaluator.multiply_plain_rescale_sum`, which
+    records (and is traced as) the same logical operations.
+    """
 
     name: str
     packing: ConvPacking
@@ -113,16 +118,20 @@ class PackedConv(PackedLayer):
             raise ValueError(f"expected {k} per-offset ciphertexts, got {len(cts)}")
         outputs: list[Ciphertext] = []
         for g in range(self.packing.num_groups):
-            acc: Ciphertext | None = None
-            for offset in range(k):
-                term = evaluator.multiply_values_rescale(
-                    cts[offset],
+            # Scale-stationary weights: encoded at the prime each Rescale
+            # divides out, so the output keeps the input scale.
+            pts = [
+                evaluator.encode_cached(
                     lambda g=g, o=offset: self.packing.weight_vector(
                         g, o, self.weights
                     ),
+                    level=ct.level,
+                    scale=float(ct.basis.primes[-1]),
                     cache_key=(self._cache_token, "w", g, offset),
                 )
-                acc = term if acc is None else evaluator.add(acc, term)
+                for offset, ct in enumerate(cts)
+            ]
+            acc = evaluator.multiply_plain_rescale_sum(cts, pts)
             bias_pt = evaluator.encode_cached(
                 lambda g=g: self.packing.bias_vector(g, self.bias),
                 level=acc.level,
@@ -396,9 +405,11 @@ class PackedDiagonalDense(_MatrixLayer):
     """Fully connected layer by generalized diagonals (a **KS** layer).
 
     Baby-step rotations of the input (one hoisted decomposition), per giant
-    step ``n1`` PCmults by pre-rotated diagonals summed before one Rescale
-    and one giant rotation, a fold adding the ``S / m`` copies of each row,
-    and a bias PCadd.  See :class:`~repro.hecnn.packing.DiagonalPacking`.
+    step ``n1`` PCmults by pre-rotated diagonals summed
+    (:meth:`~repro.fhe.ops.Evaluator.multiply_plain_sum`) before one
+    Rescale and one giant rotation, a fold adding the ``S / m`` copies of
+    each row, and a bias PCadd.  See
+    :class:`~repro.hecnn.packing.DiagonalPacking`.
     """
 
     packing: DiagonalPacking
@@ -422,16 +433,16 @@ class PackedDiagonalDense(_MatrixLayer):
         q_last = float(cts[0].basis.primes[-1])
         total: Ciphertext | None = None
         for g, giant in enumerate(pk.giant_steps()):
-            partial: Ciphertext | None = None
-            for b, baby in enumerate(babies):
-                pt = evaluator.encode_cached(
+            pts = [
+                evaluator.encode_cached(
                     lambda g=g, b=b: pk.weight_vector(g, b, self.weights),
                     level=baby.level,
                     scale=q_last,
                     cache_key=(self._cache_token, "w", g, b),
                 )
-                term = evaluator.multiply_plain(baby, pt)
-                partial = term if partial is None else evaluator.add(partial, term)
+                for b, baby in enumerate(babies)
+            ]
+            partial = evaluator.multiply_plain_sum(babies, pts)
             partial = evaluator.rotate(evaluator.rescale(partial), giant)
             total = partial if total is None else evaluator.add(total, partial)
         total = evaluator.rotate_fold(total, pk.fold_steps())

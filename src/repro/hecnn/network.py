@@ -19,7 +19,7 @@ from ..fhe.ciphertext import Ciphertext
 from ..fhe.context import CkksContext
 from ..fhe.noise import NoiseBound, NoiseEstimator, publish_noise_budget
 from ..fhe.ops import Evaluator, OperationRecorder
-from ..obs import lineage, probes
+from ..obs import lineage
 from ..obs.lineage import NoiseAuditError
 from ..obs.tracing import trace_span
 from .layers import PackedConv, PackedLayer
@@ -178,10 +178,6 @@ class HeCnn:
                 ) as span:
                     state = layer.forward(evaluator, state)
                     span.set(output_cts=len(state), level=state[0].level)
-                probes.record_layer(
-                    layer.name, type(layer).__name__, len(state),
-                    state[0].level,
-                )
                 if tracker is not None:
                     tracker.mark_boundary(layer.name, state)
             if tracker is not None:
@@ -225,8 +221,7 @@ class HeCnn:
         :class:`~repro.hecnn.packing.SlotLayout`) are compared against
         the plain reference run to the same depth, and the measured
         precision is checked against the analytic
-        :class:`~repro.fhe.noise.NoiseBound`.  The measured-vs-analytic
-        gap feeds the ``noise_gap_bits`` histogram; an analytic
+        :class:`~repro.fhe.noise.NoiseBound`.  An analytic
         *under-estimate* raises :class:`~repro.obs.lineage
         .NoiseAuditError` — a hard error, since every precision guarantee
         downstream rests on the bound being conservative.
@@ -260,7 +255,6 @@ class HeCnn:
             measured_bits = float("inf") if err == 0 else -math.log2(err)
             analytic_bits = bound.error_bits
             gap = measured_bits - analytic_bits
-            probes.record_noise_gap(gap, layer=layer.name)
             if err > bound.error * (1 + 1e-9):
                 worst = getattr(state[0], "lineage_id", None)
                 raise NoiseAuditError(

@@ -16,8 +16,8 @@ Pillars (all zero-dependency, all off by default):
 * :mod:`repro.obs.lineage` — per-ciphertext provenance: lineage IDs,
   a request-scoped op DAG with per-op analytic noise deltas, layer
   noise waterfalls and headroom threshold watches;
-* :mod:`repro.obs.probes` — the hooks the evaluator, HE-CNN layers,
-  noise estimator, simulator, DSE, serving and cluster layers call.
+* :mod:`repro.obs.probes` — the hooks the evaluator, noise estimator,
+  lineage tracker, simulator, DSE, serving and cluster layers call.
 
 Enable with :func:`enable` / :func:`observed`; with the switch off every
 instrumented hot path costs one flag check (< 2 % on the FHE microbench,
@@ -48,9 +48,7 @@ from .probes import (
     record_batch_dispatch,
     record_flight,
     record_he_op,
-    record_layer,
     record_noise_budget,
-    record_noise_gap,
     record_noise_headroom,
     record_queue_depth,
     record_request_latency,
@@ -134,9 +132,7 @@ __all__ = [
     "record_batch_dispatch",
     "record_flight",
     "record_he_op",
-    "record_layer",
     "record_noise_budget",
-    "record_noise_gap",
     "record_noise_headroom",
     "record_queue_depth",
     "record_request_latency",

@@ -227,7 +227,11 @@ class LineageTracker:
 
         if not isinstance(out, Ciphertext):
             return
-        operands = list(args) + list(kwargs.values())
+        operands = [
+            x
+            for a in list(args) + list(kwargs.values())
+            for x in (a if isinstance(a, (list, tuple)) else (a,))
+        ]
         cts = [a for a in operands if isinstance(a, Ciphertext)]
         if any(out is c for c in cts):
             return  # identity early-return (e.g. rotate by 0): no new ct
@@ -288,6 +292,19 @@ class LineageTracker:
                 bound = est.key_switch(parent_bounds[0])
             elif op_name == "Rotate":
                 bound = est.rotate(parent_bounds[0])
+            elif op_name in ("PCmultSum", "PCmultRescaleSum"):
+                # A fused sum is logically the loop it replaces: per term
+                # a PCmult (then a Rescale), accumulated by CCadd in order.
+                bound = None
+                for parent, plain in zip(parent_bounds, plains):
+                    term = _multiply_plain(
+                        est, parent, _plain_bound(evaluator, [plain]), [plain]
+                    )
+                    if op_name == "PCmultRescaleSum":
+                        term = est.rescale(term)
+                    bound = term if bound is None else est.add(
+                        *_align_levels(bound, term)
+                    )
             elif op_name == "RotateFold":
                 # A hoisted fold group is logically `k` rotate-and-add
                 # steps: acc = acc + rotate(acc) per logical step.

@@ -1,9 +1,10 @@
 """Domain probes: the bridge between the framework and the obs substrate.
 
-Thin, import-cheap helpers that the FHE evaluator, the HE-CNN network, the
-noise estimator, the accelerator simulator and the DSE call at their
-interesting moments.  Every helper is a no-op (single flag check) while
-observability is disabled, except :class:`DseProgress`, which is a plain
+Thin, import-cheap helpers that the FHE evaluator, the noise estimator and
+lineage tracker, the accelerator simulator, the DSE and the serving and
+cluster layers call at their interesting moments.  Every helper is a no-op
+(single flag check) while observability is disabled, except
+:class:`DseProgress`, which is a plain
 local accumulator handed back to the caller (the DSE reports its scan
 statistics in its result whether or not observability is on, and publishes
 them to the registry once per scan).
@@ -59,34 +60,11 @@ def record_noise_headroom(bits: float, **labels: Any) -> None:
     REGISTRY.gauge("noise_headroom_bits", **labels).set(bits)
 
 
-def record_noise_gap(gap_bits: float, **labels: Any) -> None:
-    """Observe one measured-vs-analytic noise gap (audit mode).
-
-    ``gap_bits = measured_bits - analytic_bits``; positive means the
-    analytic bound was conservative (as it must be).  Non-finite gaps
-    (an exactly-zero measured error) are skipped — they carry no width
-    information and would poison the histogram sum.
-    """
-    if not config.enabled() or not math.isfinite(gap_bits):
-        return
-    REGISTRY.histogram("noise_gap_bits", **labels).observe(gap_bits)
-
-
-def record_layer(name: str, kind: str, num_cts: int, level: int) -> None:
-    """Per-layer stream facts, published as the layer finishes."""
-    if not config.enabled():
-        return
-    REGISTRY.counter("layers_total", kind=kind).inc()
-    REGISTRY.gauge("layer_output_cts", layer=name).set(num_cts)
-    REGISTRY.gauge("layer_output_level", layer=name).set(level)
-
-
 def record_sim_layer(name: str, simulated_cycles: int,
                      analytic_cycles: int) -> None:
     """Simulated-vs-analytic agreement for one layer."""
     if not config.enabled():
         return
-    REGISTRY.counter("sim_layers_total").inc()
     if analytic_cycles:
         rel = (simulated_cycles - analytic_cycles) / analytic_cycles
         REGISTRY.histogram("sim_relative_error").observe(rel)

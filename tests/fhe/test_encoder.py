@@ -33,6 +33,15 @@ def test_encode_decode_roundtrip(encoder, basis):
     assert np.allclose(out, values, atol=1e-4)
 
 
+def test_encode_holds_the_rounded_integers(encoder, basis):
+    """Encoding reduces exactly the rounded scaled coefficients into every
+    prime: CRT decoding gives those integers back."""
+    values = np.random.default_rng(13).uniform(-3, 3, encoder.slot_count)
+    poly = encoder.encode(values, SCALE, basis)
+    coeffs = np.rint(encoder._embed(values.astype(np.complex128)) * SCALE)
+    assert poly.to_integer_coefficients() == [int(c) for c in coeffs]
+
+
 def test_encode_decode_complex(encoder, basis):
     rng = np.random.default_rng(1)
     values = rng.uniform(-1, 1, encoder.slot_count) + 1j * rng.uniform(

@@ -115,6 +115,9 @@ def test_modular_elementwise_kernels(name, seed):
     b = _rows(seed ^ 0x5A5A, batch=1)[0]
     backend = kernels.get_backend(name)
     qs = np.array(PRIMES, dtype=_U64).reshape(-1, 1)
+    # Every pairing of the extreme residues 0 and q - 1.
+    a[:, :4] = np.array([0, 0, 1, 1], dtype=_U64) * (qs - 1)
+    b[:, :4] = np.array([0, 1, 0, 1], dtype=_U64) * (qs - 1)
     assert np.array_equal(backend.modadd(N, PRIMES, a, b), (a + b) % qs)
     assert np.array_equal(
         backend.modsub(N, PRIMES, a, b), (a + qs - b) % qs

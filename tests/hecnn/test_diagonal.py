@@ -109,8 +109,13 @@ def test_lineage_bounds_every_op(net, ctx, image):
         node.noise_bits_after is not None for node in tracker.nodes.values()
     )
     fc1 = {n.op for n in tracker.nodes.values() if n.layer == "Fc1"}
-    assert fc1 == {"Rotate", "PCmult", "CCadd", "Rescale", "RotateFold",
+    assert fc1 == {"Rotate", "PCmultSum", "CCadd", "Rescale", "RotateFold",
                    "PCadd"}
+    # Each giant step sums the products of all the baby rotations.
+    pk = net.layers[2].packing
+    sums = [n for n in tracker.nodes.values() if n.op == "PCmultSum"]
+    assert len(sums) == pk.giant
+    assert all(len(n.parents) == pk.baby for n in sums)
 
 
 def test_mnist_n2048_fc1_is_diagonal():

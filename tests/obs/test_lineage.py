@@ -99,11 +99,21 @@ def test_nodes_carry_backend_layer_and_bookkeeping(run):
 def test_op_counts_cover_the_expected_op_mix(run):
     counts = run.tracker.op_counts()
     # Conv + dense packing guarantees these op families appear.
-    for op in ("Input", "PCmult", "Rescale", "CCadd", "CCmult"):
+    for op in ("Input", "PCmult", "Rescale", "PCmultRescaleSum", "CCmult"):
         assert counts.get(op, 0) > 0, op
     # Rotations execute hoisted (RotateFold) or sequential (Rotate)
     # depending on provisioned composite keys; either way they exist.
     assert counts.get("RotateFold", 0) + counts.get("Rotate", 0) > 0
+
+
+def test_conv_sum_names_every_input_as_parent(run):
+    """Cnv1's offsets run as one fused rescale sum over all the inputs."""
+    tracker = run.tracker
+    (conv,) = [
+        n for n in tracker.nodes.values() if n.op == "PCmultRescaleSum"
+    ]
+    assert conv.layer == "Cnv1"
+    assert list(conv.parents) == tracker.roots()
 
 
 # -- noise accounting --------------------------------------------------------
