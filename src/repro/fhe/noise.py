@@ -135,20 +135,24 @@ class NoiseEstimator:
             a, error=a.error + encode_err, message=a.message + plain_bound
         )
 
-    def multiply_plain(self, a: NoiseBound, plain_bound: float) -> NoiseBound:
-        """PCmult with a plaintext encoded at the level's last prime.
+    def multiply_plain(
+        self, a: NoiseBound, plain_bound: float, pt_scale: float | None = None
+    ) -> NoiseBound:
+        """PCmult with a plaintext encoded at ``pt_scale`` (by default the
+        level's last prime).
 
         New error = old error * |pt| + encoding error * |message|.
         The scale bookkeeping matches the evaluator's scale-stationary
         ``multiply_values_rescale`` when followed by :meth:`rescale`.
         """
-        q_last = self.primes[a.level - 1]
-        encode_err = 2 * math.sqrt(self.n) / q_last
+        if pt_scale is None:
+            pt_scale = self.primes[a.level - 1]
+        encode_err = 2 * math.sqrt(self.n) / pt_scale
         return NoiseBound(
             error=a.error * plain_bound + encode_err * a.message,
             message=a.message * plain_bound,
             level=a.level,
-            scale=a.scale * q_last,
+            scale=a.scale * pt_scale,
         )
 
     def multiply(self, a: NoiseBound, b: NoiseBound) -> NoiseBound:
@@ -209,6 +213,67 @@ class NoiseEstimator:
             raise ValueError(f"level mismatch: {a.level} vs {b.level}")
         if not math.isclose(a.scale, b.scale, rel_tol=1e-9):
             raise ValueError(f"scale mismatch: {a.scale} vs {b.scale}")
+
+
+def propagate_op(
+    est: NoiseEstimator, op: str, parents: list[NoiseBound],
+    plains: list[tuple[float, float]], level: int, scale: float,
+    logical: int = 1,
+) -> NoiseBound:
+    """Bound of one evaluator op's output: the per-op rules of both the
+    lineage tracker (:mod:`repro.obs.lineage`) and the dry run
+    (:mod:`repro.fhe.dryrun`).
+
+    ``op`` is the op's span name, ``parents`` its ciphertext operands'
+    bounds in call order, ``plains`` each plaintext operand's ``(peak,
+    scale)`` and ``logical`` a hoisted fold group's steps.  The result
+    carries the output's ``level`` and ``scale``.
+    """
+    if op == "CCadd" and len(parents) == 2:
+        bound = est.add(*_align_levels(*parents))
+    elif op == "PCadd":
+        bound = est.add_plain(parents[0], plains[0][0] if plains else 1.0)
+    elif op == "PCmult":
+        bound = est.multiply_plain(parents[0], *(plains[0] if plains else (1.0,)))
+    elif op == "CCmult":
+        if len(parents) == 1:
+            bound = est.square(parents[0])
+        else:
+            bound = est.multiply(*_align_levels(*parents))
+    elif op == "Rescale":
+        bound = est.rescale(parents[0])
+    elif op in ("Relinearize", "Conjugate"):
+        bound = est.key_switch(parents[0])
+    elif op == "Rotate":
+        bound = est.rotate(parents[0])
+    elif op in ("PCmultSum", "PCmultRescaleSum"):
+        # A fused sum is logically the loop it replaces: per term a PCmult
+        # (then a Rescale), accumulated by CCadd in order.
+        bound = None
+        for parent, (peak, pt_scale) in zip(parents, plains):
+            term = est.multiply_plain(parent, peak, pt_scale)
+            if op == "PCmultRescaleSum":
+                term = est.rescale(term)
+            bound = term if bound is None else est.add(
+                *_align_levels(bound, term)
+            )
+    elif op == "RotateFold":
+        # A hoisted fold group is logically ``logical`` rotate-and-add
+        # steps: acc = acc + rotate(acc) per step.
+        bound = parents[0]
+        for _ in range(logical):
+            bound = est.add(bound, est.rotate(bound))
+    else:
+        bound = parents[0]
+    if bound.level != level or bound.scale != scale:
+        bound = replace(bound, level=level, scale=scale)
+    return bound
+
+
+def _align_levels(a: NoiseBound, b: NoiseBound) -> tuple[NoiseBound, NoiseBound]:
+    """Binary ops mod-switch both operands to the lower level first."""
+    level = min(a.level, b.level)
+    return replace(a, level=level), replace(b, level=level)
 
 
 def measured_noise_bits(

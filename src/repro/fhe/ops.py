@@ -826,8 +826,8 @@ def fold_composite_steps(steps, slot_count: int) -> list[int]:
     """Rotation steps :meth:`Evaluator.rotate_fold` will need keys for,
     mirroring its grouping walk exactly (subset sums of each hoisted group).
 
-    Layers list these, with the fold's non-zero steps, in their
-    ``rotation_keys`` so key provisioning covers exactly the hoisted
+    The dry run (:mod:`repro.fhe.dryrun`) logs these, with the fold's
+    non-zero steps, so key provisioning covers exactly the hoisted
     execution; a missing composite key only costs the fallback to a smaller
     group or the sequential path, never an error.
     """

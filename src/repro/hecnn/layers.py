@@ -1,15 +1,15 @@
-"""Packed HE-CNN layers: functional encrypted execution + analytic traces.
+"""Packed HE-CNN layers: one op schedule, both executed and priced.
 
-Each layer implements two faces of the same computation:
-
-* :meth:`forward` runs the layer on real ciphertexts via an
-  :class:`~repro.fhe.ops.Evaluator` — the functional ground truth;
-* :meth:`trace` computes, from geometry alone, the exact HE-operation
-  counts, pipeline work-unit counts and rotation steps the forward pass
-  will perform — the input to the FPGA performance model and DSE.
-
-The test suite asserts that an :class:`~repro.fhe.ops.OperationRecorder`
-attached to :meth:`forward` reproduces :meth:`trace` op-for-op.
+Each layer states its computation once, as :meth:`PackedLayer.forward`
+over an :class:`~repro.fhe.ops.Evaluator`.  On real ciphertexts that is
+the functional ground truth; on a :class:`~repro.fhe.dryrun
+.DryRunEvaluator` it is a dry run, from which the base class derives the
+trace (HE-operation and work-unit counts, rotation steps, plaintexts: the
+input to the FPGA model and DSE), the Galois and relinearization keys,
+the levels consumed and, given a :class:`~repro.fhe.noise.NoiseEstimator`,
+the per-op analytic noise bound.  The test suite checks the dry run
+against an :class:`~repro.fhe.ops.OperationRecorder` and the Galois-key
+fetch log of a real :meth:`~PackedLayer.forward`.
 """
 
 from __future__ import annotations
@@ -20,8 +20,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..fhe.ciphertext import Ciphertext
+from ..fhe.dryrun import DryCiphertext, DryRunEvaluator, dry_inputs
 from ..fhe.noise import NoiseBound, NoiseEstimator
-from ..fhe.ops import Evaluator, fold_composite_steps
+from ..fhe.ops import Evaluator
 from ..optypes import HeOp
 from .packing import ConvPacking, DensePacking, DiagonalPacking, SlotLayout
 from .reference import PoolSpec
@@ -33,54 +34,89 @@ from .trace import LayerTrace
 _cache_tokens = itertools.count()
 
 
-def _fold_keys(steps, slot_count: int, level: int) -> set[tuple[int, int]]:
-    """Keys :meth:`~repro.fhe.ops.Evaluator.rotate_fold` fetches at
-    ``level``: the subset sums of its hoisted groups plus every non-zero
-    step (a grouped step is its own one-element subset sum; the rest run
-    through the sequential walk)."""
-    fetched = {s % slot_count for s in steps} - {0}
-    fetched.update(fold_composite_steps(steps, slot_count))
-    return {(s, level) for s in fetched}
+@dataclass(frozen=True)
+class LayerRun:
+    """What one dry run of a layer's :meth:`~PackedLayer.forward` did."""
 
-
-class PackedLayer:
-    """Interface of a packed HE-CNN layer."""
-
-    name: str
-
-    def forward(self, evaluator: Evaluator, cts: list[Ciphertext]) -> list[Ciphertext]:
-        raise NotImplementedError
-
-    def trace(self, level: int) -> LayerTrace:
-        """Analytic trace when entered at ciphertext ``level``."""
-        raise NotImplementedError
+    trace: LayerTrace
+    #: ``(step, level)`` Galois keys fetched, hoisted-fold composites included.
+    keys: frozenset[tuple[int, int]]
+    #: Levels at which a relinearization key is fetched.
+    relin_levels: frozenset[int]
+    outputs: list[DryCiphertext]
 
     @property
     def levels_consumed(self) -> int:
-        """Rescales applied between layer input and output (always 1 for
-        the LoLa layer types: one multiplication per layer)."""
-        return 1
+        return self.trace.level - min(ct.level for ct in self.outputs)
+
+    @property
+    def bound(self) -> NoiseBound:
+        """The loosest analytic bound over the outputs (noise mode)."""
+        return max((ct.bound for ct in self.outputs), key=lambda b: b.error)
+
+
+class PackedLayer:
+    """Interface of a packed HE-CNN layer: :meth:`forward`,
+    :attr:`output_layout` and :attr:`macs`; the rest is derived from a dry
+    run of :meth:`forward`."""
+
+    name: str
+    #: Ciphertexts :meth:`forward` takes.
+    num_input_cts: int = 1
+
+    def forward(self, evaluator: Evaluator, cts: list[Ciphertext]) -> list[Ciphertext]:
+        raise NotImplementedError
 
     @property
     def output_layout(self) -> SlotLayout:
         raise NotImplementedError
 
+    @property
+    def macs(self) -> int:
+        """Plain-CNN MAC count of the original layer (Table IV "MACs")."""
+        raise NotImplementedError
+
+    def dry_run(
+        self, cts: list[DryCiphertext], estimator: NoiseEstimator | None = None
+    ) -> LayerRun:
+        """Run :meth:`forward` once on shape-only ciphertexts."""
+        ev = DryRunEvaluator(self.output_layout.slot_count, estimator)
+        outputs = self.forward(ev, cts)
+        counts = {op: n for op in HeOp if (n := ev.recorder.counts.get(op))}
+        ks = counts.get(HeOp.KEY_SWITCH, 0)
+        trace = LayerTrace(
+            name=self.name,
+            kind="KS" if ks else "NKS",
+            op_counts=counts,
+            nks_units=counts.get(HeOp.PC_MULT, 0) + counts.get(HeOp.CC_MULT, 0),
+            ks_units=ks,
+            level=cts[0].level,
+            num_input_cts=len(cts),
+            num_output_cts=len(outputs),
+            rotation_steps=tuple(sorted(ev.steps)),
+            macs=self.macs,
+            plaintext_count=len(ev.plaintexts),
+        )
+        return LayerRun(
+            trace, frozenset(ev.keys), frozenset(ev.relin_levels), outputs
+        )
+
+    def _dry_run_at(self, level: int) -> LayerRun:
+        return self.dry_run(dry_inputs(self.num_input_cts, level))
+
+    def trace(self, level: int) -> LayerTrace:
+        """Operation trace when entered at ciphertext ``level``."""
+        return self._dry_run_at(level).trace
+
     def rotation_keys(self, level: int) -> list[tuple[int, int]]:
         """The ``(step, level)`` Galois keys :meth:`forward` fetches when
         entered at ``level``."""
-        return []
+        return sorted(self._dry_run_at(level).keys)
 
-    def propagate_noise(
-        self, est: NoiseEstimator, bound: NoiseBound
-    ) -> NoiseBound:
-        """Push an analytic noise bound through this layer's op structure.
-
-        Mirrors :meth:`forward` with the estimator's op set, so per-layer
-        noise budgets are observable without the secret key (the gauges
-        behind ``repro profile``).  Conservative: worst-case operand
-        magnitudes at every step.
-        """
-        raise NotImplementedError
+    @property
+    def levels_consumed(self) -> int:
+        """Rescales between input and output (whatever the entry level)."""
+        return self._dry_run_at(0).levels_consumed
 
 
 @dataclass
@@ -109,8 +145,16 @@ class PackedConv(PackedLayer):
         self._cache_token = next(_cache_tokens)
 
     @property
+    def num_input_cts(self) -> int:
+        return self.packing.spec.kernel_offsets
+
+    @property
     def output_layout(self) -> SlotLayout:
         return self.packing.output_layout()
+
+    @property
+    def macs(self) -> int:
+        return self.packing.spec.macs
 
     def forward(self, evaluator: Evaluator, cts: list[Ciphertext]) -> list[Ciphertext]:
         k = self.packing.spec.kernel_offsets
@@ -141,39 +185,6 @@ class PackedConv(PackedLayer):
             outputs.append(evaluator.add_plain(acc, bias_pt))
         return outputs
 
-    def propagate_noise(
-        self, est: NoiseEstimator, bound: NoiseBound
-    ) -> NoiseBound:
-        k = self.packing.spec.kernel_offsets
-        w_bound = max(float(np.max(np.abs(self.weights))), 1e-12)
-        term = est.multiply_values_rescale(bound, w_bound)
-        acc = term
-        for _ in range(k - 1):
-            acc = est.add(acc, term)
-        return est.add_plain(acc, float(np.max(np.abs(self.bias))))
-
-    def trace(self, level: int) -> LayerTrace:
-        k = self.packing.spec.kernel_offsets
-        g = self.packing.num_groups
-        counts = {
-            HeOp.PC_MULT: k * g,
-            HeOp.RESCALE: k * g,
-            HeOp.CC_ADD: (k - 1) * g,
-            HeOp.PC_ADD: g,
-        }
-        return LayerTrace(
-            name=self.name,
-            kind="NKS",
-            op_counts=counts,
-            nks_units=k * g,
-            ks_units=0,
-            level=level,
-            num_input_cts=k,
-            num_output_cts=g,
-            macs=self.packing.spec.macs,
-            plaintext_count=(k + 1) * g,
-        )
-
 
 @dataclass
 class PackedSquare(PackedLayer):
@@ -184,32 +195,19 @@ class PackedSquare(PackedLayer):
     layout: SlotLayout
 
     @property
+    def num_input_cts(self) -> int:
+        return self.layout.num_cts
+
+    @property
     def output_layout(self) -> SlotLayout:
         return self.layout
 
+    @property
+    def macs(self) -> int:
+        return self.layout.value_count  # one multiply per activation
+
     def forward(self, evaluator: Evaluator, cts: list[Ciphertext]) -> list[Ciphertext]:
         return [evaluator.square_relinearize_rescale(ct) for ct in cts]
-
-    def propagate_noise(
-        self, est: NoiseEstimator, bound: NoiseBound
-    ) -> NoiseBound:
-        return est.square_relinearize_rescale(bound)
-
-    def trace(self, level: int) -> LayerTrace:
-        n = self.layout.num_cts
-        counts = {HeOp.CC_MULT: n, HeOp.KEY_SWITCH: n, HeOp.RESCALE: n}
-        return LayerTrace(
-            name=self.name,
-            kind="KS",
-            op_counts=counts,
-            nks_units=n,
-            ks_units=n,
-            level=level,
-            num_input_cts=n,
-            num_output_cts=n,
-            macs=self.layout.value_count,  # one multiply per activation
-            plaintext_count=0,
-        )
 
 
 @dataclass
@@ -234,8 +232,16 @@ class _MatrixLayer(PackedLayer):
         self._cache_token = next(_cache_tokens)
 
     @property
+    def num_input_cts(self) -> int:
+        return self.packing.input_layout.num_cts
+
+    @property
     def output_layout(self) -> SlotLayout:
         return self.packing.output_layout()
+
+    @property
+    def macs(self) -> int:
+        return self.packing.spec.macs
 
 
 class PackedDense(_MatrixLayer):
@@ -248,32 +254,6 @@ class PackedDense(_MatrixLayer):
 
     packing: DensePacking
 
-    @property
-    def levels_consumed(self) -> int:
-        """Masked merges spend one extra level on the mask PCmult."""
-        return 2 if self.packing.needs_mask else 1
-
-    def rotation_keys(self, level: int) -> list[tuple[int, int]]:
-        """Mirrors :meth:`forward`: replication folds at the entry level,
-        rotate-and-sum phases after the weight rescale (one lower), merge
-        rotations after the mask rescale.  The *analytic* trace keeps the
-        logical schedule (``packing.rotation_steps_needed()``) unchanged.
-        """
-        pk = self.packing
-        keys: set[tuple[int, int]] = set()
-        if pk.replicated and pk.copies > 1:
-            keys |= _fold_keys(pk.replication_steps(), pk.slot_count, level)
-        for phase in pk.rotation_phases():
-            keys |= _fold_keys(phase.steps, pk.slot_count, level - 1)
-        merge_level = level - self.levels_consumed
-        keys.update((s, merge_level) for s in pk.merge_rotation_steps())
-        return sorted(keys)
-
-    def _rotate_sum(self, evaluator: Evaluator, ct: Ciphertext) -> Ciphertext:
-        for phase in self.packing.rotation_phases():
-            ct = evaluator.rotate_fold(ct, phase.steps)
-        return ct
-
     def forward(self, evaluator: Evaluator, cts: list[Ciphertext]) -> list[Ciphertext]:
         pk = self.packing
         if len(cts) != pk.input_layout.num_cts:
@@ -285,6 +265,7 @@ class PackedDense(_MatrixLayer):
             base = evaluator.rotate_fold(inputs[0], pk.replication_steps())
             inputs = [base]
 
+        phases = pk.rotation_phases()
         chunk_results: list[Ciphertext] = []
         for chunk in range(pk.num_chunks):
             partial: Ciphertext | None = None
@@ -295,16 +276,17 @@ class PackedDense(_MatrixLayer):
                     cache_key=(self._cache_token, "w", chunk, g),
                 )
                 partial = term if partial is None else evaluator.add(partial, term)
-            reduced = self._rotate_sum(evaluator, partial)
+            for phase in phases:  # rotate-and-sum
+                partial = evaluator.rotate_fold(partial, phase.steps)
             if pk.needs_mask:
                 # Isolate this chunk's output slots so merging cannot
                 # pollute other chunks' results (see DensePacking.needs_mask).
-                reduced = evaluator.multiply_values_rescale(
-                    reduced,
+                partial = evaluator.multiply_values_rescale(
+                    partial,
                     lambda c=chunk: pk.mask_vector(c),
                     cache_key=(self._cache_token, "m", chunk),
                 )
-            chunk_results.append(reduced)
+            chunk_results.append(partial)
 
         if not pk.merge_output:
             outputs = []
@@ -325,9 +307,10 @@ class PackedDense(_MatrixLayer):
         else:
             # Shift-by-one accumulator: row r ends up at slot r.
             merged = chunk_results[-1]
-            for result in reversed(chunk_results[:-1]):
-                merged = evaluator.rotate(merged, pk.slot_count - 1)
-                merged = evaluator.add(merged, result)
+            for step, result in zip(
+                pk.merge_rotation_steps(), reversed(chunk_results[:-1])
+            ):
+                merged = evaluator.add(evaluator.rotate(merged, step), result)
 
         bias_pt = evaluator.encode_cached(
             lambda: pk.bias_vector(self.bias),
@@ -336,69 +319,6 @@ class PackedDense(_MatrixLayer):
             cache_key=(self._cache_token, "b"),
         )
         return [evaluator.add_plain(merged, bias_pt)]
-
-    def propagate_noise(
-        self, est: NoiseEstimator, bound: NoiseBound
-    ) -> NoiseBound:
-        pk = self.packing
-        w_bound = max(float(np.max(np.abs(self.weights))), 1e-12)
-        if pk.replicated and pk.copies > 1:
-            for _ in pk.replication_steps():
-                bound = est.add(bound, est.rotate(bound))
-        term = est.multiply_values_rescale(bound, w_bound)
-        g = 1 if pk.replicated else pk.input_layout.num_cts
-        partial = term
-        for _ in range(g - 1):
-            partial = est.add(partial, term)
-        for phase in pk.rotation_phases():
-            for _ in phase.steps:
-                partial = est.add(partial, est.rotate(partial))
-        if pk.needs_mask:
-            partial = est.multiply_values_rescale(partial, 1.0)
-        if pk.merge_output and pk.num_chunks > 1:
-            # Every chunk carries the same worst-case bound; merging adds
-            # them (merge rotations only add key-switch noise).
-            merged = partial
-            for _ in range(pk.num_chunks - 1):
-                other = partial if pk.replicated else est.rotate(partial)
-                merged = est.add(merged, other)
-            partial = merged
-        return est.add_plain(partial, float(np.max(np.abs(self.bias))))
-
-    def trace(self, level: int) -> LayerTrace:
-        pk = self.packing
-        g = 1 if pk.replicated else pk.input_layout.num_cts
-        repl_steps = pk.replication_steps()
-        rot_per_chunk = sum(len(ph.steps) for ph in pk.rotation_phases())
-        merge_rot = len(pk.merge_rotation_steps())
-        chunks = pk.num_chunks
-        mask_ops = chunks if pk.needs_mask else 0
-        merge_adds = chunks - 1 if pk.merge_output else 0
-        counts = {
-            HeOp.PC_MULT: chunks * g + mask_ops,
-            HeOp.RESCALE: chunks * g + mask_ops,
-            HeOp.KEY_SWITCH: len(repl_steps) + chunks * rot_per_chunk + merge_rot,
-            HeOp.CC_ADD: (
-                len(repl_steps)
-                + chunks * (g - 1)
-                + chunks * rot_per_chunk
-                + merge_adds
-            ),
-            HeOp.PC_ADD: 1 if pk.merge_output else chunks,
-        }
-        return LayerTrace(
-            name=self.name,
-            kind="KS",
-            op_counts=counts,
-            nks_units=chunks * g + mask_ops,
-            ks_units=counts[HeOp.KEY_SWITCH],
-            level=level,
-            num_input_cts=pk.input_layout.num_cts,
-            num_output_cts=1 if pk.merge_output else chunks,
-            rotation_steps=tuple(pk.rotation_steps_needed()),
-            macs=pk.spec.macs,
-            plaintext_count=chunks * g + mask_ops + 1,
-        )
 
 
 class PackedDiagonalDense(_MatrixLayer):
@@ -413,15 +333,6 @@ class PackedDiagonalDense(_MatrixLayer):
     """
 
     packing: DiagonalPacking
-
-    def rotation_keys(self, level: int) -> list[tuple[int, int]]:
-        """Baby steps at the entry level; giant steps and the fold after
-        the Rescale, one level lower."""
-        pk = self.packing
-        keys = {(s, level) for s in pk.baby_steps() if s}
-        keys.update((s, level - 1) for s in pk.giant_steps() if s)
-        keys |= _fold_keys(pk.fold_steps(), pk.slot_count, level - 1)
-        return sorted(keys)
 
     def forward(self, evaluator: Evaluator, cts: list[Ciphertext]) -> list[Ciphertext]:
         if len(cts) != 1:
@@ -454,49 +365,6 @@ class PackedDiagonalDense(_MatrixLayer):
         )
         return [evaluator.add_plain(total, bias_pt)]
 
-    def propagate_noise(
-        self, est: NoiseEstimator, bound: NoiseBound
-    ) -> NoiseBound:
-        pk = self.packing
-        w_bound = max(float(np.max(np.abs(self.weights))), 1e-12)
-        partial = est.multiply_plain(bound, w_bound)
-        rotated = est.multiply_plain(est.rotate(bound), w_bound)
-        for _ in range(pk.baby - 1):
-            partial = est.add(partial, rotated)
-        partial = est.rescale(partial)
-        total = partial
-        for _ in range(pk.giant - 1):
-            total = est.add(total, est.rotate(partial))
-        for _ in pk.fold_steps():
-            total = est.add(total, est.rotate(total))
-        return est.add_plain(total, float(np.max(np.abs(self.bias))))
-
-    def trace(self, level: int) -> LayerTrace:
-        pk = self.packing
-        products = pk.baby * pk.giant
-        folds = len(pk.fold_steps())
-        rotations = (pk.baby - 1) + (pk.giant - 1) + folds
-        counts = {
-            HeOp.PC_MULT: products,
-            HeOp.RESCALE: pk.giant,
-            HeOp.KEY_SWITCH: rotations,
-            HeOp.CC_ADD: pk.giant * (pk.baby - 1) + (pk.giant - 1) + folds,
-            HeOp.PC_ADD: 1,
-        }
-        return LayerTrace(
-            name=self.name,
-            kind="KS",
-            op_counts=counts,
-            nks_units=products,
-            ks_units=rotations,
-            level=level,
-            num_input_cts=1,
-            num_output_cts=1,
-            rotation_steps=tuple(pk.rotation_steps_needed()),
-            macs=pk.spec.macs,
-            plaintext_count=products + 1,
-        )
-
 
 @dataclass
 class PackedAveragePool(PackedLayer):
@@ -527,21 +395,15 @@ class PackedAveragePool(PackedLayer):
         self._cache_token = next(_cache_tokens)
 
     @property
-    def levels_consumed(self) -> int:
-        return 1
+    def num_input_cts(self) -> int:
+        return self.input_layout.num_cts
+
+    @property
+    def macs(self) -> int:
+        return self.spec.output_count * self.spec.k ** 2
 
     def _maps_per_ct(self) -> int:
         return -(-self.spec.channels // self.input_layout.num_cts)
-
-    def rotation_steps(self) -> list[int]:
-        k, s = self.spec.k, self.spec.in_size
-        horizontal = list(range(1, k))
-        vertical = [dy * s for dy in range(1, k)]
-        return sorted(set(horizontal + vertical))
-
-    def rotation_keys(self, level: int) -> list[tuple[int, int]]:
-        """Both window passes rotate at the entry level."""
-        return [(s, level) for s in self.rotation_steps()]
 
     def _anchor_slots(self, ct: int) -> np.ndarray:
         """Slots holding window anchors within one input ciphertext."""
@@ -604,36 +466,3 @@ class PackedAveragePool(PackedLayer):
                 )
             )
         return outputs
-
-    def propagate_noise(
-        self, est: NoiseEstimator, bound: NoiseBound
-    ) -> NoiseBound:
-        k = self.spec.k
-        acc = bound
-        for _ in range(2 * (k - 1)):
-            acc = est.add(acc, est.rotate(acc))
-        return est.multiply_values_rescale(acc, 1.0 / (k * k))
-
-    def trace(self, level: int) -> LayerTrace:
-        k = self.spec.k
-        n = self.input_layout.num_cts
-        rot_per_ct = 2 * (k - 1)
-        counts = {
-            HeOp.KEY_SWITCH: n * rot_per_ct,
-            HeOp.CC_ADD: n * rot_per_ct,
-            HeOp.PC_MULT: n,
-            HeOp.RESCALE: n,
-        }
-        return LayerTrace(
-            name=self.name,
-            kind="KS",
-            op_counts=counts,
-            nks_units=n,
-            ks_units=n * rot_per_ct,
-            level=level,
-            num_input_cts=n,
-            num_output_cts=n,
-            rotation_steps=tuple(self.rotation_steps()),
-            macs=self.spec.output_count * k * k,
-            plaintext_count=n,
-        )

@@ -17,12 +17,13 @@ import numpy as np
 
 from ..fhe.ciphertext import Ciphertext
 from ..fhe.context import CkksContext
+from ..fhe.dryrun import dry_inputs
 from ..fhe.noise import NoiseBound, NoiseEstimator, publish_noise_budget
 from ..fhe.ops import Evaluator, OperationRecorder
 from ..obs import lineage
 from ..obs.lineage import NoiseAuditError
 from ..obs.tracing import trace_span
-from .layers import PackedConv, PackedLayer
+from .layers import LayerRun, PackedConv, PackedLayer
 from .packing import ConvPacking
 from .reference import PlainNetwork
 from .trace import NetworkTrace
@@ -60,7 +61,8 @@ class HeCnn:
     def __post_init__(self) -> None:
         if not self.layers or not isinstance(self.layers[0], PackedConv):
             raise ValueError("first layer must be a PackedConv")
-        depth = sum(layer.levels_consumed for layer in self.layers)
+        self._runs = self._dry_run()
+        depth = sum(run.levels_consumed for run in self._runs)
         if self.base_level < depth + 1:
             raise ValueError(
                 f"network consumes {depth} levels; base_level must be >= "
@@ -70,29 +72,31 @@ class HeCnn:
             last = self.layers[-1].output_layout
             self.output_slots = last.slot_index.copy()
 
+    def _dry_run(self, estimator=None, message_bound=1.0) -> list[LayerRun]:
+        """One dry run of the forward pass (:mod:`repro.fhe.dryrun`); with
+        ``estimator``, every ciphertext carries its analytic bound."""
+        cts = dry_inputs(
+            self.input_packing.spec.kernel_offsets, self.base_level,
+            estimator, message_bound,
+        )
+        runs = []
+        for layer in self.layers:
+            runs.append(layer.dry_run(cts, estimator))
+            cts = runs[-1].outputs
+        return runs
+
     # -- trace ---------------------------------------------------------------------
 
     def layer_entry_levels(self) -> list[int]:
-        """Ciphertext level at each layer's entry.
-
-        Each layer consumes ``levels_consumed`` levels (1 rescale for most,
-        2 for dense layers that mask their chunk merge).
-        """
-        levels = []
-        level = self.base_level
-        for layer in self.layers:
-            levels.append(level)
-            level -= layer.levels_consumed
-        return levels
+        """Ciphertext level at each layer's entry (each layer consumes its
+        Rescales: 1 for most, 2 for dense layers that mask their chunk
+        merge)."""
+        return [run.trace.level for run in self._runs]
 
     def trace(self) -> NetworkTrace:
-        traces = tuple(
-            layer.trace(level)
-            for layer, level in zip(self.layers, self.layer_entry_levels())
-        )
         return NetworkTrace(
             name=self.name,
-            layers=traces,
+            layers=tuple(run.trace for run in self._runs),
             poly_degree=self.poly_degree,
             base_level=self.base_level,
             prime_bits=self.prime_bits,
@@ -103,36 +107,34 @@ class HeCnn:
     ) -> list[tuple[str, NoiseBound]]:
         """Analytic per-layer noise budget for an inference on ``context``.
 
-        Propagates a conservative :class:`~repro.fhe.noise.NoiseBound`
-        through every layer (no secret key required) and publishes one
-        ``noise_budget_bits`` gauge per layer when observability is
-        enabled.  Returns ``[(layer_name, bound_after_layer), ...]``.
+        A dry run of the forward pass pushes a conservative
+        :class:`~repro.fhe.noise.NoiseBound` through every op with the
+        lineage tracker's per-op rules (no secret key required) and
+        publishes one ``noise_budget_bits`` gauge per layer when
+        observability is enabled.  Returns ``[(layer_name,
+        bound_after_layer), ...]``, each the loosest over the layer's
+        output ciphertexts.
         """
         self._check_context(context)
         est = NoiseEstimator.for_context(context)
-        bound = est.fresh(message_bound, level=self.base_level)
-        profile: list[tuple[str, NoiseBound]] = []
-        for layer in self.layers:
-            bound = layer.propagate_noise(est, bound)
-            publish_noise_budget(bound, layer=layer.name)
-            profile.append((layer.name, bound))
+        profile = [
+            (run.trace.name, run.bound)
+            for run in self._dry_run(est, message_bound)
+        ]
+        for name, bound in profile:
+            publish_noise_budget(bound, layer=name)
         return profile
 
     # -- key provisioning --------------------------------------------------------------
 
     def rotation_keys(self) -> list[tuple[int, int]]:
         """Every ``(step, level)`` Galois key the forward pass fetches."""
-        return sorted({
-            key
-            for layer, lvl in zip(self.layers, self.layer_entry_levels())
-            for key in layer.rotation_keys(lvl)
-        })
+        return sorted(set().union(*(run.keys for run in self._runs)))
 
     def provision_keys(self, context: CkksContext) -> None:
         """Generate exactly the relin/Galois keys the forward pass fetches."""
-        levels = self.layer_entry_levels()
         relin_levels = sorted(
-            {lvl for layer, lvl in zip(self.layers, levels) if _is_square(layer)}
+            set().union(*(run.relin_levels for run in self._runs))
         )
         if relin_levels:
             context.ensure_relin_keys(relin_levels)
@@ -232,15 +234,16 @@ class HeCnn:
         self._check_context(context)
         est = estimator if estimator is not None else \
             NoiseEstimator.for_context(context)
+        runs = self._dry_run(est, message_bound)
         evaluator = Evaluator(context)
         state = self.encrypt_input(context, image)
-        bound = est.fresh(message_bound, level=self.base_level)
         x = image
         rows: list[dict[str, float | str]] = []
-        for layer, plain_layer in zip(self.layers,
-                                      self.plain_reference.layers):
+        for layer, plain_layer, run in zip(
+            self.layers, self.plain_reference.layers, runs
+        ):
             state = layer.forward(evaluator, state)
-            bound = layer.propagate_noise(est, bound)
+            bound = run.bound
             x = plain_layer.forward(x)
             expected = np.asarray(x, dtype=float).reshape(-1)
             layout = layer.output_layout
@@ -279,9 +282,3 @@ class HeCnn:
             )
         if context.params.level < self.base_level:
             raise ValueError("context level below network base level")
-
-
-def _is_square(layer: PackedLayer) -> bool:
-    from .layers import PackedSquare
-
-    return isinstance(layer, PackedSquare)

@@ -454,15 +454,6 @@ class DensePacking:
             return []
         return [self.slot_count - 1] * (self.num_chunks - 1)
 
-    def rotation_steps_needed(self) -> list[int]:
-        """All distinct rotation steps (for Galois key provisioning)."""
-        steps: list[int] = []
-        steps.extend(self.replication_steps())
-        for phase in self.rotation_phases():
-            steps.extend(phase.steps)
-        steps.extend(self.merge_rotation_steps())
-        return sorted(set(steps))
-
     def output_layout(self) -> SlotLayout:
         """Layout of the merged dense output.
 
@@ -578,11 +569,6 @@ class DiagonalPacking:
             steps.append(step)
             step //= 2
         return steps
-
-    def rotation_steps_needed(self) -> list[int]:
-        """All distinct non-zero rotation steps."""
-        steps = self.baby_steps() + self.giant_steps() + self.fold_steps()
-        return sorted(set(steps) - {0})
 
     def weight_vector(
         self, giant: int, baby: int, weights: np.ndarray

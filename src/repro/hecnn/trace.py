@@ -5,9 +5,12 @@ HE-operation counts, the NKS/KS pipeline work-unit counts consumed by the
 latency model (paper Eqs. 1-2), the rotation steps needed for key
 provisioning, and the ciphertext level at which the layer operates.
 
-Traces are computed from layer geometry alone — no FHE execution — and are
-validated in the test suite against an :class:`~repro.fhe.ops
-.OperationRecorder` attached to a real encrypted run.
+A packed layer's trace is a dry run of its ``forward`` on shape-only
+ciphertexts (:mod:`repro.fhe.dryrun`) — no ring arithmetic, no
+:class:`~repro.fhe.context.CkksContext` — and is validated in the test
+suite against an :class:`~repro.fhe.ops.OperationRecorder` attached to a
+real encrypted run.  The slot-batched CryptoNets traces
+(:mod:`repro.hecnn.batched`) are analytic.
 
 The module also provides the HE-MAC cost model behind paper Table IV
 ("MACs of HOPs"): the number of basic modular operations each HE operation
@@ -45,7 +48,8 @@ class LayerTrace:
     num_input_cts / num_output_cts:
         Ciphertext stream widths at the layer boundary (buffer sizing).
     rotation_steps:
-        Distinct Galois rotation steps used (key provisioning).
+        Distinct non-zero logical rotation steps (key provisioning adds
+        the composite steps of hoisted folds).
     macs:
         Plain-CNN MAC count of the original layer (Table IV "MACs").
     plaintext_count:

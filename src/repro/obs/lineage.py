@@ -267,58 +267,17 @@ class LineageTracker:
         if est is None or any(b is None for b in parent_bounds) \
                 or not parent_bounds:
             return None
+        from ..fhe.noise import propagate_op  # circular at module level
+
         try:
-            if op_name == "CCadd" and len(parent_bounds) == 2:
-                a, b = _align_levels(*parent_bounds)
-                bound = est.add(a, b)
-            elif op_name == "PCadd":
-                bound = est.add_plain(
-                    parent_bounds[0], _plain_bound(evaluator, plains)
-                )
-            elif op_name == "PCmult":
-                bound = _multiply_plain(
-                    est, parent_bounds[0],
-                    _plain_bound(evaluator, plains), plains,
-                )
-            elif op_name == "CCmult":
-                if len(parent_bounds) == 1:
-                    bound = est.square(parent_bounds[0])
-                else:
-                    a, b = _align_levels(*parent_bounds)
-                    bound = est.multiply(a, b)
-            elif op_name == "Rescale":
-                bound = est.rescale(parent_bounds[0])
-            elif op_name in ("Relinearize", "Conjugate"):
-                bound = est.key_switch(parent_bounds[0])
-            elif op_name == "Rotate":
-                bound = est.rotate(parent_bounds[0])
-            elif op_name in ("PCmultSum", "PCmultRescaleSum"):
-                # A fused sum is logically the loop it replaces: per term
-                # a PCmult (then a Rescale), accumulated by CCadd in order.
-                bound = None
-                for parent, plain in zip(parent_bounds, plains):
-                    term = _multiply_plain(
-                        est, parent, _plain_bound(evaluator, [plain]), [plain]
-                    )
-                    if op_name == "PCmultRescaleSum":
-                        term = est.rescale(term)
-                    bound = term if bound is None else est.add(
-                        *_align_levels(bound, term)
-                    )
-            elif op_name == "RotateFold":
-                # A hoisted fold group is logically `k` rotate-and-add
-                # steps: acc = acc + rotate(acc) per logical step.
-                logical = int(args[1]) if len(args) > 1 else 1
-                bound = parent_bounds[0]
-                for _ in range(logical):
-                    bound = est.add(bound, est.rotate(bound))
-            else:
-                bound = parent_bounds[0]
-            # Sync bookkeeping fields to the ciphertext that actually came
-            # out (e.g. CCadd mod-switches operands to the min level).
-            if bound.level != out.level or bound.scale != out.scale:
-                bound = replace(bound, level=out.level, scale=out.scale)
-            return bound
+            # A hoisted fold group's second argument is its logical steps.
+            logical = int(args[1]) if op_name == "RotateFold" \
+                and len(args) > 1 else 1
+            return propagate_op(
+                est, op_name, parent_bounds,
+                [(_plain_bound(evaluator, pt), pt.scale) for pt in plains],
+                out.level, out.scale, logical,
+            )
         except Exception:
             self.propagation_failures += 1
             worst = min(
@@ -546,41 +505,11 @@ def _min_bits(bounds) -> float | None:
     return min(vals) if vals else None
 
 
-def _align_levels(a, b):
-    """Mirror the evaluator's implicit mod-switch: binary ops align both
-    operands to the minimum level before combining (scale unchanged)."""
-    level = min(a.level, b.level)
-    if a.level != level:
-        a = replace(a, level=level)
-    if b.level != level:
-        b = replace(b, level=level)
-    return a, b
-
-
-def _plain_bound(evaluator, plains) -> float:
-    """Magnitude bound of the op's plaintext operand (decoded)."""
-    if not plains:
-        return 1.0
-    values = evaluator.context.decode(plains[0])
+def _plain_bound(evaluator, plain) -> float:
+    """Magnitude bound of a plaintext operand (decoded)."""
+    values = evaluator.context.decode(plain)
     peak = float(abs(values).max()) if len(values) else 0.0
     return max(peak, 1e-12)
-
-
-def _multiply_plain(est, a, plain_bound: float, plains):
-    """PCmult propagation generalized to the plaintext's actual scale.
-
-    ``NoiseEstimator.multiply_plain`` assumes the scale-stationary
-    encoding (plaintext at the level's last prime); the evaluator accepts
-    any plaintext scale, so the encoding-error term uses the real one.
-    """
-    pt_scale = plains[0].scale if plains else est.primes[a.level - 1]
-    encode_err = 2 * math.sqrt(est.n) / pt_scale
-    return replace(
-        a,
-        error=a.error * plain_bound + encode_err * a.message,
-        message=a.message * plain_bound,
-        scale=a.scale * pt_scale,
-    )
 
 
 def _active_backend_name() -> str | None:

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.fhe import CkksContext, tiny_test_params
+from repro.fhe import CkksContext, Evaluator, tiny_test_params
 from repro.hecnn import fxhenn_cifar10_model, fxhenn_mnist_model, tiny_mnist_model
 
 
@@ -41,3 +41,30 @@ def cifar_model():
 @pytest.fixture()
 def tiny_image() -> np.ndarray:
     return np.random.default_rng(5).uniform(0, 1, (1, 8, 8))
+
+
+@pytest.fixture()
+def encoded_plaintexts(monkeypatch):
+    """A function running ``model`` on ``image`` layer by layer and
+    returning, per layer, the distinct ``(cache_key, level)`` pairs its
+    real forward pass encoded (``Evaluator.encode_cached`` is logged)."""
+    log: list[tuple] = []
+    real = Evaluator.encode_cached
+
+    def encode_cached(self, values, level, scale, cache_key=None):
+        log.append((cache_key, level))
+        return real(self, values, level, scale, cache_key)
+
+    monkeypatch.setattr(Evaluator, "encode_cached", encode_cached)
+
+    def run(model, ctx, image) -> list[set[tuple]]:
+        evaluator = Evaluator(ctx)
+        state = model.encrypt_input(ctx, image)
+        per_layer = []
+        for layer in model.layers:
+            log.clear()
+            state = layer.forward(evaluator, state)
+            per_layer.append(set(log))
+        return per_layer
+
+    return run

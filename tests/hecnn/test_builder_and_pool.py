@@ -87,15 +87,16 @@ def test_packed_pool_trace_counts():
     assert trace.op_counts[HeOp.RESCALE] == 1
     assert trace.op_counts[HeOp.CC_ADD] == trace.keyswitch_count
     assert layer.levels_consumed == 1
-    assert layer.rotation_steps() == [1, 8]
+    assert trace.rotation_steps == (1, 8)
 
 
 def test_packed_pool_k3_rotations():
     spec = PoolSpec(channels=1, in_size=9, k=3)
     layout = SlotLayout.contiguous(128, 81)
     layer = PackedAveragePool("Pool", spec, layout)
-    assert layer.rotation_steps() == [1, 2, 9, 18]
-    assert layer.trace(4).keyswitch_count == 4  # 2*(k-1)
+    trace = layer.trace(4)
+    assert trace.rotation_steps == (1, 2, 9, 18)
+    assert trace.keyswitch_count == 4  # 2*(k-1)
 
 
 def test_packed_pool_layout_validation():
@@ -139,6 +140,16 @@ def test_builder_pool_trace_matches_recording(pooled_net, pool_ctx):
     pooled_net.infer(pool_ctx, img, recorder=rec)
     for lt in pooled_net.trace().layers:
         assert rec.by_phase[lt.name] == lt.op_counts, lt.name
+
+
+def test_builder_plaintext_count_is_the_encoded_plaintexts(
+    pooled_net, pool_ctx, encoded_plaintexts
+):
+    img = np.random.default_rng(3).uniform(0, 1, (1, 10, 10))
+    encoded = encoded_plaintexts(pooled_net, pool_ctx, img)
+    counts = [lt.plaintext_count for lt in pooled_net.trace().layers]
+    assert counts == [len(pairs) for pairs in encoded]
+    assert counts[-1] == 6 + 6  # unmerged Fc1: a bias per row
 
 
 def test_builder_mid_network_conv(pool_params):

@@ -5,7 +5,16 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.fhe import CkksContext, Evaluator, tiny_test_params
+from repro import obs
+from repro.fhe import (
+    CkksContext,
+    Evaluator,
+    GaloisKeys,
+    NoiseEstimator,
+    OperationRecorder,
+    tiny_test_params,
+)
+from repro.fhe.dryrun import dry_inputs
 from repro.hecnn import (
     ConvPacking,
     ConvSpec,
@@ -13,10 +22,12 @@ from repro.hecnn import (
     DenseSpec,
     PackedConv,
     PackedDense,
+    PackedLayer,
     PackedSquare,
     PlainConv2d,
     SlotLayout,
 )
+from repro.obs.lineage import LineageTracker, lineage_context
 
 ATOL = 2e-2
 
@@ -184,6 +195,29 @@ def test_packed_dense_masked_merge_functional(layer_ctx):
     assert np.max(np.abs(decrypted[mask])) < ATOL
 
 
+def test_packed_dense_scattered_merge_functional(layer_ctx):
+    """Scattered input, merged output: each row's chunk is masked, then the
+    shift-by-one accumulator merges them through the packing's merge
+    rotations."""
+    rng = np.random.default_rng(13)
+    layout = SlotLayout(
+        slot_count=layer_ctx.slot_count, num_cts=1,
+        ct_index=np.zeros(5, dtype=np.int64),
+        slot_index=np.arange(5, dtype=np.int64) * 8, clean=True,
+    )
+    packing = DensePacking(spec=DenseSpec(5, 3), input_layout=layout)
+    assert not packing.replicated and packing.needs_mask
+    w = rng.normal(0, 0.3, (3, 5))
+    b = rng.normal(0, 0.05, 3)
+    layer = PackedDense("Fc", packing, w, b)
+    layer_ctx.ensure_rotation_keys(layer.rotation_keys(layer_ctx.params.level))
+    x = rng.uniform(-1, 1, 5)
+    ct = layer_ctx.encrypt_values(layout.gather(x)[0])
+    (out,) = layer.forward(Evaluator(layer_ctx), [ct])
+    got = layer.output_layout.extract([layer_ctx.decrypt_values(out)])
+    assert np.allclose(got, w @ x + b, atol=ATOL)
+
+
 def test_dense_weight_shape_validation(layer_ctx):
     layout = SlotLayout.contiguous(layer_ctx.slot_count, 6)
     packing = DensePacking(spec=DenseSpec(6, 3), input_layout=layout)
@@ -191,3 +225,77 @@ def test_dense_weight_shape_validation(layer_ctx):
         PackedDense("bad", packing, np.zeros((3, 5)), np.zeros(3))
     with pytest.raises(ValueError):
         PackedDense("bad", packing, np.zeros((3, 6)), np.zeros(2))
+
+
+class _ForwardOnly(PackedLayer):
+    """A layer that states its schedule once, as ``forward``: a
+    rotate-and-sum, a masking multiply, a rotate-add and a bias."""
+
+    name = "Probe"
+
+    def __init__(self, slot_count: int) -> None:
+        self.layout = SlotLayout.contiguous(slot_count, 4)
+
+    @property
+    def output_layout(self) -> SlotLayout:
+        return self.layout
+
+    @property
+    def macs(self) -> int:
+        return 7 * self.layout.value_count
+
+    def forward(self, evaluator, cts):
+        (ct,) = cts
+        slots = self.layout.slot_count
+        ct = evaluator.rotate_fold(ct, [4, 2, 1])
+        ct = evaluator.multiply_values_rescale(
+            ct, lambda: np.where(np.arange(slots) < 4, 0.5, 0.0),
+            cache_key=("probe", "mask"),
+        )
+        ct = evaluator.add(ct, evaluator.rotate(ct, 8))
+        bias = evaluator.encode_cached(
+            lambda: np.linspace(-0.3, 0.3, slots), level=ct.level,
+            scale=ct.scale, cache_key=("probe", "bias"),
+        )
+        return [evaluator.add_plain(ct, bias)]
+
+
+def test_a_layer_stating_only_forward_derives_its_schedule(
+    layer_ctx, monkeypatch
+):
+    """Trace, keys, depth and noise bound of a layer that defines only
+    ``forward``, ``output_layout`` and ``macs`` equal a real run's."""
+    layer = _ForwardOnly(layer_ctx.slot_count)
+    level = layer_ctx.params.level
+    layer_ctx.ensure_rotation_keys(layer.rotation_keys(level))
+    fetched: set[tuple[int, int]] = set()
+    real_get = GaloisKeys.get
+
+    def get(keys, step, lvl):
+        fetched.add((step, lvl))
+        return real_get(keys, step, lvl)
+
+    monkeypatch.setattr(GaloisKeys, "get", get)
+    ct = layer_ctx.encrypt_values(
+        np.random.default_rng(12).uniform(-1, 1, layer_ctx.slot_count)
+    )
+    rec = OperationRecorder()
+    est = NoiseEstimator.for_context(layer_ctx)
+    tracker = LineageTracker(estimator=est)
+    with obs.observed(), lineage_context(tracker):
+        (out,) = layer.forward(Evaluator(layer_ctx, recorder=rec), [ct])
+    obs.reset()
+
+    trace = layer.trace(level)
+    assert trace.op_counts == rec.counts
+    assert (trace.ks_units, trace.nks_units) == (4, 1)
+    assert trace.rotation_steps == (1, 2, 4, 8)
+    assert trace.plaintext_count == 2 and trace.macs == 28
+    assert set(layer.rotation_keys(level)) == fetched
+    assert (6, level) in fetched  # a hoisted fold composite
+    assert layer.levels_consumed == ct.level - out.level == 1
+    dry = layer.dry_run(dry_inputs(1, level, est), est)
+    assert tracker.propagation_failures == 0
+    assert dry.bound.error_bits == pytest.approx(
+        tracker.bound_of(out).error_bits, abs=1e-5
+    )

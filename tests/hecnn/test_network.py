@@ -45,6 +45,17 @@ def test_recorded_ops_match_trace(tiny_model, tiny_ctx, tiny_image):
     assert rec.total == trace.hop_count
 
 
+def test_plaintext_count_is_the_encoded_plaintexts(
+    tiny_model, tiny_ctx, tiny_image, encoded_plaintexts
+):
+    """Each layer's plaintext count is what its forward pass encodes; the
+    unmerged Fc2 encodes one bias per chunk."""
+    encoded = encoded_plaintexts(tiny_model, tiny_ctx, tiny_image)
+    counts = [lt.plaintext_count for lt in tiny_model.trace().layers]
+    assert counts == [len(pairs) for pairs in encoded]
+    assert tiny_model.trace().layer("Fc2").plaintext_count == 4 + 4
+
+
 def test_entry_levels_account_for_masks(tiny_model):
     levels = tiny_model.layer_entry_levels()
     assert levels[0] == tiny_model.base_level

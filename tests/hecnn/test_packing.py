@@ -17,6 +17,8 @@ from repro.hecnn import (
     DensePacking,
     DenseSpec,
     DiagonalPacking,
+    PackedDense,
+    PackedDiagonalDense,
     SlotLayout,
 )
 from repro.hecnn.packing import next_pow2
@@ -313,10 +315,11 @@ def test_dense_replicated_property(seed):
     assert np.allclose(got, w @ x)
 
 
-def test_rotation_steps_needed_dedup():
+def test_dense_trace_rotation_steps_dedup():
     lay = SlotLayout.contiguous(slot_count=4096, width=845)
     pk = DensePacking(spec=DenseSpec(845, 100), input_layout=lay)
-    steps = pk.rotation_steps_needed()
+    layer = PackedDense("Fc1", pk, np.zeros((100, 845)), np.zeros(100))
+    steps = list(layer.trace(level=7).rotation_steps)
     assert steps == sorted(set(steps))
     assert 512 in steps and 1 in steps and (4096 - 1024) in steps
 
@@ -364,7 +367,8 @@ def test_diagonal_rotation_counts():
     assert (pk.rows, pk.baby, pk.giant) == (128, 16, 8)
     assert pk.giant_steps() == [0, 16, 32, 48, 64, 80, 96, 112]
     assert pk.fold_steps() == [512, 256, 128]
-    assert len(pk.rotation_steps_needed()) == 15 + 7 + 3
+    layer = PackedDiagonalDense("Fc1", pk, np.zeros((100, 845)), np.zeros(100))
+    assert len(layer.trace(level=7).rotation_steps) == 15 + 7 + 3
 
 
 def test_diagonal_rejects_scattered_input():
