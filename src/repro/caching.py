@@ -8,8 +8,8 @@ cache.  Both need the identical semantics:
 
 * **bounded**: memory is capped by entry count; the least-recently-used
   entry is evicted when a put would exceed capacity;
-* **thread-safe**: the serving worker pool hits one shared cache from
-  many threads, so every operation takes the cache's lock;
+* **thread-safe**: callers may share one cache across threads, so
+  every operation takes the cache's lock;
 * **observable**: hits, misses, evictions and explicit removals
   (``pop``/``clear``) publish to the ``repro.obs`` registry
   (``cache_events_total{cache=..., event=...}`` plus the ``cache_size``

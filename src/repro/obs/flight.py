@@ -140,7 +140,7 @@ def dump_on_error(
     events survive even when the caller's process is about to die::
 
         with dump_on_error("crash_flight.jsonl"):
-            service.submit(payload).result()
+            model.infer(context, image)
     """
     recorder = FLIGHT if recorder is None else recorder
     try:

@@ -20,10 +20,10 @@ Three instrument kinds exist:
 
 Every mutating instrument method takes the instrument's own lock:
 ``value += amount`` is a read-modify-write that interleaves across
-bytecodes, so unlocked increments lose counts under the
-:class:`~repro.serve.service.InferenceService` worker pool (the hammer
-test in ``tests/obs/test_registry.py`` demonstrates exactness).  Reads
-of ``value`` stay unlocked — a stale read is fine, a lost write is not.
+bytecodes, so unlocked increments lose counts when several threads
+share an instrument (the hammer test in ``tests/obs/test_registry.py``
+demonstrates exactness).  Reads of ``value`` stay unlocked — a stale
+read is fine, a lost write is not.
 
 Handles returned by :meth:`MetricsRegistry.counter` (etc.) stay valid
 across :meth:`MetricsRegistry.reset` — reset zeroes instruments in place

@@ -20,10 +20,10 @@ accelerator ran a trace":
 * :mod:`~repro.serve.costmodel` — per-mode cost facts derived from the
   DSE'd designs (LoLa single vs slot-batched);
 * :mod:`~repro.serve.traffic` — deterministic arrival processes;
-* :mod:`~repro.serve.scheduler` — virtual-time slot-batch scheduler
-  (bounded queue, batch window, deadlines, LoLa degradation);
-* :mod:`~repro.serve.service` — the same policy on real threads with a
-  pluggable executor;
+* :mod:`~repro.serve.loop`    — the one virtual-time serving loop
+  (bounded queue, key-aware batch window, deadlines);
+* :mod:`~repro.serve.scheduler` — its single-board executor (LoLa
+  degradation below the cost crossover);
 * :mod:`~repro.serve.records` — JSON round-trip of serve reports;
 * :mod:`~repro.serve.slo`     — declarative SLOs (p99 latency, deadline
   misses, rejects) evaluated over sliding windows;
@@ -55,7 +55,6 @@ from .costs import (
 from .records import BatchRecord, RequestResult, ServeReport
 from .request import InferenceRequest
 from .scheduler import SchedulerConfig, SlotBatchScheduler
-from .service import BackpressureError, InferenceService, ServiceClosed
 from .slo import (
     FLOOR_OBJECTIVES,
     OBJECTIVES,
@@ -81,7 +80,6 @@ from .traffic import (
 __all__ = [
     "AutoscaleReport",
     "AutoscalerConfig",
-    "BackpressureError",
     "BatchRecord",
     "COST_METRICS",
     "CostLedger",
@@ -90,12 +88,10 @@ __all__ = [
     "DesignKey",
     "FleetAutoscaler",
     "InferenceRequest",
-    "InferenceService",
     "RequestResult",
     "ScaleDecision",
     "SchedulerConfig",
     "ServeReport",
-    "ServiceClosed",
     "ServingCostModel",
     "Slo",
     "SpinUpCostModel",

@@ -1,31 +1,27 @@
 """Inference requests as the scheduler sees them.
 
-A request is one image awaiting classification.  Payloads are deliberately
-opaque to the scheduling layer — the virtual-time scheduler never touches
-them, and the threaded service only hands them to its executor — so the
-same policy code serves modeled FPGA runs and real CKKS execution.
+A request stands for one image awaiting classification.  The serving
+loop sees only its timing, trace ID and key group; how long a batch runs
+comes from the executor's cost model.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any
 
 
 @dataclass(frozen=True)
 class InferenceRequest:
     """One single-image inference request.
 
-    ``arrival_s`` and ``deadline_s`` are absolute times on the scheduler's
-    clock (virtual seconds for the simulator, ``time.monotonic`` seconds
-    for the threaded service).  ``deadline_s=None`` means the request
-    never expires.
+    ``arrival_s`` and ``deadline_s`` are absolute virtual seconds on the
+    serving loop's clock.  ``deadline_s=None`` means the request never
+    expires.
     """
 
     request_id: int
     arrival_s: float = 0.0
     deadline_s: float | None = None
-    payload: Any = field(default=None, compare=False)
     #: End-to-end trace ID carried through scheduling, batching and every
     #: pipeline stage; ``None`` means no caller-assigned trace (the
     #: schedulers then derive a stable ID from ``request_id``).

@@ -11,8 +11,7 @@ unbatched.
 Virtual time makes the policy exactly reproducible — batch latencies come
 from the DSE'd designs via :class:`~repro.serve.costmodel
 .ServingCostModel`, not from wall clocks — so benches and tests can
-assert on precise latency/throughput numbers.  The same policy runs on
-real threads in :mod:`repro.serve.service`.
+assert on precise latency/throughput numbers.
 """
 
 from __future__ import annotations
@@ -37,14 +36,12 @@ class SchedulerConfig:
     ``batch_window_s`` bounds how long the oldest request may wait for
     lane-mates; ``max_lanes`` caps batch size below the packing capacity
     (``None`` = use all ``N/2`` lanes); ``queue_capacity`` bounds the
-    admission queue (backpressure); ``degrade_to_lola`` enables the
-    unbatched fallback for batches below the cost crossover.
+    admission queue (backpressure).
     """
 
     batch_window_s: float = 0.5
     max_lanes: int | None = None
     queue_capacity: int = 10_000
-    degrade_to_lola: bool = True
 
     def __post_init__(self) -> None:
         if self.batch_window_s < 0:
@@ -96,7 +93,7 @@ class SlotBatchScheduler:
         """The board is busy until the batch finishes; an under-filled
         batch below the cost crossover runs as ``k`` serialized LoLa runs."""
         k = len(batch)
-        if self.config.degrade_to_lola and self.cost_model.lola_wins(k):
+        if self.cost_model.lola_wins(k):
             single = self.cost_model.single_request_seconds()
             finishes = list(accumulate([single] * k, initial=at_s))[1:]
             return "lola", finishes, finishes[-1]

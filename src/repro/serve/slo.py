@@ -9,9 +9,9 @@ request stream::
 
 A :class:`SloMonitor` holds a set of SLOs and a bounded sliding window of
 the most recent terminal requests (outcome + latency).  It is fed by
-:meth:`observe` — the :class:`~repro.serve.service.InferenceService`
-calls it from its worker pool, so the window is lock-protected — and
-evaluated on demand with :meth:`evaluate`, which also publishes
+:meth:`observe` — the autoscaler's control loop feeds it every terminal
+request; the window is lock-protected, so threads may share a monitor —
+and evaluated on demand with :meth:`evaluate`, which also publishes
 ``slo_value`` / ``slo_ok`` gauges and records a flight event on every
 *transition* — ``slo_violation`` on ok → violated, ``slo_recovery`` on
 violated → ok — so the flight ring shows when an objective broke and
@@ -183,7 +183,7 @@ class SloMonitor:
         latency_s: float | None = None,
         noise_headroom_bits: float | None = None,
     ) -> None:
-        """Feed one terminal request (any worker thread).
+        """Feed one terminal request (from any thread).
 
         ``noise_headroom_bits`` is the request's analytic precision
         headroom (e.g. the lineage tracker's final boundary bits minus
@@ -242,7 +242,7 @@ class SloMonitor:
 def evaluate_report(
     report: ServeReport, slos: tuple[Slo, ...] | list[Slo] | None = None
 ) -> list[SloStatus]:
-    """Apply SLOs to a finished serving session (virtual or threaded)."""
+    """Apply SLOs to a finished virtual-time serving session."""
     monitor = SloMonitor(slos)
     monitor.observe_report(report)
     return monitor.evaluate()

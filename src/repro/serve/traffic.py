@@ -255,7 +255,7 @@ def merge_arrivals(
     Merging independent Poisson streams yields a Poisson stream at the
     summed rate, so composite workloads (diurnal baseline + flash-crowd
     surge) are built by generating each component separately and merging.
-    Deadlines, payloads and key groups are preserved; ``request_id`` is
+    Deadlines, trace IDs and key groups are preserved; ``request_id`` is
     reassigned to match the merged arrival order.
     """
     merged = sorted(
@@ -267,7 +267,6 @@ def merge_arrivals(
             request_id=i,
             arrival_s=req.arrival_s,
             deadline_s=req.deadline_s,
-            payload=req.payload,
             trace_id=req.trace_id,
             key_group=req.key_group,
         )

@@ -71,22 +71,15 @@ def test_small_batch_degrades_to_lola(cost_model):
     )
 
 
-def test_degradation_disabled_forces_batched(cost_model):
-    requests = burst_arrivals(1, 3, gap_s=0.0)
-    report = _run(
-        cost_model, requests, batch_window_s=0.0, degrade_to_lola=False
-    )
-    assert [b.mode for b in report.batches] == ["batched"]
-    assert report.batches[0].duration_s == pytest.approx(
-        cost_model.batch_seconds()
-    )
-
-
 def test_above_crossover_batches_win(cost_model):
     k = cost_model.crossover_lanes() + 10
     requests = burst_arrivals(1, k, gap_s=0.0)
     report = _run(cost_model, requests, batch_window_s=0.0)
     assert [b.mode for b in report.batches] == ["batched"]
+    # A slot batch costs one lane-invariant run, whatever its fill.
+    assert report.batches[0].duration_s == pytest.approx(
+        cost_model.batch_seconds()
+    )
 
 
 def test_bounded_queue_rejects_overflow(cost_model):
@@ -114,6 +107,7 @@ def test_deadlines_expire_before_dispatch(cost_model):
     report = _run(cost_model, requests, batch_window_s=1.0)
     assert report.expired == 2
     assert report.completed == 1
+    assert [b.lanes for b in report.batches] == [1]
     survivor = next(r for r in report.results if r.completed)
     assert survivor.request_id == 2
 

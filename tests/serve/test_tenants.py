@@ -9,7 +9,6 @@ import pytest
 from repro import obs
 from repro.obs.flight import FLIGHT
 from repro.serve import (
-    InferenceService,
     SchedulerConfig,
     SlotBatchScheduler,
     Tenant,
@@ -358,34 +357,6 @@ def test_scheduler_reject_emits_flight_event(cost_model):
     assert rejects[0]["depth"] == 20
     assert rejects[0]["key_group"] == "t:k0"
     assert {e["request_id"] for e in rejects} == set(range(20, 30))
-
-
-def test_service_batches_by_key_group():
-    """The threaded twin keeps the isolation invariant under real
-    concurrency: interleaved submits from two tenants never share a
-    batch."""
-    seen: list[set[str | None]] = []
-
-    def executor(requests, mode):
-        seen.append({r.key_group for r in requests})
-        return [r.key_group for r in requests]
-
-    with InferenceService(
-        executor, capacity=8, batch_window_s=0.05, queue_capacity=64
-    ) as service:
-        futures = []
-        for i in range(24):
-            group = "alice:k0" if i % 2 == 0 else "bob:k0"
-            futures.append((group, service.submit(payload=i,
-                                                  key_group=group)))
-        for group, future in futures:
-            assert future.result(timeout=30.0) == group
-    assert seen and all(len(groups) == 1 for groups in seen)
-    report = service.report()
-    assert report.isolation_ok()
-    assert set(report.key_groups) == {"alice:k0", "bob:k0"}
-    for batch in report.batches:
-        assert batch.key_group in {"alice:k0", "bob:k0"}
 
 
 def test_report_roundtrip_preserves_key_groups(cost_model):

@@ -65,10 +65,10 @@ def test_broken_invariant_fails(tmp_path):
 def test_pinned_kernel_backend_mismatch_fails(tmp_path):
     fresh = tmp_path / "fresh"
     fresh.mkdir()
-    record = json.loads((BASELINES / "BENCH_fhe.json").read_text())
-    record["fastpath"]["kernel_backend"] = "reference"
-    (fresh / "BENCH_fhe.json").write_text(json.dumps(record))
-    proc = _run("--only", "BENCH_fhe", "--fresh-dir", str(fresh))
+    record = json.loads((BASELINES / "BENCH_fhe_kernels.json").read_text())
+    record["default_backend"] = "reference"
+    (fresh / "BENCH_fhe_kernels.json").write_text(json.dumps(record))
+    proc = _run("--only", "BENCH_fhe_kernels", "--fresh-dir", str(fresh))
     assert proc.returncode == 1, proc.stdout + proc.stderr
     assert "pinned 'montgomery' != 'reference'" in proc.stdout
 
@@ -136,11 +136,13 @@ def test_json_report_lists_every_gated_metric(tmp_path):
     report_path = tmp_path / "report.json"
     fresh = tmp_path / "fresh"
     fresh.mkdir()
-    shutil.copy(BASELINES / "BENCH_fhe.json", fresh / "BENCH_fhe.json")
-    proc = _run("--only", "BENCH_fhe", "--fresh-dir", str(fresh),
+    shutil.copy(
+        BASELINES / "BENCH_fhe_kernels.json", fresh / "BENCH_fhe_kernels.json"
+    )
+    proc = _run("--only", "BENCH_fhe_kernels", "--fresh-dir", str(fresh),
                 "--json", str(report_path))
     assert proc.returncode == 0
     report = json.loads(report_path.read_text())
     assert report["failures"] == 0
     metrics = {row["metric"] for row in report["rows"]}
-    assert "speedup" in metrics and "fastpath.seconds" in metrics
+    assert "backends.montgomery.speedup_vs_reference" in metrics
