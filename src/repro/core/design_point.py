@@ -15,12 +15,13 @@ usage, and feasibility.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from ..fpga.buffers import buffer_tile_words, layer_buffer_demand, offchip_slowdown
 from ..fpga.device import FpgaDevice
-from ..fpga.modules import dsp_const, pipeline_interval_cycles
+from ..fpga.modules import dsp_const, layer_latency_cycles
 from ..hecnn.trace import LayerTrace, NetworkTrace
 from ..optypes import MODULE_OPS, HeOp
 
@@ -37,6 +38,15 @@ class OpParallelism:
             raise ValueError("parallelism must be >= 1")
 
 
+_SERIAL = OpParallelism()
+
+
+def module_dsp(op: HeOp, nc_ntt: int, par: OpParallelism) -> int:
+    """Eq. 7: DSP of one module's shared instance pool,
+    ``P_intra * P_inter * Const_op^DSP``."""
+    return par.p_intra * par.p_inter * dsp_const(op, nc_ntt)
+
+
 @dataclass(frozen=True)
 class DesignPoint:
     """One candidate configuration of the parameterized HE modules."""
@@ -45,14 +55,12 @@ class DesignPoint:
     ops: dict[HeOp, OpParallelism] = field(default_factory=dict)
 
     def parallelism(self, op: HeOp) -> OpParallelism:
-        return self.ops.get(op, OpParallelism())
+        return self.ops.get(op, _SERIAL)
 
     def dsp_usage(self) -> int:
         """Total DSP with module reuse: one shared instance pool per op."""
         return sum(
-            self.parallelism(op).p_intra
-            * self.parallelism(op).p_inter
-            * dsp_const(op, self.nc_ntt)
+            module_dsp(op, self.nc_ntt, self.parallelism(op))
             for op in MODULE_OPS
         )
 
@@ -87,59 +95,75 @@ class LayerEvaluation:
         return self.latency_cycles / clock_hz
 
 
-def layer_compute_cycles(
-    trace: LayerTrace, point: DesignPoint, poly_degree: int
+def pipeline_cycles(
+    trace: LayerTrace,
+    op: HeOp,
+    par: OpParallelism,
+    nc_ntt: int,
+    poly_degree: int,
 ) -> int:
-    """Pre-slowdown pipeline cycles of one layer (Eqs. 1-3).
+    """One layer's pre-slowdown cycles on one module's pipeline (Eqs. 1-3).
 
-    This is the pure compute cost before the Table III off-chip access
-    penalty is applied.  Since ``offchip_slowdown >= 1``, summing this over
-    all layers is an exact lower bound on the design's total latency — the
-    bound :func:`repro.core.dse.explore` prunes against.
+    The layer's elementwise chains run on the Rescale-anchored NKS pipeline
+    (``op`` is ``RESCALE``); its KeySwitch units occupy ``L`` intervals each
+    on the KeySwitch pipeline (Fig. 3).  The interval follows Eq. 3 with the
+    module's intra-parallelism, and throughput scales with its
+    inter-parallelism.
     """
-    level = trace.level
-    rescale = point.parallelism(HeOp.RESCALE)
-    nks_pi = pipeline_interval_cycles(
-        poly_degree, level, rescale.p_intra, point.nc_ntt
-    )
-    cycles = math.ceil(trace.nks_units * nks_pi / rescale.p_inter)
-    if trace.ks_units:
-        ks = point.parallelism(HeOp.KEY_SWITCH)
-        ks_pi = pipeline_interval_cycles(
-            poly_degree, level, ks.p_intra, point.nc_ntt
-        )
-        cycles += math.ceil(trace.ks_units * level * ks_pi / ks.p_inter)
-    return cycles
-
-
-def latency_lower_bound(point: DesignPoint, trace: NetworkTrace) -> int:
-    """Cheap exact lower bound on a point's total latency (no buffers)."""
-    return sum(
-        layer_compute_cycles(lt, point, trace.poly_degree)
-        for lt in trace.layers
+    if op == HeOp.KEY_SWITCH:
+        nks_units, ks_units = 0, trace.ks_units
+    else:
+        nks_units, ks_units = trace.nks_units, 0
+    return layer_latency_cycles(
+        nks_units, ks_units, trace.level, poly_degree,
+        par.p_intra, par.p_inter, nc_ntt,
     )
 
 
-def mandatory_bram_peak(point: DesignPoint, trace: NetworkTrace) -> int:
-    """Largest per-layer mandatory buffer demand — the BRAM feasibility
-    floor, computed without building full :class:`LayerEvaluation` objects
-    (used by the DSE to keep feasibility counts exact under pruning)."""
-    peak = 0
-    for lt in trace.layers:
-        pipeline = point.parallelism(
-            HeOp.KEY_SWITCH if lt.kind == "KS" else HeOp.RESCALE
-        )
-        mandatory, _ = layer_buffer_demand(
-            kind=lt.kind,
-            level=lt.level,
-            poly_degree=trace.poly_degree,
-            word_bits=trace.prime_bits,
-            p_intra=pipeline.p_intra,
-            p_inter=pipeline.p_inter,
-            nc_ntt=point.nc_ntt,
-        )
-        peak = max(peak, mandatory)
-    return peak
+def buffer_op(trace: LayerTrace) -> HeOp:
+    """The module whose pipeline sizes the layer's working buffers."""
+    return HeOp.KEY_SWITCH if trace.kind == "KS" else HeOp.RESCALE
+
+
+def layer_buffers(
+    trace: LayerTrace,
+    par: OpParallelism,
+    nc_ntt: int,
+    poly_degree: int,
+    word_bits: int,
+    bram_budget: int | None,
+) -> tuple[int, int, float]:
+    """``(mandatory, occupied, on-chip fraction)`` of one layer's buffers
+    when its :func:`buffer_op` pipeline runs at ``par`` (Eqs. 8-9).
+
+    Ciphertext and key residency that does not fit beside the mandatory
+    blocks within ``bram_budget`` (``None``: unbounded) spills off chip.
+    """
+    mandatory, cacheable = layer_buffer_demand(
+        kind=trace.kind,
+        level=trace.level,
+        poly_degree=poly_degree,
+        word_bits=word_bits,
+        p_intra=par.p_intra,
+        p_inter=par.p_inter,
+        nc_ntt=nc_ntt,
+    )
+    if bram_budget is None:
+        resident = cacheable
+    else:
+        resident = max(0, min(cacheable, bram_budget - mandatory))
+    on_chip = resident / cacheable if cacheable else 1.0
+    return mandatory, mandatory + resident, on_chip
+
+
+def layer_cycles(nks_cycles, ks_cycles, slowdown):
+    """A layer's latency: its NKS and KS pipeline cycles back to back,
+    stretched by the off-chip slowdown (Table III) and rounded up.
+
+    Takes scalars or broadcastable arrays; both give the same integers
+    while the products stay below 2**53.
+    """
+    return np.ceil((nks_cycles + ks_cycles) * slowdown).astype(np.int64)
 
 
 def evaluate_layer(
@@ -151,44 +175,46 @@ def evaluate_layer(
 ) -> LayerEvaluation:
     """Model one layer under a design point (Eqs. 1-3, 8-9, Table III).
 
-    The layer's elementwise chains run on the Rescale-anchored NKS pipeline;
-    its KeySwitch units occupy ``L`` intervals each on the KeySwitch
-    pipeline (Fig. 3).  Each pipeline's interval follows Eq. 3 with that
-    module's intra-parallelism, and its throughput scales with the module's
-    inter-parallelism.  ``bram_budget`` is the on-chip memory the layer may
-    claim (under FxHENN's inter-layer reuse, the whole device pool); any
-    residency that does not fit incurs the off-chip access penalty.
+    See :func:`pipeline_cycles` for the two pipelines.  ``bram_budget`` is
+    the on-chip memory the layer may claim (under FxHENN's inter-layer
+    reuse, the whole device pool); any residency that does not fit incurs
+    the off-chip access penalty.
     """
-    level = trace.level
-    cycles = layer_compute_cycles(trace, point, poly_degree)
-    rescale = point.parallelism(HeOp.RESCALE)
-
-    pipeline = (
-        point.parallelism(HeOp.KEY_SWITCH) if trace.kind == "KS" else rescale
+    nks, ks = (
+        pipeline_cycles(
+            trace, op, point.parallelism(op), point.nc_ntt, poly_degree
+        )
+        for op in (HeOp.RESCALE, HeOp.KEY_SWITCH)
     )
-    mandatory, cacheable = layer_buffer_demand(
-        kind=trace.kind,
-        level=level,
-        poly_degree=poly_degree,
-        word_bits=word_bits,
-        p_intra=pipeline.p_intra,
-        p_inter=pipeline.p_inter,
-        nc_ntt=point.nc_ntt,
+    mandatory, blocks, on_chip = layer_buffers(
+        trace, point.parallelism(buffer_op(trace)), point.nc_ntt,
+        poly_degree, word_bits, bram_budget,
     )
-    if bram_budget is None:
-        resident = cacheable
-    else:
-        resident = max(0, min(cacheable, bram_budget - mandatory))
-    on_chip = resident / cacheable if cacheable else 1.0
-    cycles = math.ceil(cycles * offchip_slowdown(on_chip, trace.kind))
+    slowdown = offchip_slowdown(on_chip, trace.kind)
     return LayerEvaluation(
         name=trace.name,
         kind=trace.kind,
-        level=level,
-        latency_cycles=cycles,
-        bram_blocks=mandatory + resident,
+        level=trace.level,
+        latency_cycles=int(layer_cycles(nks, ks, slowdown)),
+        bram_blocks=blocks,
         bram_mandatory=mandatory,
         on_chip_fraction=on_chip,
+    )
+
+
+def bram_budget_blocks(
+    device: FpgaDevice,
+    poly_degree: int,
+    nc_ntt: int,
+    bram_limit: int | None = None,
+) -> int:
+    """On-chip blocks a design may claim: ``bram_limit`` when given, else
+    the device's BRAM plus its URAM converted at the ``nc_NTT`` buffer
+    tile width (Sec. VI-A)."""
+    if bram_limit is not None:
+        return bram_limit
+    return device.effective_bram_blocks(
+        buffer_tile_words(poly_degree, nc_ntt)
     )
 
 
@@ -211,11 +237,9 @@ class DesignSolution:
         device: FpgaDevice,
         bram_limit: int | None = None,
     ) -> "DesignSolution":
-        budget = bram_limit
-        if budget is None:
-            budget = device.effective_bram_blocks(
-                buffer_tile_words(trace.poly_degree, point.nc_ntt)
-            )
+        budget = bram_budget_blocks(
+            device, trace.poly_degree, point.nc_ntt, bram_limit
+        )
         layers = tuple(
             evaluate_layer(
                 lt, point, trace.poly_degree, trace.prime_bits,
@@ -265,8 +289,8 @@ class DesignSolution:
 
     @property
     def bram_budget(self) -> int:
-        return self.device.effective_bram_blocks(
-            buffer_tile_words(self.poly_degree, self.point.nc_ntt)
+        return bram_budget_blocks(
+            self.device, self.poly_degree, self.point.nc_ntt
         )
 
     def is_feasible(

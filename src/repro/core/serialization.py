@@ -58,7 +58,6 @@ def design_to_dict(design: AcceleratorDesign) -> dict[str, Any]:
             "evaluated": design.dse.evaluated,
             "feasible": design.dse.feasible,
             "dsp_pruned": design.dse.dsp_pruned,
-            "bound_pruned": design.dse.bound_pruned,
             "improvements": design.dse.improvements,
         },
         "layers": [

@@ -133,8 +133,14 @@ class CkksParameters:
         )
 
     def security_level(self) -> int:
-        """Standard security (bits) including the key-switching prime."""
-        return security_bits(self.poly_degree, self.coeff_modulus_bits)
+        """Standard security (bits) including the key-switching prime.
+
+        Key-switching keys live modulo ``Q * P``, so the largest modulus in
+        use, which the standard's table bounds, counts ``P`` too.
+        """
+        return security_bits(
+            self.poly_degree, self.coeff_modulus_bits + self.special_prime_bits
+        )
 
 
 # ---------------------------------------------------------------------------

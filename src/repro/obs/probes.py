@@ -4,10 +4,10 @@ Thin, import-cheap helpers that the FHE evaluator, the noise estimator and
 lineage tracker, the accelerator simulator, the DSE and the serving and
 cluster layers call at their interesting moments.  Every helper is a no-op
 (single flag check) while observability is disabled, except
-:class:`DseProgress`, which is a plain
-local accumulator handed back to the caller (the DSE reports its scan
-statistics in its result whether or not observability is on, and publishes
-them to the registry once per scan).
+:class:`DseProgress`, which is a plain record handed back to the caller
+(the DSE reports its scan statistics in its result whether or not
+observability is on, and publishes them to the registry once per
+exploration).
 """
 
 from __future__ import annotations
@@ -274,40 +274,29 @@ def record_spin_up_cost(seconds: float, warm: bool) -> None:
 
 @dataclass
 class DseProgress:
-    """Local accumulator for one design-space scan, published to the
+    """Statistics of one design-space exploration, published to the
     registry once via :meth:`publish`."""
 
     scanned: int = 0
     dsp_pruned: int = 0
-    bound_pruned: int = 0
     feasible: int = 0
     improvements: int = 0
 
-    def note_scanned(self) -> None:
-        self.scanned += 1
-
-    def note_dsp_pruned(self) -> None:
-        self.dsp_pruned += 1
-
-    def note_bound_pruned(self) -> None:
-        self.bound_pruned += 1
-
-    def note_feasible(self) -> None:
-        self.feasible += 1
-
-    def note_incumbent(self, latency_cycles: int) -> None:
-        """A new best-so-far solution was found."""
+    def note_incumbent(
+        self, latency_cycles: int, scanned: int, feasible: int
+    ) -> None:
+        """A new best-so-far solution: the ``scanned``-th point in scan
+        order and the ``feasible``-th feasible one."""
         self.improvements += 1
         record_flight(
             "dse_incumbent", latency_cycles=latency_cycles,
-            scanned=self.scanned, feasible=self.feasible,
+            scanned=scanned, feasible=feasible,
         )
 
     def as_dict(self) -> dict[str, int]:
         return {
             "scanned": self.scanned,
             "dsp_pruned": self.dsp_pruned,
-            "bound_pruned": self.bound_pruned,
             "feasible": self.feasible,
             "improvements": self.improvements,
         }
@@ -318,6 +307,5 @@ class DseProgress:
             return
         REGISTRY.counter("dse_points_scanned").inc(self.scanned)
         REGISTRY.counter("dse_points_dsp_pruned").inc(self.dsp_pruned)
-        REGISTRY.counter("dse_points_bound_pruned").inc(self.bound_pruned)
         REGISTRY.counter("dse_points_feasible").inc(self.feasible)
         REGISTRY.counter("dse_incumbent_improvements").inc(self.improvements)

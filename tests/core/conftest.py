@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.fpga import acu9eg, acu15eg
-from repro.hecnn import fxhenn_cifar10_model, fxhenn_mnist_model
+from repro.hecnn import fxhenn_cifar10_model, fxhenn_mnist_model, tiny_mnist_model
 
 
 @pytest.fixture(scope="session")
@@ -16,6 +16,11 @@ def mnist_trace():
 @pytest.fixture(scope="session")
 def cifar_trace():
     return fxhenn_cifar10_model().trace()
+
+
+@pytest.fixture(scope="session")
+def tiny_trace():
+    return tiny_mnist_model().trace()
 
 
 @pytest.fixture(scope="session")

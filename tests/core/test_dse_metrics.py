@@ -20,9 +20,6 @@ def test_explore_counters_match_result_telemetry(mnist_trace, dev9):
     assert reg.counter("dse_points_feasible").value == result.feasible
     assert reg.counter("dse_points_dsp_pruned").value == result.dsp_pruned
     assert (
-        reg.counter("dse_points_bound_pruned").value == result.bound_pruned
-    )
-    assert (
         reg.counter("dse_incumbent_improvements").value
         == result.improvements
     )
@@ -37,7 +34,6 @@ def test_enumerate_feasible_publishes_scan_stats(mnist_trace, dev9):
     assert reg.counter("dse_points_scanned").value == DesignSpace().size()
     assert reg.counter("dse_points_feasible").value == len(solutions)
     assert reg.counter("dse_points_dsp_pruned").value > 0
-    # The sweep path has no incumbent, so no bound pruning and no
-    # improvements — the counters exist but stay at zero.
-    assert reg.counter("dse_points_bound_pruned").value == 0
+    # The sweep path has no incumbent, so no improvements — the counter
+    # exists but stays at zero.
     assert reg.counter("dse_incumbent_improvements").value == 0

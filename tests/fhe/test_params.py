@@ -16,18 +16,27 @@ from repro.fhe.params import (
 
 
 def test_mnist_preset_matches_paper():
-    """Paper Sec. VII-A: N=8192, 30-bit q_i, L=7 -> Q=210 bits, 128-bit."""
+    """Paper Sec. VII-A: N=8192, 30-bit q_i, L=7 -> Q=210 bits, 128-bit.
+
+    The paper's claim counts Q only.  With the 30-bit key-switching prime
+    P, log QP = 240 exceeds the 218-bit budget, so the preset meets no
+    standard level.
+    """
     p = fxhenn_mnist_params()
     assert p.poly_degree == 8192
     assert p.prime_bits == 30
     assert p.level == 7
     assert p.coeff_modulus_bits == 210
-    assert p.security_level() == 128
+    assert security_bits(8192, 210) == 128
+    assert p.coeff_modulus_bits + p.special_prime_bits == 240
+    assert p.security_level() == 0
     assert p.is_functional
 
 
 def test_cifar10_preset_matches_paper():
-    """Paper Sec. VII-A: N=16384, 36-bit q_i, L=7 -> Q=252 bits, 192-bit."""
+    """Paper Sec. VII-A: N=16384, 36-bit q_i, L=7 -> Q=252 bits, 192-bit.
+
+    With P counted, log QP = 288 is still within the 305-bit budget."""
     p = fxhenn_cifar10_params()
     assert p.poly_degree == 16384
     assert p.prime_bits == 36
