@@ -10,7 +10,7 @@ from __future__ import annotations
 
 
 from repro.analysis import format_table
-from repro.fpga import dsp_const
+from repro.core import layer_private_dsp
 from repro.optypes import HeOp
 
 
@@ -22,12 +22,7 @@ def _per_layer_dsp(framework, mnist_trace, dev9):
     for lt, base_dsp in zip(mnist_trace.layers, base.layer_dsp):
         # Under reuse, a layer drives the shared instances of each module
         # type it invokes.
-        fx_dsp = sum(
-            point.parallelism(op).p_intra
-            * point.parallelism(op).p_inter
-            * dsp_const(op, point.nc_ntt)
-            for op in lt.ops_used()
-        )
+        fx_dsp = layer_private_dsp(lt, point)
         rows.append(
             (lt.name,
              ",".join(op.table1_label for op in lt.ops_used()),

@@ -9,7 +9,7 @@ from __future__ import annotations
 import pytest
 
 from repro.analysis import format_table
-from repro.fpga import ModuleDesign, standalone_latency_seconds
+from repro.fpga import dsp_const, module_bram_blocks, standalone_latency_seconds
 from repro.fpga.calibration import TABLE1_LEVEL, TABLE1_POLY_DEGREE
 from repro.optypes import HeOp
 
@@ -30,9 +30,8 @@ PAPER_ROWS = [
 def _model_rows(dev9):
     rows = []
     for label, op, nc, p_dsp, p_bram, p_lat in PAPER_ROWS:
-        design = ModuleDesign(op=op, nc_ntt=nc)
-        dsp = design.dsp_usage() / dev9.dsp_slices * 100
-        bram = design.module_bram_blocks() / dev9.bram_blocks * 100
+        dsp = dsp_const(op, nc) / dev9.dsp_slices * 100
+        bram = module_bram_blocks(op, nc) / dev9.bram_blocks * 100
         lat = standalone_latency_seconds(
             op, TABLE1_POLY_DEGREE, TABLE1_LEVEL, nc, dev9.clock_hz
         ) * 1e3
@@ -68,6 +67,5 @@ def test_table1_nc_scaling_shape(dev9):
     }
     assert rescale[2] / rescale[4] == pytest.approx(2.0, rel=0.01)
     assert rescale[4] / rescale[8] == pytest.approx(2.0, rel=0.01)
-    b = {nc: ModuleDesign(op=HeOp.KEY_SWITCH, nc_ntt=nc).module_bram_blocks()
-         for nc in (2, 4, 8)}
+    b = {nc: module_bram_blocks(HeOp.KEY_SWITCH, nc) for nc in (2, 4, 8)}
     assert b[2] == b[4] and b[8] == 2 * b[4]

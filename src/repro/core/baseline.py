@@ -20,20 +20,26 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from ..fpga.buffers import layer_buffer_demand
 from ..fpga.device import FpgaDevice
-from ..fpga.modules import dsp_const
 from ..hecnn.trace import LayerTrace, NetworkTrace
-from ..optypes import HeOp
-from .design_point import DesignPoint, LayerEvaluation, OpParallelism, evaluate_layer
+from .design_point import (
+    DesignPoint,
+    LayerEvaluation,
+    OpParallelism,
+    buffer_op,
+    evaluate_layer,
+    module_dsp,
+)
 
 
 def layer_private_dsp(trace: LayerTrace, point: DesignPoint) -> int:
-    """DSP of one layer's private module instances (no sharing)."""
-    total = 0
-    for op in trace.ops_used():
-        par = point.parallelism(op)
-        total += par.p_intra * par.p_inter * dsp_const(op, point.nc_ntt)
-    return total
+    """DSP of the module instances one layer drives: its private instances
+    here (no sharing), the shared pools' share of it under reuse."""
+    return sum(
+        module_dsp(op, point.nc_ntt, point.parallelism(op))
+        for op in trace.ops_used()
+    )
 
 
 @dataclass(frozen=True)
@@ -90,13 +96,9 @@ def allocate_baseline(
         """Private BRAM slices: mandatory buffers first, then the remainder
         split proportionally to residency demand — "more resources are
         assigned to the heavily burdened CNN layers", but never shared."""
-        from ..fpga.buffers import layer_buffer_demand
-        from ..optypes import HeOp
-
         demands = []
         for lt, pt in zip(trace.layers, points):
-            op = HeOp.KEY_SWITCH if lt.kind == "KS" else HeOp.RESCALE
-            par = pt.parallelism(op)
+            par = pt.parallelism(buffer_op(lt))
             demands.append(
                 layer_buffer_demand(
                     lt.kind, lt.level, trace.poly_degree, trace.prime_bits,
@@ -160,7 +162,7 @@ def allocate_baseline(
 
 def _upgrade(point: DesignPoint, trace: LayerTrace) -> DesignPoint | None:
     """One more unit of parallelism on the layer's dominant pipeline."""
-    op = HeOp.KEY_SWITCH if trace.kind == "KS" else HeOp.RESCALE
+    op = buffer_op(trace)
     par = point.parallelism(op)
     if par.p_intra < trace.level:
         new = OpParallelism(par.p_intra + 1, par.p_inter)

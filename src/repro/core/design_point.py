@@ -218,6 +218,12 @@ def bram_budget_blocks(
     )
 
 
+def dsp_budget(device: FpgaDevice, dsp_limit: int | None = None) -> int:
+    """DSP slices a design may use: ``dsp_limit`` when given, else the
+    device's."""
+    return device.dsp_slices if dsp_limit is None else dsp_limit
+
+
 @dataclass(frozen=True)
 class DesignSolution:
     """A design point evaluated against a network trace on a device."""
@@ -302,10 +308,9 @@ class DesignSolution:
         Table III penalty already folded into the latency) rather than
         making the design infeasible.
         """
-        dsp_limit = dsp_limit if dsp_limit is not None else self.device.dsp_slices
         bram_limit = bram_limit if bram_limit is not None else self.bram_budget
         return (
-            self.dsp_usage <= dsp_limit
+            self.dsp_usage <= dsp_budget(self.device, dsp_limit)
             and self.bram_mandatory_peak <= bram_limit
         )
 

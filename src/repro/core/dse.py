@@ -37,6 +37,7 @@ from .design_point import (
     OpParallelism,
     bram_budget_blocks,
     buffer_op,
+    dsp_budget,
     layer_buffers,
     layer_cycles,
     module_dsp,
@@ -123,9 +124,8 @@ def _price(
         bram_peak = np.maximum(bram_peak, buffer["blocks"])
         mandatory_peak = np.maximum(mandatory_peak, buffer["mandatory"])
 
-    effective_dsp = dsp_limit if dsp_limit is not None else device.dsp_slices
     grid = space.shape()
-    over_dsp = np.broadcast_to(dsp > effective_dsp, grid)
+    over_dsp = np.broadcast_to(dsp > dsp_budget(device, dsp_limit), grid)
     budget = np.array(
         [budgets[nc] for nc in space.nc_ntt_choices], dtype=np.int64
     ).reshape((-1,) + (1,) * len(VARIED_OPS))
@@ -176,7 +176,7 @@ def explore(
     if best is None:
         raise InfeasibleDesignError(
             f"no feasible design for {trace.name} on {device.name} "
-            f"(DSP<= {dsp_limit or device.dsp_slices}, "
+            f"(DSP<= {dsp_budget(device, dsp_limit)}, "
             f"BRAM<= {bram_limit if bram_limit is not None else 'device'})"
         )
     return DseResult(

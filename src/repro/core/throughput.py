@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 from ..fpga.device import FpgaDevice
 from ..hecnn.trace import NetworkTrace
-from .design_point import DesignPoint, evaluate_layer
+from .design_point import DesignPoint, DesignSolution, evaluate_layer
 
 
 @dataclass(frozen=True)
@@ -52,13 +52,9 @@ def sequential_batch(
     """The paper's mode: images run one after another with full reuse."""
     if batch_size < 1:
         raise ValueError("batch_size must be >= 1")
-    per_image = sum(
-        evaluate_layer(
-            lt, point, trace.poly_degree, trace.prime_bits,
-            bram_budget=bram_budget,
-        ).latency_cycles
-        for lt in trace.layers
-    )
+    per_image = DesignSolution.evaluate(
+        point, trace, device, bram_limit=bram_budget
+    ).latency_cycles
     total = per_image * batch_size / device.clock_hz
     return BatchExecution(
         mode="sequential",

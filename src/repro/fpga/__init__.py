@@ -10,7 +10,6 @@ from . import calibration
 from .buffers import (
     bn_buffer_blocks,
     buffer_tile_words,
-    layer_bram_blocks,
     offchip_slowdown,
     poly_buffer_blocks,
 )
@@ -34,11 +33,11 @@ from .energy import (
     speedup,
 )
 from .modules import (
-    ModuleDesign,
     dsp_const,
     lat_basic_cycles,
     lat_ntt_cycles,
     layer_latency_cycles,
+    module_bram_blocks,
     pipeline_interval_cycles,
     standalone_latency_cycles,
     standalone_latency_seconds,
@@ -49,7 +48,6 @@ __all__ = [
     "BRAM_BLOCK_BITS",
     "FpgaDevice",
     "KNOWN_DEVICES",
-    "ModuleDesign",
     "PlatformResult",
     "URAM_ADDRESSES",
     "URAM_BLOCK_BITS",
@@ -65,8 +63,8 @@ __all__ = [
     "energy_efficiency",
     "lat_basic_cycles",
     "lat_ntt_cycles",
-    "layer_bram_blocks",
     "layer_latency_cycles",
+    "module_bram_blocks",
     "offchip_slowdown",
     "pipeline_interval_cycles",
     "poly_buffer_blocks",

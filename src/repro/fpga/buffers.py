@@ -89,29 +89,6 @@ def layer_buffer_demand(
     return mandatory, cacheable
 
 
-def layer_bram_blocks(
-    kind: str,
-    level: int,
-    poly_degree: int,
-    word_bits: int,
-    p_intra: int,
-    p_inter: int,
-    nc_ntt: int,
-    bram_budget: int | None = None,
-) -> int:
-    """Per-layer on-chip buffer *usage* in BRAM36K blocks.
-
-    Full demand (mandatory + cacheable) when it fits the optional budget;
-    otherwise mandatory plus whatever residency fits.
-    """
-    mandatory, cacheable = layer_buffer_demand(
-        kind, level, poly_degree, word_bits, p_intra, p_inter, nc_ntt
-    )
-    if bram_budget is None:
-        return mandatory + cacheable
-    return mandatory + max(0, min(cacheable, bram_budget - mandatory))
-
-
 #: Shape of the cold-data spill curve: the buffer manager keeps the hot
 #: working set on chip, so the first blocks of on-chip capacity absorb a
 #: disproportionate share of accesses.  The slowdown is

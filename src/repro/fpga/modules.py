@@ -14,7 +14,6 @@ BRAM36K blocks.  Two granularities are exposed:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from ..optypes import HeOp, module_for
 from . import calibration as cal
@@ -55,36 +54,6 @@ def pipeline_interval_cycles(
     return math.ceil(level / p_intra) * lat_b
 
 
-@dataclass(frozen=True)
-class ModuleDesign:
-    """One provisioned HE operation module: type + parallelism knobs.
-
-    ``p_intra`` parallel basic-module copies inside the module (Fig. 4) and
-    ``p_inter`` module replicas (Eq. 7's two parallelism factors).
-    """
-
-    op: HeOp
-    nc_ntt: int = 2
-    p_intra: int = 1
-    p_inter: int = 1
-
-    def __post_init__(self) -> None:
-        if self.p_intra < 1 or self.p_inter < 1 or self.nc_ntt < 1:
-            raise ValueError("parallelism factors must be >= 1")
-
-    def dsp_usage(self) -> int:
-        """Eq. 7: ``DSP_op = P_inter * P_intra * Const_op^DSP``."""
-        return self.p_inter * self.p_intra * dsp_const(self.op, self.nc_ntt)
-
-    def module_bram_blocks(self) -> int:
-        """Standalone module BRAM (Table I model): base blocks scaled by the
-        dual-port partitioning factor and the parallel copies."""
-        base = cal.BRAM_CONST[module_for(self.op)]
-        if module_for(self.op).uses_ntt:
-            base *= cal.dual_port_factor(self.nc_ntt)
-        return base * self.p_intra * self.p_inter
-
-
 def dsp_const(op: HeOp, nc_ntt: int) -> int:
     """``Const_op^DSP`` — DSP slices of one unparallelized module."""
     op = module_for(op)
@@ -93,6 +62,17 @@ def dsp_const(op: HeOp, nc_ntt: int) -> int:
     if op == HeOp.KEY_SWITCH:
         return cal.dsp_keyswitch(nc_ntt)
     return cal.DSP_CONST_ELEMENTWISE[op]
+
+
+def module_bram_blocks(op: HeOp, nc_ntt: int) -> int:
+    """Standalone BRAM of one unparallelized module (Table I model): the
+    base blocks, scaled by the dual-port partitioning factor for NTT-bearing
+    modules."""
+    op = module_for(op)
+    base = cal.BRAM_CONST[op]
+    if op.uses_ntt:
+        base *= cal.dual_port_factor(nc_ntt)
+    return base
 
 
 def standalone_latency_cycles(

@@ -205,11 +205,11 @@ class NetworkBuilder:
 
     # -- assembly ------------------------------------------------------------------
 
-    def build(self, unmerge_final_dense: bool = True) -> HeCnn:
+    def build(self) -> HeCnn:
         """Assemble the network (re-packing the last dense as unmerged)."""
         self._require_started()
         layers = list(self._layers)
-        if unmerge_final_dense and isinstance(layers[-1], PackedDense):
+        if isinstance(layers[-1], PackedDense):
             last = layers[-1]
             repacked = DensePacking(
                 spec=last.packing.spec,

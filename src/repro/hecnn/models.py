@@ -116,7 +116,7 @@ def _build_conv_square_dense_model(
             builder.square()
         dense_idx += 1
 
-    return builder.build(unmerge_final_dense=True)
+    return builder.build()
 
 
 def fxhenn_mnist_model(seed: int = 0, params: CkksParameters | None = None) -> HeCnn:

@@ -35,7 +35,7 @@ from __future__ import annotations
 import random
 import threading
 import zlib
-from typing import Any, Iterator
+from typing import Any, Iterator, Sequence
 
 LabelKey = tuple[tuple[str, Any], ...]
 
@@ -165,16 +165,7 @@ class Histogram:
 
         Exact below the reservoir cap; a reservoir estimate above it.
         """
-        if not 0.0 <= p <= 100.0:
-            raise ValueError("percentile must be in [0, 100]")
-        ordered = sorted(self._sample())
-        if not ordered:
-            return 0.0
-        rank = (len(ordered) - 1) * p / 100.0
-        lo = int(rank)
-        hi = min(lo + 1, len(ordered) - 1)
-        frac = rank - lo
-        return ordered[lo] * (1.0 - frac) + ordered[hi] * frac
+        return interpolated_percentile(sorted(self._sample()), p)
 
     def summary(self) -> dict[str, float]:
         sample = self._sample()
@@ -187,16 +178,23 @@ class Histogram:
             "mean": self.total / self.count,
             "min": ordered[0],
             "max": ordered[-1],
-            "p50": _interp(ordered, 50),
-            "p95": _interp(ordered, 95),
-            "p99": _interp(ordered, 99),
+            "p50": interpolated_percentile(ordered, 50),
+            "p95": interpolated_percentile(ordered, 95),
+            "p99": interpolated_percentile(ordered, 99),
         }
         if self.saturated:
             out["sampled"] = True
         return out
 
 
-def _interp(ordered: list[float], p: float) -> float:
+def interpolated_percentile(ordered: Sequence[float], p: float) -> float:
+    """The ``p``-th percentile (0..100) of an ascending sequence, linearly
+    interpolated between the closest ranks (``numpy.percentile``'s
+    default); 0.0 when the sequence is empty."""
+    if not 0.0 <= p <= 100.0:
+        raise ValueError("percentile must be in [0, 100]")
+    if not ordered:
+        return 0.0
     rank = (len(ordered) - 1) * p / 100.0
     lo = int(rank)
     hi = min(lo + 1, len(ordered) - 1)

@@ -38,7 +38,7 @@ import threading
 from collections import deque
 from typing import Any, Iterator
 
-from .registry import REGISTRY, MetricsRegistry
+from .registry import REGISTRY, MetricsRegistry, interpolated_percentile
 
 #: Default ring length per series: at the default 1 s cadence this keeps
 #: 12 minutes of history — enough for any burn-rate window we evaluate.
@@ -262,16 +262,9 @@ class TimeSeriesStore:
     ) -> float:
         """The ``p``-th percentile (0..100) of windowed values, linearly
         interpolated like :meth:`Histogram.percentile` (0.0 when empty)."""
-        if not 0.0 <= p <= 100.0:
-            raise ValueError("percentile must be in [0, 100]")
-        ordered = sorted(v for _, v in self.window(key, window_s, at_s))
-        if not ordered:
-            return 0.0
-        rank = (len(ordered) - 1) * p / 100.0
-        lo = int(rank)
-        hi = min(lo + 1, len(ordered) - 1)
-        frac = rank - lo
-        return ordered[lo] * (1.0 - frac) + ordered[hi] * frac
+        return interpolated_percentile(
+            sorted(v for _, v in self.window(key, window_s, at_s)), p
+        )
 
     def __iter__(self) -> Iterator[str]:
         return iter(self.keys())

@@ -27,10 +27,10 @@ import functools
 import json
 import threading
 import time
-from typing import Any, Callable, Iterable
+from typing import Any, Callable
 
 from . import config, tracectx
-from .registry import REGISTRY
+from .registry import REGISTRY, interpolated_percentile
 
 
 class _NullSpan:
@@ -233,8 +233,8 @@ class Tracer:
                 "count": len(durs),
                 "total_ms": sum(durs),
                 "mean_ms": sum(durs) / len(durs),
-                "p50_ms": _interp_percentile(durs, 50),
-                "p95_ms": _interp_percentile(durs, 95),
+                "p50_ms": interpolated_percentile(durs, 50),
+                "p95_ms": interpolated_percentile(durs, 95),
             })
         rows.sort(key=lambda r: -r["total_ms"])
         return rows
@@ -257,17 +257,6 @@ class Tracer:
         ]
         lines.insert(1, "  ".join("-" * w for w in widths))
         return "\n".join(lines)
-
-
-def _interp_percentile(ordered: Iterable[float], p: float) -> float:
-    ordered = list(ordered)
-    if not ordered:
-        return 0.0
-    rank = (len(ordered) - 1) * p / 100.0
-    lo = int(rank)
-    hi = min(lo + 1, len(ordered) - 1)
-    frac = rank - lo
-    return ordered[lo] * (1.0 - frac) + ordered[hi] * frac
 
 
 #: The process-global tracer all spans record into.

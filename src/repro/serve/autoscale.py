@@ -56,13 +56,14 @@ from ..obs.probes import (
     record_flight,
     record_spin_up_cost,
 )
+from ..obs.registry import interpolated_percentile
 from ..obs.tracing import emit_virtual, trace_span
 from .costs import CostLedger
 from .loop import ServeLoop
 from .records import BatchRecord, ServeReport
 from .request import InferenceRequest
 from .scheduler import SchedulerConfig
-from .slo import Slo, SloMonitor, _percentile
+from .slo import Slo, SloMonitor
 
 #: Virtual-trace track for autoscaler spans (spin-up, drain) — far above
 #: the request tracks (``request_id + 1``) and the cluster stage tracks.
@@ -249,7 +250,7 @@ def p99_windows(
     rows = []
     for b, lats in enumerate(bins):
         lats.sort()
-        p99 = _percentile(lats, 99.0)
+        p99 = interpolated_percentile(lats, 99.0)
         rows.append({
             "start_s": start_s + b * window_s,
             "p99_s": p99,

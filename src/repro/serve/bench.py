@@ -155,9 +155,9 @@ def autoscale_bench(
     from .. import obs
     from ..cluster.capacity import plan_capacity
     from ..fpga import acu15eg
-    from ..obs.registry import REGISTRY
+    from ..obs.registry import REGISTRY, interpolated_percentile
     from .autoscale import AutoscalerConfig, FleetAutoscaler, held_fraction
-    from .slo import Slo, _percentile
+    from .slo import Slo
     from .traffic import (
         diurnal_arrivals,
         flash_crowd_arrivals,
@@ -223,7 +223,7 @@ def autoscale_bench(
             static[label] = {
                 "nodes": nodes,
                 "completed": static_report.completed,
-                "latency_p99_s": _percentile(lats, 99.0),
+                "latency_p99_s": interpolated_percentile(lats, 99.0),
                 "node_seconds": nodes * report.end_s,
                 "held_fraction": held_fraction(
                     static_report, window_s, p99_slo_s

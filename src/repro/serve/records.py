@@ -115,7 +115,11 @@ class BatchRecord:
 
 
 def _percentile(sorted_values: list[float], p: float) -> float:
-    """Exact nearest-rank percentile of an ascending list."""
+    """Exact nearest-rank percentile of an ascending list.
+
+    The serving records report this definition, not the interpolated one
+    of :func:`repro.obs.registry.interpolated_percentile`.
+    """
     if not sorted_values:
         return 0.0
     rank = max(0, min(len(sorted_values) - 1,

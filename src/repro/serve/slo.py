@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from typing import Any
 
 from ..obs.probes import record_flight
-from ..obs.registry import REGISTRY
+from ..obs.registry import REGISTRY, interpolated_percentile
 from .records import ServeReport
 
 #: Objectives an :class:`Slo` may target.  Latency objectives are
@@ -125,16 +125,6 @@ def default_slos(
     )
 
 
-def _percentile(ordered: list[float], p: float) -> float:
-    if not ordered:
-        return 0.0
-    rank = (len(ordered) - 1) * p / 100.0
-    lo = int(rank)
-    hi = min(lo + 1, len(ordered) - 1)
-    frac = rank - lo
-    return ordered[lo] * (1.0 - frac) + ordered[hi] * frac
-
-
 def _measure(
     slo: Slo, window: list[tuple[str, float | None, float | None]]
 ) -> tuple[float, int]:
@@ -145,7 +135,8 @@ def _measure(
             lat for outcome, lat, _ in tail
             if lat is not None and outcome not in ("rejected", "expired")
         )
-        return _percentile(lats, _LATENCY_PERCENTILE[slo.objective]), len(lats)
+        p = _LATENCY_PERCENTILE[slo.objective]
+        return interpolated_percentile(lats, p), len(lats)
     if slo.objective == "noise_headroom_bits":
         # Worst headroom over the window; with no headroom samples the
         # floor objective is vacuously met (value pinned to the

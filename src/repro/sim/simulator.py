@@ -10,11 +10,16 @@ reported by the model-validation ablation bench.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
-from ..core.design_point import DesignPoint, DesignSolution
-from ..fpga.buffers import layer_buffer_demand, offchip_slowdown
+from ..core.design_point import (
+    DesignPoint,
+    DesignSolution,
+    buffer_op,
+    layer_buffers,
+    layer_cycles,
+)
+from ..fpga.buffers import offchip_slowdown
 from ..fpga.device import FpgaDevice
 from ..fpga.modules import lat_ntt_cycles
 from ..hecnn.trace import LayerTrace, NetworkTrace
@@ -81,42 +86,35 @@ class AcceleratorSimulator:
         word_bits: int,
         bram_budget: int | None = None,
     ) -> int:
-        """Simulated cycles for one layer, including spill penalties."""
-        level = trace.level
+        """Simulated cycles for one layer, including spill penalties.
+
+        Only the pipeline timing is simulated; the on-chip fraction, its
+        slowdown and the rounding are the analytic model's own.
+        """
         lat_b = lat_ntt_cycles(poly_degree, point.nc_ntt)
         rescale = point.parallelism(HeOp.RESCALE)
-        cycles = simulate_nks_layer(
+        ks = point.parallelism(HeOp.KEY_SWITCH)
+        nks_cycles = simulate_nks_layer(
             num_units=trace.nks_units,
-            level=level,
+            level=trace.level,
             lat_basic=lat_b,
             p_intra=rescale.p_intra,
             p_inter=rescale.p_inter,
             fine_grained=True,
         )
-        if trace.ks_units:
-            ks = point.parallelism(HeOp.KEY_SWITCH)
-            cycles += simulate_ks_layer(
-                num_ks_ops=trace.ks_units,
-                level=level,
-                lat_basic=lat_b,
-                p_intra=ks.p_intra,
-                p_inter=ks.p_inter,
-            )
-        pipeline = (
-            point.parallelism(HeOp.KEY_SWITCH)
-            if trace.kind == "KS"
-            else rescale
+        ks_cycles = simulate_ks_layer(
+            num_ks_ops=trace.ks_units,
+            level=trace.level,
+            lat_basic=lat_b,
+            p_intra=ks.p_intra,
+            p_inter=ks.p_inter,
         )
-        mandatory, cacheable = layer_buffer_demand(
-            trace.kind, level, poly_degree, word_bits,
-            pipeline.p_intra, pipeline.p_inter, point.nc_ntt,
+        _, _, on_chip = layer_buffers(
+            trace, point.parallelism(buffer_op(trace)), point.nc_ntt,
+            poly_degree, word_bits, bram_budget,
         )
-        if bram_budget is None:
-            on_chip = 1.0
-        else:
-            resident = max(0, min(cacheable, bram_budget - mandatory))
-            on_chip = resident / cacheable if cacheable else 1.0
-        return math.ceil(cycles * offchip_slowdown(on_chip, trace.kind))
+        slowdown = offchip_slowdown(on_chip, trace.kind)
+        return int(layer_cycles(nks_cycles, ks_cycles, slowdown))
 
     def simulate(
         self, trace: NetworkTrace, solution: DesignSolution

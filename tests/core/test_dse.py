@@ -64,6 +64,8 @@ def test_infeasible_raises(mnist_trace, dev9):
         explore(mnist_trace, dev9, bram_limit=5)
     with pytest.raises(InfeasibleDesignError):
         explore(mnist_trace, dev9, dsp_limit=1)
+    with pytest.raises(InfeasibleDesignError, match="DSP<= 0"):
+        explore(mnist_trace, dev9, dsp_limit=0)
     empty = DesignSpace(nc_ntt_choices=())
     assert empty.size() == 0
     assert enumerate_feasible(mnist_trace, dev9, space=empty) == []

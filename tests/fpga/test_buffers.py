@@ -4,14 +4,33 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core.design_point import OpParallelism, layer_buffers
 from repro.fpga import (
     bn_buffer_blocks,
     buffer_tile_words,
-    layer_bram_blocks,
     offchip_slowdown,
     poly_buffer_blocks,
 )
 from repro.fpga.buffers import layer_buffer_demand
+from repro.hecnn.trace import LayerTrace
+from repro.optypes import HeOp
+
+
+def _layer(kind: str, level: int) -> LayerTrace:
+    """A one-op layer of ``kind`` entering at ``level``."""
+    op = HeOp.KEY_SWITCH if kind == "KS" else HeOp.PC_MULT
+    return LayerTrace(
+        name=kind, kind=kind, op_counts={op: 1}, nks_units=1,
+        ks_units=int(kind == "KS"), level=level, num_input_cts=1,
+        num_output_cts=1,
+    )
+
+
+def _buffers(kind: str, level: int, bram_budget: int | None = None):
+    """``layer_buffers`` of a serial nc=2 layer at N=8192, 30-bit words."""
+    return layer_buffers(
+        _layer(kind, level), OpParallelism(), 2, 8192, 30, bram_budget
+    )
 
 
 def test_poly_buffer_blocks():
@@ -54,13 +73,14 @@ def test_layer_demand_rejects_bad_kind():
         layer_buffer_demand("XXL", 5, 8192, 30, 1, 1, 2)
 
 
-def test_layer_bram_blocks_budget_clamp():
-    full = layer_bram_blocks("KS", 5, 8192, 30, 1, 1, 2)
+def test_layer_buffers_budget_clamp():
+    _, full, _ = _buffers("KS", 5)
     mandatory, cacheable = layer_buffer_demand("KS", 5, 8192, 30, 1, 1, 2)
     assert full == mandatory + cacheable
-    clamped = layer_bram_blocks("KS", 5, 8192, 30, 1, 1, 2, bram_budget=mandatory + 10)
+    _, clamped, on_chip = _buffers("KS", 5, bram_budget=mandatory + 10)
     assert clamped == mandatory + 10
-    floor = layer_bram_blocks("KS", 5, 8192, 30, 1, 1, 2, bram_budget=0)
+    assert on_chip == 10 / cacheable  # the rest of the residency spills
+    _, floor, _ = _buffers("KS", 5, bram_budget=0)
     assert floor == mandatory  # mandatory is never elided
 
 
@@ -79,7 +99,7 @@ def test_table2_per_layer_fit():
     }
     total = 0
     for (name, kind, level), pct in paper.items():
-        blocks = layer_bram_blocks(kind, level, 8192, 30, 1, 1, 2)
+        _, blocks, _ = _buffers(kind, level)
         total += blocks
         assert blocks / 912 * 100 == pytest.approx(pct, abs=7), name
     assert total / 912 > 1.8  # severe oversubscription (paper: 206%)

@@ -4,13 +4,14 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core.design_point import OpParallelism, module_dsp
 from repro.fpga import (
-    ModuleDesign,
     acu9eg,
     dsp_const,
     lat_basic_cycles,
     lat_ntt_cycles,
     layer_latency_cycles,
+    module_bram_blocks,
     pipeline_interval_cycles,
     standalone_latency_seconds,
 )
@@ -37,11 +38,10 @@ TABLE1 = {
 def test_table1_dsp_and_bram(key, expected):
     op, nc = key
     dsp_pct, bram_pct, _ = expected
-    design = ModuleDesign(op=op, nc_ntt=nc)
-    assert design.dsp_usage() / DEV.dsp_slices * 100 == pytest.approx(
+    assert dsp_const(op, nc) / DEV.dsp_slices * 100 == pytest.approx(
         dsp_pct, abs=0.05
     )
-    assert design.module_bram_blocks() / DEV.bram_blocks * 100 == pytest.approx(
+    assert module_bram_blocks(op, nc) / DEV.bram_blocks * 100 == pytest.approx(
         bram_pct, abs=0.05
     )
 
@@ -99,9 +99,10 @@ def test_layer_latency_eqs_1_2():
 
 def test_dsp_eq7_scaling():
     """DSP_op = P_inter * P_intra * Const_op^DSP."""
-    single = ModuleDesign(op=HeOp.KEY_SWITCH, nc_ntt=2)
-    quad = ModuleDesign(op=HeOp.KEY_SWITCH, nc_ntt=2, p_intra=2, p_inter=2)
-    assert quad.dsp_usage() == 4 * single.dsp_usage()
+    single = module_dsp(HeOp.KEY_SWITCH, 2, OpParallelism())
+    quad = module_dsp(HeOp.KEY_SWITCH, 2, OpParallelism(p_intra=2, p_inter=2))
+    assert single == dsp_const(HeOp.KEY_SWITCH, 2)
+    assert quad == 4 * single
 
 
 def test_dsp_keyswitch_interpolation():
@@ -114,16 +115,11 @@ def test_dsp_keyswitch_interpolation():
 
 def test_dual_port_bram_rule():
     """Table I: BRAM flat from nc=2 to nc=4, doubled at nc=8."""
-    b2 = ModuleDesign(op=HeOp.RESCALE, nc_ntt=2).module_bram_blocks()
-    b4 = ModuleDesign(op=HeOp.RESCALE, nc_ntt=4).module_bram_blocks()
-    b8 = ModuleDesign(op=HeOp.RESCALE, nc_ntt=8).module_bram_blocks()
+    b2 = module_bram_blocks(HeOp.RESCALE, 2)
+    b4 = module_bram_blocks(HeOp.RESCALE, 4)
+    b8 = module_bram_blocks(HeOp.RESCALE, 8)
     assert b2 == b4
     assert b8 == 2 * b2
-
-
-def test_module_design_validation():
-    with pytest.raises(ValueError):
-        ModuleDesign(op=HeOp.RESCALE, p_intra=0)
 
 
 def test_pcadd_shares_ccadd_module():

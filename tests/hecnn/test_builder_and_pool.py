@@ -159,7 +159,7 @@ def test_builder_mid_network_conv(pool_params):
         .conv(out_channels=2, kernel_size=3, stride=1, in_channels=1, in_size=8)
         .square()
         .conv(out_channels=3, kernel_size=2, stride=2)
-        .build(unmerge_final_dense=False)
+        .build()
     )
     from repro.hecnn import PackedDense
 
