@@ -43,7 +43,7 @@ DEFAULT_TOLERANCE = 0.15
 WALLCLOCK_TOLERANCE = 0.40
 #: Noise bits are log-scale: 15% of a -16-bit final precision would wave
 #: through a >2-bit loss.  The record is fully deterministic (closed-form
-#: propagation, seeded audit), so gate it at 5%.
+#: propagation, an audit at twelve fixed context seeds), so gate it at 5%.
 NOISE_TOLERANCE = 0.05
 
 #: file stem -> ((dotted path, direction, tolerance), ...).  ``direction``
@@ -90,12 +90,14 @@ _METRICS: dict[str, tuple[tuple[str, str, float], ...]] = {
     # seeded, so the whole record is deterministic: tight tolerance.  A
     # packing/estimator change that costs per-layer precision (analytic
     # bits dropped) or erodes the conservativeness margin (audit gap
-    # shrank) is a real regression even though no wall clock moved.
+    # shrank) is a real regression even though no wall clock moved.  The
+    # measured bits are medians over the seed set: one draw spreads wider
+    # than the gate.
     "BENCH_noise": (
         ("networks.*.final_analytic_bits", "higher", NOISE_TOLERANCE),
         ("networks.*.layers.*.analytic_bits", "higher", NOISE_TOLERANCE),
         ("networks.0.min_gap_bits", "higher", NOISE_TOLERANCE),
-        ("networks.0.layers.*.measured_bits", "higher", NOISE_TOLERANCE),
+        ("networks.*.layers.*.measured_bits", "higher", NOISE_TOLERANCE),
     ),
     # The cost-attribution session is fully virtual-time: the two-phase
     # arrival stream, every batch, every expiry, and both alert
@@ -158,8 +160,12 @@ _INVARIANTS: dict[str, tuple[str, ...]] = {
 #: committed baseline is an apples-to-oranges comparison; fail it loudly.
 _PINNED: dict[str, tuple[str, ...]] = {
     "BENCH_fhe_kernels": ("default_backend",),
+    # The seed set and each network's parameters (ring, chain, special
+    # prime, and the security they give) are the record's identity.
     "BENCH_noise": (
-        "kernel_backend", "networks.0.name", "networks.1.name",
+        "kernel_backend", "seeds", "networks.*.name",
+        "networks.*.poly_degree", "networks.*.level", "networks.*.log_q",
+        "networks.*.log_qp", "networks.*.security_level",
     ),
     # The swept tenant populations are part of the record's identity: a
     # fresh curve over different population sizes is not comparable to
@@ -260,19 +266,20 @@ def compare_records(
             "ok": bool(value),
         })
     for path in _PINNED.get(stem, ()):
-        ((concrete, base_value),) = _resolve(baseline, path)
-        ((_, fresh_value),) = _resolve(fresh, path)
-        ok = fresh_value == base_value
-        rows.append({
-            "benchmark": stem,
-            "metric": concrete,
-            "direction": "pinned",
-            "baseline": base_value,
-            "fresh": fresh_value,
-            "regression": 0.0 if ok else float("inf"),
-            "tolerance": 0.0,
-            "ok": ok,
-        })
+        fresh_values = dict(_resolve(fresh, path))
+        for concrete, base_value in _resolve(baseline, path):
+            fresh_value = fresh_values.get(concrete)
+            ok = concrete in fresh_values and fresh_value == base_value
+            rows.append({
+                "benchmark": stem,
+                "metric": concrete,
+                "direction": "pinned",
+                "baseline": base_value,
+                "fresh": fresh_value,
+                "regression": 0.0 if ok else float("inf"),
+                "tolerance": 0.0,
+                "ok": ok,
+            })
     return rows
 
 

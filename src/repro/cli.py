@@ -197,6 +197,18 @@ def _inference_setup(network: str, seed: int, full: bool, command: str):
     return params, model, image
 
 
+def _security_header(name: str, params) -> str:
+    """The parameters an encrypted run's security rests on, for the text
+    output of ``infer`` and ``profile``."""
+    summary = params.security_summary()
+    level = summary["security_level"]
+    return (
+        f"{name} at N={params.poly_degree}: log Q = {summary['log_q']}, "
+        f"log QP = {summary['log_qp']}, security "
+        f"{'none' if level is None else f'{level}-bit'}"
+    )
+
+
 def cmd_infer(args: argparse.Namespace) -> int:
     from .fhe import CkksContext
 
@@ -209,6 +221,7 @@ def cmd_infer(args: argparse.Namespace) -> int:
     encrypted = model.infer(context, image)
     plain = model.infer_plain(image)
     err = float(np.max(np.abs(encrypted - plain)))
+    print(_security_header(model.name, params))
     print(f"{model.name}: {len(plain)} logits, max CKKS error {err:.2e}")
     agree = int(np.argmax(encrypted)) == int(np.argmax(plain))
     print(f"argmax agreement: {'OK' if agree else 'MISMATCH'}")
@@ -291,6 +304,7 @@ def cmd_profile(args: argparse.Namespace) -> int:
         payload = {
             "network": model.name,
             "poly_degree": params.poly_degree,
+            **params.security_summary(),
             "kernel_backend": backend_name,
             "wall_s": wall,
             "max_ckks_error": err,
@@ -300,6 +314,7 @@ def cmd_profile(args: argparse.Namespace) -> int:
         }
         print(json.dumps(payload, indent=2))
     else:
+        print(_security_header(model.name, params))
         print(format_table(
             ["layer", "kind", "wall ms", "HE ops", "level out", "noise bits",
              "headroom"],

@@ -234,6 +234,9 @@ class DesignSolution:
     layers: tuple[LayerEvaluation, ...]
     poly_degree: int
     word_bits: int
+    #: The ``bram_limit`` :meth:`evaluate` priced the layers at (``None``:
+    #: the device's budget); :attr:`bram_budget` derives from it.
+    bram_limit: int | None = None
 
     @classmethod
     def evaluate(
@@ -260,6 +263,7 @@ class DesignSolution:
             layers=layers,
             poly_degree=trace.poly_degree,
             word_bits=trace.prime_bits,
+            bram_limit=bram_limit,
         )
 
     # -- aggregate metrics -------------------------------------------------------
@@ -295,8 +299,9 @@ class DesignSolution:
 
     @property
     def bram_budget(self) -> int:
+        """The on-chip blocks the layers were priced at."""
         return bram_budget_blocks(
-            self.device, self.poly_degree, self.point.nc_ntt
+            self.device, self.poly_degree, self.point.nc_ntt, self.bram_limit
         )
 
     def is_feasible(

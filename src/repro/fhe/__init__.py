@@ -17,7 +17,7 @@ from .ciphertext import Ciphertext, Plaintext
 from .context import CkksContext
 from .encoder import CkksEncoder
 from .kernels import KernelBackend
-from .keys import GaloisKeys, KeyGenerator, KeySwitchKey, PublicKey, SecretKey
+from .keys import GaloisKeys, KeyGenerator, KeySwitchKey, SecretKey
 from .modmath import (
     BarrettConstant,
     barrett_reduce,
@@ -89,7 +89,6 @@ __all__ = [
     "NttContext",
     "OperationRecorder",
     "Plaintext",
-    "PublicKey",
     "RnsBasis",
     "RnsPolynomial",
     "SecretKey",

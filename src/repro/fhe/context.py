@@ -4,10 +4,11 @@ A :class:`CkksContext` owns everything a client or server needs:
 
 * the RNS prime chain and special key-switching prime,
 * the canonical-embedding encoder,
-* a seeded key generator, public key, and (on request) relinearization and
-  Galois keys,
-* encrypt/decrypt, which in the paper's deployment model run on the client
-  (the FPGA only ever sees ciphertexts and plaintext-encoded weights).
+* a seeded key generator holding the secret key, and (on request)
+  relinearization and Galois keys,
+* encrypt/decrypt, which in the paper's deployment model run on the client,
+  the one key holder (the FPGA only ever sees ciphertexts, evaluation keys
+  and plaintext-encoded weights).
 """
 
 from __future__ import annotations
@@ -17,10 +18,10 @@ import numpy as np
 from ..caching import LruCache
 from .ciphertext import Ciphertext, Plaintext
 from .encoder import CkksEncoder
-from .keys import GaloisKeys, KeyGenerator, KeySwitchKey, PublicKey
+from .keys import GaloisKeys, KeyGenerator, KeySwitchKey
 from .params import CkksParameters, build_prime_chain
 from .poly import RnsBasis, RnsPolynomial
-from .sampling import sample_gaussian, sample_ternary
+from .sampling import ENCRYPT, key_stream, sample_gaussian, sample_uniform
 
 
 class CkksContext:
@@ -33,6 +34,8 @@ class CkksContext:
         ``params.functional_variant()`` to narrow a model-only preset.
     seed:
         Seed for all key/encryption randomness (reproducible by design).
+        The secret key, each key-switching key and encryption draw from
+        their own streams of it (:func:`~repro.fhe.sampling.key_stream`).
     """
 
     def __init__(
@@ -46,15 +49,18 @@ class CkksContext:
                 "parameter set is model-only; call params.functional_variant()"
             )
         self.params = params
-        self.rng = np.random.default_rng(seed)
+        #: The encryption stream; keys draw from their own.
+        self.rng = key_stream(seed, ENCRYPT)
         chain, special = build_prime_chain(params)
         self.chain_primes = chain
         self.special_prime = special
         self.encoder = CkksEncoder(params.poly_degree)
         self.keygen = KeyGenerator(
-            chain, special, params.poly_degree, self.rng, params.error_std
+            chain, special, params.poly_degree, seed, params.error_std
         )
-        self.public_key: PublicKey = self.keygen.generate_public_key()
+        #: The secret in NTT form over the chain Q; :meth:`encrypt` and
+        #: :meth:`decrypt` take its leading rows.
+        self._secret = self.keygen.secret_key.to_basis(self.basis())
         self.relin_keys: dict[int, KeySwitchKey] = {}
         self.galois_keys: GaloisKeys = GaloisKeys()
         #: NTT-resident plaintexts keyed ``(cache_key, level, scale)`` —
@@ -137,26 +143,19 @@ class CkksContext:
     # -- encryption ------------------------------------------------------------------
 
     def encrypt(self, plaintext: Plaintext) -> Ciphertext:
-        """Public-key encryption: ``ct = (b*u + e0 + m, a*u + e1)``.
+        """Secret-key encryption: ``ct = (-a*s + e + m, a)``.
 
-        A coefficient-domain message is added to ``e0`` before the one
-        forward transform of their sum (the NTT is linear, so ``NTT(e0 +
-        m) = NTT(e0) + NTT(m)``): three transforms per ciphertext.
+        ``a`` is drawn uniform in the NTT domain and needs no transform.  A
+        coefficient-domain message is added to ``e`` before the one forward
+        transform of their sum (the NTT is linear, so ``NTT(e + m) =
+        NTT(e) + NTT(m)``): one transform per ciphertext.
         """
-        basis = plaintext.basis
-        full = self.basis()
-        if basis.primes != full.primes[: basis.level]:
-            raise ValueError("plaintext basis is not a prefix of the chain")
-        pk_b = self.public_key.b.drop_to_basis(basis)
-        pk_a = self.public_key.a.drop_to_basis(basis)
-        u = sample_ternary(basis, self.rng).to_ntt()
-        e0 = sample_gaussian(basis, self.rng, self.params.error_std)
-        e1 = sample_gaussian(basis, self.rng, self.params.error_std).to_ntt()
+        s = self._secret.drop_to_basis(plaintext.basis)
+        a = sample_uniform(s.basis, self.rng)
+        e = sample_gaussian(s.basis, self.rng, self.params.error_std)
         m = plaintext.poly
-        e0_m = e0.to_ntt() + m if m.is_ntt else (e0 + m).to_ntt()
-        c0 = pk_b * u + e0_m
-        c1 = pk_a * u + e1
-        return Ciphertext(components=(c0, c1), scale=plaintext.scale)
+        e_m = e.to_ntt() + m if m.is_ntt else (e + m).to_ntt()
+        return Ciphertext(components=(e_m - a * s, a), scale=plaintext.scale)
 
     def encrypt_values(
         self, values: np.ndarray, level: int | None = None
@@ -166,8 +165,7 @@ class CkksContext:
 
     def decrypt(self, ciphertext: Ciphertext) -> Plaintext:
         """Decrypt ``sum_k c_k * s^k`` (handles 2- and 3-component cts)."""
-        basis = ciphertext.basis
-        s = self.keygen.secret_key.to_basis(basis)
+        s = self._secret.drop_to_basis(ciphertext.basis)
         acc: RnsPolynomial = ciphertext.components[0].to_ntt()
         s_power = s
         for comp in ciphertext.components[1:]:

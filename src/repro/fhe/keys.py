@@ -1,4 +1,8 @@
-"""Key material for RNS-CKKS: secret/public keys and key-switching keys.
+"""Key material for RNS-CKKS: the secret key and key-switching keys.
+
+The client encrypts and decrypts with the secret key, so no public key
+exists; the accelerator receives only the key-switching keys.  Each key
+draws from its own :func:`~repro.fhe.sampling.key_stream`.
 
 Key switching (paper: the *KeySwitch* module backing both Relinearize and
 Rotate — the dominant HE operation, Table I OP5) is implemented in the
@@ -22,7 +26,10 @@ import numpy as np
 
 from .modmath import mod_inverse
 from .poly import RnsBasis, RnsPolynomial
-from .sampling import sample_gaussian, sample_ternary, sample_uniform
+from .sampling import (
+    GALOIS, RELIN, SECRET, key_stream, sample_gaussian, sample_ternary,
+    sample_uniform,
+)
 
 _U64 = np.uint64
 
@@ -43,14 +50,6 @@ class SecretKey:
     def to_basis(self, basis: RnsBasis, ntt: bool = True) -> RnsPolynomial:
         poly = _signed_to_basis(self.signed_coeffs, basis)
         return poly.to_ntt() if ntt else poly
-
-
-@dataclass(frozen=True)
-class PublicKey:
-    """RLWE public key ``(b, a) = (-(a*s) + e, a)`` over the full chain."""
-
-    b: RnsPolynomial
-    a: RnsPolynomial
 
 
 @dataclass(frozen=True)
@@ -124,8 +123,8 @@ class KeyGenerator:
         Hybrid key-switching prime ``p``.
     poly_degree:
         Ring degree ``N``.
-    rng:
-        Seeded generator; all randomness flows through it.
+    seed:
+        Context seed; each key draws from its own :func:`key_stream`.
     error_std:
         Gaussian error standard deviation.
     """
@@ -135,21 +134,17 @@ class KeyGenerator:
         chain_primes: tuple[int, ...],
         special_prime: int,
         poly_degree: int,
-        rng: np.random.Generator,
+        seed: int,
         error_std: float = 3.2,
     ) -> None:
         self.chain_primes = chain_primes
         self.special_prime = special_prime
         self.n = poly_degree
-        self.rng = rng
+        self.seed = seed
         self.error_std = error_std
-        full = RnsBasis(poly_degree, chain_primes)
-        ternary = sample_ternary(full, rng)
-        # Recover the signed form from the first residue row.
-        q0 = chain_primes[0]
-        row = ternary.residues[0].astype(np.int64)
-        signed = np.where(row > q0 // 2, row - q0, row)
-        self.secret_key = SecretKey(signed_coeffs=signed)
+        self.secret_key = SecretKey(
+            signed_coeffs=sample_ternary(poly_degree, key_stream(seed, SECRET))
+        )
 
     # -- bases ------------------------------------------------------------------
 
@@ -159,25 +154,16 @@ class KeyGenerator:
     def extended_basis(self, level: int) -> RnsBasis:
         return RnsBasis(self.n, self.chain_primes[:level] + (self.special_prime,))
 
-    # -- public key ----------------------------------------------------------------
-
-    def generate_public_key(self) -> PublicKey:
-        basis = self.chain_basis(len(self.chain_primes))
-        s = self.secret_key.to_basis(basis)
-        a = sample_uniform(basis, self.rng).to_ntt()
-        e = sample_gaussian(basis, self.rng, self.error_std).to_ntt()
-        b = -(a * s) + e
-        return PublicKey(b=b, a=a)
-
     # -- key switching ----------------------------------------------------------------
 
     def _generate_kswitch_key(
-        self, target_signed: np.ndarray, level: int
+        self, target_signed: np.ndarray, level: int, rng: np.random.Generator
     ) -> KeySwitchKey:
         """Key that moves a component decryptable under ``target`` back to ``s``.
 
         ``target_signed`` are the signed coefficients of ``s'`` (e.g. ``s^2``
-        for relinearization, ``s(X^g)`` for rotation).
+        for relinearization, ``s(X^g)`` for rotation); ``rng`` is the key's
+        own stream.
         """
         ext = self.extended_basis(level)
         s = self.secret_key.to_basis(ext)
@@ -191,8 +177,8 @@ class KeyGenerator:
         for i, q_i in enumerate(q_chain):
             q_hat = big_q // q_i
             d_i = q_hat * mod_inverse(q_hat % q_i, q_i)
-            a_i = sample_uniform(ext, self.rng).to_ntt()
-            e_i = sample_gaussian(ext, self.rng, self.error_std).to_ntt()
+            a_i = sample_uniform(ext, rng)
+            e_i = sample_gaussian(ext, rng, self.error_std).to_ntt()
             gadget = s_prime.scalar_multiply(p * d_i)
             stacked[0, i] = (-(a_i * s) + e_i + gadget).residues
             stacked[1, i] = a_i.residues
@@ -211,7 +197,12 @@ class KeyGenerator:
         q0 = basis.primes[0]
         row = s_sq.residues[0].astype(np.int64)
         signed = np.where(row > q0 // 2, row - q0, row)
-        return {lvl: self._generate_kswitch_key(signed, lvl) for lvl in levels}
+        return {
+            lvl: self._generate_kswitch_key(
+                signed, lvl, key_stream(self.seed, RELIN, lvl)
+            )
+            for lvl in levels
+        }
 
     def generate_galois_keys(
         self, pairs: list[tuple[int, int]]
@@ -225,16 +216,14 @@ class KeyGenerator:
         n = self.n
         rotated: dict[int, np.ndarray] = {}
         for step, lvl in pairs:
-            if step not in rotated:
-                if step == CONJUGATION_STEP:
-                    g = 2 * n - 1
-                else:
-                    g = pow(5, step % (n // 2), 2 * n)
-                rotated[step] = _apply_galois_signed(
+            g = (2 * n - 1 if step == CONJUGATION_STEP
+                 else pow(5, step % (n // 2), 2 * n))
+            if g not in rotated:
+                rotated[g] = _apply_galois_signed(
                     self.secret_key.signed_coeffs, g, n
                 )
             out.keys[(step, lvl)] = self._generate_kswitch_key(
-                rotated[step], lvl
+                rotated[g], lvl, key_stream(self.seed, GALOIS, g, lvl)
             )
         return out
 

@@ -81,8 +81,9 @@ class NoiseEstimator:
     i.e. divided by the scale):
 
     * encoding (coefficient rounding): ``2 * sqrt(N) / scale``;
-    * fresh encryption: ``5 * sigma * N / scale`` (the ``u*e + e0 + s*e1``
-      term) plus the encoding error;
+    * fresh secret-key encryption: ``6 * sigma * sqrt(N) / scale`` (the
+      one error ``e``; 1.0-2.0 bits of slack over context seeds 1-12 at
+      N=512 and N=2048) plus the encoding error;
     * addition adds errors; plaintext addition adds encoding error;
     * plaintext multiplication multiplies the error by the plaintext bound
       and adds the cross term of the plaintext's own encoding error;
@@ -109,11 +110,12 @@ class NoiseEstimator:
         return cls(context.params, context.chain_primes, context.special_prime)
 
     def fresh(self, message_bound: float, level: int | None = None) -> NoiseBound:
-        """Bound for a freshly encrypted ciphertext at the given level."""
+        """High-probability bound for a freshly encrypted ciphertext at the
+        given level: decryption leaves ``e + m`` plus the encoding error."""
         level = level if level is not None else self.params.level
         scale = self.params.scale
         encode_err = 2 * math.sqrt(self.n) / scale
-        enc_err = 5 * self.sigma * self.n / scale
+        enc_err = 6 * self.sigma * math.sqrt(self.n) / scale
         return NoiseBound(
             error=encode_err + enc_err,
             message=message_bound,

@@ -100,7 +100,8 @@ class OperationRecorder:
 
 
 class Evaluator:
-    """Performs homomorphic operations using a context's public key material."""
+    """Performs homomorphic operations using a context's evaluation keys
+    (relinearization and Galois keys), never its secret key."""
 
     def __init__(
         self, context: CkksContext, recorder: OperationRecorder | None = None

@@ -142,6 +142,20 @@ class CkksParameters:
             self.poly_degree, self.coeff_modulus_bits + self.special_prime_bits
         )
 
+    def security_summary(self) -> dict[str, int | None]:
+        """``log_q``, ``log_qp`` and ``security_level``: the latter is
+        :meth:`security_level`, or None where the standard's table gives
+        no level or has no entry for ``N``."""
+        log_qp = self.coeff_modulus_bits + self.special_prime_bits
+        level = None
+        if self.poly_degree in _SECURITY_TABLE:
+            level = self.security_level() or None
+        return {
+            "log_q": self.coeff_modulus_bits,
+            "log_qp": log_qp,
+            "security_level": level,
+        }
+
 
 # ---------------------------------------------------------------------------
 # Presets

@@ -5,7 +5,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.fhe import CkksContext, fxhenn_cifar10_params
+from repro.fhe import CkksContext, fxhenn_cifar10_params, tiny_test_params
+from repro.hecnn import tiny_mnist_model
 
 
 def test_encrypt_decrypt_roundtrip(ctx):
@@ -55,6 +56,37 @@ def test_deterministic_under_seed(small_params):
     ct_a = a.encrypt_values(np.ones(4))
     ct_b = b.encrypt_values(np.ones(4))
     assert np.array_equal(ct_a.components[0].residues, ct_b.components[0].residues)
+
+
+def test_keys_and_ciphertexts_do_not_depend_on_provisioning():
+    """The secret key, each key-switching key and encryption draw from
+    their own streams: provisioning a superset of keys, in another order,
+    leaves every shared key and every input ciphertext bit-identical."""
+    params = tiny_test_params(poly_degree=512, level=7)
+    model = tiny_mnist_model(seed=3, params=params)
+    image = np.random.default_rng(4).uniform(0, 1, (1, 8, 8))
+    exact = CkksContext(params, seed=11)
+    model.provision_keys(exact)
+    wide = CkksContext(params, seed=11)
+    wide.ensure_rotation_keys(
+        [(5, 7), (1, 3)] + list(reversed(model.rotation_keys()))
+    )
+    wide.ensure_conjugation_keys([2])
+    wide.ensure_relin_keys(sorted(range(1, 8), reverse=True))
+    assert set(exact.galois_keys.keys) < set(wide.galois_keys.keys)
+    assert set(exact.relin_keys) < set(wide.relin_keys)
+    for pair, key in exact.galois_keys.keys.items():
+        assert np.array_equal(
+            key.stacked_ba, wide.galois_keys.keys[pair].stacked_ba
+        )
+    for level, key in exact.relin_keys.items():
+        assert np.array_equal(key.stacked_ba, wide.relin_keys[level].stacked_ba)
+    for ct_exact, ct_wide in zip(
+        model.encrypt_input(exact, image), model.encrypt_input(wide, image),
+        strict=True,
+    ):
+        for a, b in zip(ct_exact.components, ct_wide.components):
+            assert np.array_equal(a.residues, b.residues)
 
 
 def test_model_only_params_rejected():

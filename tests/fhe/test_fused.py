@@ -1,4 +1,4 @@
-"""The fused evaluator sums and the three-transform encryption are
+"""The fused evaluator sums and the one-transform encryption are
 bit-identical to the sequential code they replace.
 
 ``multiply_plain_sum`` must equal ``multiply_plain`` + ``add`` and
@@ -25,7 +25,7 @@ from repro.fhe import (
 )
 from repro.fhe.ciphertext import Ciphertext, Plaintext
 from repro.fhe.poly import RnsPolynomial
-from repro.fhe.sampling import sample_gaussian, sample_ternary
+from repro.fhe.sampling import sample_gaussian, sample_uniform
 from repro.hecnn import tiny_mnist_model
 from repro.optypes import HeOp
 
@@ -196,16 +196,15 @@ def test_rescale_sum_rejects_level_one(ring):
 # -- encryption ---------------------------------------------------------------
 
 
-def _four_transform_encrypt(ctx, plaintext):
-    """``(b*u + e0 + m, a*u + e1)`` with every term transformed on its own."""
+def _unfused_encrypt(ctx, plaintext):
+    """``(-a*s + e + m, a)`` with the secret, ``e`` and ``m`` each
+    transformed on their own."""
     basis = plaintext.basis
-    u = sample_ternary(basis, ctx.rng).to_ntt()
-    e0 = sample_gaussian(basis, ctx.rng, ctx.params.error_std).to_ntt()
-    e1 = sample_gaussian(basis, ctx.rng, ctx.params.error_std).to_ntt()
+    a = sample_uniform(basis, ctx.rng)
+    e = sample_gaussian(basis, ctx.rng, ctx.params.error_std).to_ntt()
     m = plaintext.poly.to_ntt()
-    pk_b = ctx.public_key.b.drop_to_basis(basis)
-    pk_a = ctx.public_key.a.drop_to_basis(basis)
-    return pk_b * u + e0 + m, pk_a * u + e1
+    s = ctx.keygen.secret_key.to_basis(basis)
+    return -(a * s) + e + m, a
 
 
 @pytest.mark.parametrize("ntt_resident", [False, True], ids=["coeff", "ntt"])
@@ -223,13 +222,14 @@ def test_encrypt_equals_four_transform_formula(ring, ntt_resident, level):
     rows = fwd.value - before
     after = ring.rng.bit_generator.state
     ring.rng.bit_generator.state = state
-    c0, c1 = _four_transform_encrypt(ring, pt)
+    c0, c1 = _unfused_encrypt(ring, pt)
     assert ring.rng.bit_generator.state == after  # same draws, same order
     assert np.array_equal(ct.components[0].residues, c0.residues)
     assert np.array_equal(ct.components[1].residues, c1.residues)
     assert ct.scale == pt.scale
-    # u, e1 and e0 + m: three forward transforms of the basis.
-    assert rows == 3 * pt.level
+    # ``a`` is drawn in the NTT domain: one forward transform, of e + m
+    # (or of e alone beside an NTT-resident message).
+    assert rows == pt.level
 
 
 # -- lineage -------------------------------------------------------------------

@@ -32,14 +32,19 @@ def estimator(noise_ctx):
     return NoiseEstimator.for_context(noise_ctx)
 
 
-def test_fresh_bound_is_conservative(noise_ctx, estimator):
-    rng = np.random.default_rng(0)
-    x = rng.uniform(-1, 1, noise_ctx.slot_count)
-    ct = noise_ctx.encrypt_values(x)
-    bound = estimator.fresh(1.0)
-    measured = measured_noise_bits(noise_ctx, ct, x)
-    assert bound.error_bits <= measured  # never over-promise
-    assert measured - bound.error_bits < 5  # but stay within a few bits
+@pytest.mark.parametrize("seed", range(1, 13))
+@pytest.mark.parametrize("poly_degree", [512, 2048])
+def test_fresh_bound_is_conservative(poly_degree, seed):
+    """The fresh rule at both ring sizes the networks run at: eight
+    messages under each of twelve context seeds."""
+    ctx = CkksContext(tiny_test_params(poly_degree, 7), seed=seed)
+    bound = NoiseEstimator.for_context(ctx).fresh(1.0)
+    rng = np.random.default_rng(seed)
+    for _ in range(8):
+        x = rng.uniform(-1, 1, ctx.slot_count)
+        measured = measured_noise_bits(ctx, ctx.encrypt_values(x), x)
+        assert bound.error_bits <= measured  # never over-promise
+        assert measured - bound.error_bits < 5  # but stay within a few bits
 
 
 def test_bound_tracks_operation_chain(noise_ctx, estimator):

@@ -30,6 +30,9 @@ def test_mnist_preset_matches_paper():
     assert security_bits(8192, 210) == 128
     assert p.coeff_modulus_bits + p.special_prime_bits == 240
     assert p.security_level() == 0
+    assert p.security_summary() == {
+        "log_q": 210, "log_qp": 240, "security_level": None,
+    }
     assert p.is_functional
 
 
@@ -43,6 +46,9 @@ def test_cifar10_preset_matches_paper():
     assert p.level == 7
     assert p.coeff_modulus_bits == 252
     assert p.security_level() == 192
+    assert p.security_summary() == {
+        "log_q": 252, "log_qp": 288, "security_level": 192,
+    }
     assert not p.is_functional
 
 

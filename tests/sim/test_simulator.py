@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core import FxHennFramework
+from repro.core import FxHennFramework, explore
 from repro.fpga import acu9eg
 from repro.hecnn import fxhenn_mnist_model
 from repro.sim import AcceleratorSimulator
@@ -65,3 +65,16 @@ def test_spill_budget_slows_simulation(mnist_sim):
     rich = sim.simulate_layer(fc1, design.solution.point, 8192, 30, bram_budget=10_000)
     poor = sim.simulate_layer(fc1, design.solution.point, 8192, 30, bram_budget=300)
     assert poor > rich
+
+
+def test_bram_limited_design_simulates_at_its_limit():
+    """A design explored under ``bram_limit`` keeps that budget: the
+    simulator spills at the limit the layers were priced at, not at the
+    device's BRAM."""
+    trace = fxhenn_mnist_model().trace()
+    solution = explore(trace, acu9eg(), bram_limit=400).best
+    assert solution.bram_budget == 400
+    assert solution.is_feasible()
+    report = AcceleratorSimulator(acu9eg()).simulate(trace, solution)
+    assert report.analytic_cycles == solution.latency_cycles
+    assert abs(report.relative_error) < 0.25

@@ -123,7 +123,20 @@ def test_noise_per_layer_metrics_are_gated(tmp_path):
     metrics = {row["metric"] for row in report["rows"]}
     # The per-layer fan-out gates every layer of both networks.
     assert any("layers" in m and "analytic_bits" in m for m in metrics)
+    assert "networks.1.layers.4.measured_bits" in metrics
     assert "networks.0.min_gap_bits" in metrics
+
+
+def test_noise_record_identity_is_pinned(tmp_path):
+    fresh = tmp_path / "fresh"
+    fresh.mkdir()
+    record = json.loads((BASELINES / "BENCH_noise.json").read_text())
+    # A wider special prime: same chain, different key modulus.
+    record["networks"][1]["log_qp"] += 2
+    (fresh / "BENCH_noise.json").write_text(json.dumps(record))
+    proc = _run("--only", "BENCH_noise", "--fresh-dir", str(fresh))
+    assert proc.returncode == 1
+    assert "FAIL BENCH_noise:networks.1.log_qp" in proc.stdout
 
 
 def test_missing_fresh_record_is_a_hard_error(tmp_path):

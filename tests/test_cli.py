@@ -59,6 +59,8 @@ def test_infer_tiny(capsys):
     out = capsys.readouterr().out
     assert "max CKKS error" in out
     assert "OK" in out
+    # The HE standard has no entry for N=512.
+    assert "log Q = 196, log QP = 224, security none" in out
 
 
 def test_profile_tiny(tmp_path, capsys):
@@ -83,6 +85,8 @@ def test_profile_json_format(capsys):
     assert main(["profile", "--network", "tiny", "--format", "json"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["network"] == "Tiny-MNIST"
+    assert (payload["log_q"], payload["log_qp"]) == (196, 224)
+    assert payload["security_level"] is None
     assert payload["wall_s"] > 0
     assert payload["max_ckks_error"] < 1.0
     layer = payload["layers"][0]
