@@ -222,6 +222,7 @@ def test_bench_fastpath_end_to_end(save_report, monkeypatch):
     speedup = baseline_seconds / fast_seconds
     payload = {
         "benchmark": "encrypted FxHENN-MNIST forward (N=2048, L=7)",
+        **params.security_summary(),
         "baseline": {
             "seconds": baseline_seconds,
             "transforms": baseline_stats,

@@ -145,6 +145,9 @@ class KeyGenerator:
         self.secret_key = SecretKey(
             signed_coeffs=sample_ternary(poly_degree, key_stream(seed, SECRET))
         )
+        #: The NTT-form secret per extended level, transformed once for
+        #: every key generated at that level.
+        self._extended_secrets: dict[int, RnsPolynomial] = {}
 
     # -- bases ------------------------------------------------------------------
 
@@ -166,7 +169,9 @@ class KeyGenerator:
         own stream.
         """
         ext = self.extended_basis(level)
-        s = self.secret_key.to_basis(ext)
+        s = self._extended_secrets.get(level)
+        if s is None:
+            s = self._extended_secrets[level] = self.secret_key.to_basis(ext)
         s_prime = _signed_to_basis(target_signed, ext).to_ntt()
         q_chain = self.chain_primes[:level]
         big_q = 1

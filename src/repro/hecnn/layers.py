@@ -324,11 +324,10 @@ class PackedDense(_MatrixLayer):
 class PackedDiagonalDense(_MatrixLayer):
     """Fully connected layer by generalized diagonals (a **KS** layer).
 
-    Baby-step rotations of the input (one hoisted decomposition), per giant
-    step ``n1`` PCmults by pre-rotated diagonals summed
-    (:meth:`~repro.fhe.ops.Evaluator.multiply_plain_sum`) before one
-    Rescale and one giant rotation, a fold adding the ``S / m`` copies of
-    each row, and a bias PCadd.  See
+    One :meth:`~repro.fhe.ops.Evaluator.multiply_diagonals`: baby-step
+    rotations of the input, per giant step ``n1`` PCmults by pre-rotated
+    diagonals summed before one Rescale and one giant rotation.  Then a
+    fold adds the ``S / m`` copies of each row, and a bias PCadd.  See
     :class:`~repro.hecnn.packing.DiagonalPacking`.
     """
 
@@ -338,24 +337,11 @@ class PackedDiagonalDense(_MatrixLayer):
         if len(cts) != 1:
             raise ValueError(f"expected 1 ciphertext, got {len(cts)}")
         pk = self.packing
-        babies = evaluator.rotate_hoisted(cts[0], pk.baby_steps())
-        # Encoded at the prime the Rescale divides out, so each giant
-        # step's sum returns to the input scale.
-        q_last = float(cts[0].basis.primes[-1])
-        total: Ciphertext | None = None
-        for g, giant in enumerate(pk.giant_steps()):
-            pts = [
-                evaluator.encode_cached(
-                    lambda g=g, b=b: pk.weight_vector(g, b, self.weights),
-                    level=baby.level,
-                    scale=q_last,
-                    cache_key=(self._cache_token, "w", g, b),
-                )
-                for b, baby in enumerate(babies)
-            ]
-            partial = evaluator.multiply_plain_sum(babies, pts)
-            partial = evaluator.rotate(evaluator.rescale(partial), giant)
-            total = partial if total is None else evaluator.add(total, partial)
+        total = evaluator.multiply_diagonals(
+            cts[0], pk.baby_steps(), pk.giant_steps(),
+            lambda g, b: pk.weight_vector(g, b, self.weights),
+            cache_key=(self._cache_token, "w"),
+        )
         total = evaluator.rotate_fold(total, pk.fold_steps())
         bias_pt = evaluator.encode_cached(
             lambda: pk.bias_vector(self.bias),

@@ -109,13 +109,20 @@ def test_lineage_bounds_every_op(net, ctx, image):
         node.noise_bits_after is not None for node in tracker.nodes.values()
     )
     fc1 = {n.op for n in tracker.nodes.values() if n.layer == "Fc1"}
-    assert fc1 == {"Rotate", "PCmultSum", "CCadd", "Rescale", "RotateFold",
-                   "PCadd"}
-    # Each giant step sums the products of all the baby rotations.
-    pk = net.layers[2].packing
-    sums = [n for n in tracker.nodes.values() if n.op == "PCmultSum"]
-    assert len(sums) == pk.giant
-    assert all(len(n.parents) == pk.baby for n in sums)
+    # The four fold steps run as a hoisted group of three and one Rotate
+    # and CCadd.
+    assert fc1 == {"BSGS", "RotateFold", "Rotate", "CCadd", "PCadd"}
+    # The whole baby-step/giant-step product is one node on Act1's output,
+    # bounded as the logical loop it replaces (the dry run's bound).
+    (bsgs,) = [n for n in tracker.nodes.values() if n.op == "BSGS"]
+    (parent,) = bsgs.parents
+    assert tracker.nodes[parent].layer == "Act1"
+    assert bsgs.level_after == bsgs.level_before - 1
+    dry = net.noise_profile(ctx)
+    rows = tracker.waterfall()
+    assert [r["layer"] for r in rows] == [name for name, _ in dry]
+    for (name, bound), row in zip(dry, rows):
+        assert bound.error_bits == pytest.approx(row["exit_bits"], abs=1e-5)
 
 
 def test_mnist_n2048_fc1_is_diagonal():
