@@ -43,14 +43,24 @@ twiddle tables are pre-transposed at plan build.  The inverse enters in
 transposed layout and untransposes once its block size grows past the
 crossover.
 
-**Wide/narrow execution.**  Very large batches run one prime at a time
-with scalar modulus constants and contiguous pre-expanded twiddles ("wide");
-everything else runs all ``(row, prime)`` pairs in one stacked call per
-stage ("narrow").  Narrow stages use *fully tiled* twiddle and modulus
-tables — expanded to the exact contiguous shape of the butterfly operands,
-cached per batch height — because numpy's stride-0 broadcast inner loops
-are ~1.5-2x slower than same-shape contiguous passes at these sizes.
-Both paths share the same plan tables and are bit-identical.
+**Plans and wide/narrow execution.**  A plan holds one table set per
+direction, built under the plan's lock the first time that direction
+runs.  Every stage's twiddles and partners are laid out contiguously as
+its butterfly operand: ``(L, m, t)`` in the standard layout and ``(L, K,
+t * m1)`` in the transposed tail (expanded over ``t``).  Plans of two or
+more primes also hold per-prime rows: ``2**k * q`` at ``(L, N/2)`` for
+the butterflies, and ``q`` and ``floor(2**32 / q)`` (inverse: also ``1/N``
+and its Shoup quotient) at ``(L, N)`` for the passes over whole rows.
+Such a plan runs a stack of a few dozen ``(row, prime)`` pairs at most
+"narrow": all pairs in one numpy call per stage, its tables broadcast over
+the stack's rows as views of the data's shape (numpy takes a slower path
+when it broadcasts operands itself).  Single-prime stacks and larger
+stacks run "wide": one prime at a time, with scalar constants.  Either way
+every pass has a contiguous inner axis, because numpy's stride-0 inner
+loops are ~1.5-2x slower than contiguous passes at these sizes.  At
+N=2048 and 28-bit primes one direction's stages hold 176 KiB per prime,
+and its rows 48 KiB (forward) or 96 KiB (inverse).  Both paths read the
+same tables and are bit-identical.
 """
 
 from __future__ import annotations
@@ -67,19 +77,15 @@ _M32 = _U64(0xFFFFFFFF)
 _SH = _U64(32)
 
 #: Stacked batches with at most this many total (row, prime) rows run the
-#: tiled narrow path; beyond it the per-prime wide path wins (and tiled
-#: tables would grow past their memory budget).  The inverse flips to wide
-#: earlier: its transposed-entry stages thrash harder on large stacks.
+#: narrow path; beyond it the per-prime wide path wins.  The inverse flips
+#: to wide earlier: its transposed-entry stages thrash harder on large
+#: stacks.
 NARROW_MAX_R_FORWARD = 28
 NARROW_MAX_R_INVERSE = 16
 
-#: Skip tiling (fall back to wide) when one tiled stage table would exceed
-#: this many elements; also caps per-plan tiled-cache memory.
-TILE_MAX_ELEMS = 1 << 16
-
-#: Maximum distinct batch heights cached per plan and direction before the
-#: tiled-table cache is reset.
-TILE_CACHE_ENTRIES = 8
+#: A stack whose stage operands exceed this many elements (R * N/2) runs
+#: wide too: at N=8192 an 8-prime, 3-row forward is ~25% slower narrow.
+NARROW_MAX_ELEMS = 1 << 16
 
 
 def _crossover(n: int) -> int:
@@ -92,263 +98,205 @@ def _crossover(n: int) -> int:
     return tx
 
 
+def _layout(w: np.ndarray, m: int, t: int, m1: int) -> np.ndarray:
+    """Stage ``m``'s twiddles ``w[:, m:2m]`` as a contiguous ``(L, blocks,
+    width)`` butterfly operand: ``(L, m, t)``, or ``(L, m // m1, t * m1)``
+    in the transposed tail (``m1 > 0``), expanded over ``t``."""
+    level = w.shape[0]
+    block = w[:, m : 2 * m]
+    if m1:
+        k = m // m1
+        src = block.reshape(level, m1, k).transpose(0, 2, 1)[:, :, None]
+        shape = (level, k, t, m1)
+    else:
+        src, shape = block[:, :, None], (level, m, t)
+    return np.ascontiguousarray(np.broadcast_to(src, shape)).reshape(
+        level, shape[1], -1
+    )
+
+
+def _bcast(a: np.ndarray, rows: int) -> np.ndarray:
+    return a if rows == 1 else np.broadcast_to(a, (rows,) + a.shape)
+
+
+class _Tables:
+    """One direction's tables of a plan.
+
+    ``stages`` holds one ``(tail, w, w2, k, renorm)`` per stage, in the
+    order the stages run: whether it runs in the transposed tail, its
+    twiddles and their partners (``w`` and ``w2`` laid out by
+    :func:`_layout`), the index
+    ``k`` of its fourth operand ``2**k * q`` in ``q_pow`` (``2q`` forward,
+    the lift offset inverse) and whether it renormalizes first.
+    ``cols`` holds the per-prime constants as ``(..., L, 1)`` columns, for
+    the wide path's scalars: ``2**k * q``, then ``q`` and ``floor(2**32 /
+    q)`` (inverse: also ``1/N`` and its Shoup quotient).  Plans of two or
+    more primes, which run narrow, also hold them as rows: ``q_pow`` is
+    ``(K, L, N/2)`` and ``whole`` the ``(L, N)`` rows of the passes over
+    whole residue rows.
+    """
+
+    __slots__ = ("n", "stages", "cols", "q_pow", "whole", "_views", "_lock")
+
+    def __init__(self, plan: "MontgomeryPlan", w, w2, stages, cols) -> None:
+        n = self.n = plan.n
+        self.stages = []
+        for m, k, renorm in stages:
+            t = n // (2 * m)
+            m1 = plan.m1 if plan.m1 and m >= plan.m1 else 0
+            self.stages.append(
+                (bool(m1), _layout(w, m, t, m1), _layout(w2, m, t, m1), k, renorm)
+            )
+        self.cols = cols
+        self.q_pow, self.whole = None, ()
+        if plan.level > 1:
+            self.q_pow = np.ascontiguousarray(
+                np.broadcast_to(cols[0], cols[0].shape[:-1] + (n // 2,))
+            )
+            self.whole = tuple(
+                np.ascontiguousarray(np.broadcast_to(c, (c.shape[0], n)))
+                for c in cols[1:]
+            )
+        self._views: dict[tuple[int, int | None], _Views] = {}
+        self._lock = plan._lock
+
+    def views(self, rows: int, prime: int | None) -> "_Views":
+        """Operands for ``rows`` rows of every prime (``prime is None``), or
+        for prime ``prime`` of a stack of any height (``rows == 1``)."""
+        key = (rows, prime)
+        views = self._views.get(key)
+        if views is None:
+            with self._lock:
+                views = self._views.get(key)
+                if views is None:
+                    views = self._views[key] = _Views(self, rows, prime)
+        return views
+
+
+class _Views:
+    """Views of one direction's tables shaped as one stack's operands.
+
+    The narrow path runs all primes of a ``rows``-high stack: every table
+    is laid out as its pass's operand, broadcast over the rows, so that all
+    operands of a pass have one shape (numpy takes a slower path when it
+    broadcasts them itself).  The wide path runs one prime over a stack of
+    any height with scalar constants; its shapes omit the rows.
+    """
+
+    __slots__ = ("std", "tail", "row_shape", "consts")
+
+    def __init__(self, tab: _Tables, rows: int, prime: int | None) -> None:
+        n = tab.n
+        level = tab.cols[0].shape[1] if prime is None else 1
+        lead = () if rows == 1 else (rows,)
+        self.std: list[tuple] = []
+        self.tail: list[tuple] = []
+        for tail, w, w2, k, renorm in tab.stages:
+            _, blocks, width = w.shape
+            b = level * blocks
+            if prime is None:
+                w, w2, q, c2 = (
+                    _bcast(a.reshape(b, width), rows)
+                    for a in (w, w2, tab.q_pow[0], tab.q_pow[k])
+                )
+            else:
+                w, w2 = w[prime], w2[prime]
+                q, c2 = tab.cols[0][0, prime, 0], tab.cols[0][k, prime, 0]
+            (self.tail if tail else self.std).append(
+                (lead + (b, 2 * width), lead + (b, width), width, w, w2, q, c2, renorm)
+            )
+        #: The stack as whole residue rows, for the passes over them.
+        self.row_shape = lead + (level * n,)
+        if prime is None:
+            self.consts = tuple(_bcast(c.reshape(-1), rows) for c in tab.whole)
+        else:
+            self.consts = tuple(c[prime, 0] for c in tab.cols[1:])
+
+
 class MontgomeryPlan:
     """Precomputed per-``(n, primes)`` tables for the Montgomery kernels.
 
     Builds on the shared :class:`~repro.fhe.ntt.BatchedNttContext` tables
     (roots, Shoup quotients) and adds Montgomery twiddles plus the
-    stage-by-stage layouts described in the module docstring.
+    stage-by-stage layouts described in the module docstring, one
+    :class:`_Tables` per direction, built when that direction first runs.
     """
 
     def __init__(self, n: int, primes: tuple[int, ...]) -> None:
-        ctx = get_batched_ntt_context(n, primes)
         self.n = n
         self.primes = tuple(int(q) for q in primes)
-        level = len(self.primes)
-        self.level = level
-        #: Per-prime scalar constants for the wide path.
-        self.qs = [_U64(q) for q in self.primes]
-        self.mus = [_U64((1 << 32) // q) for q in self.primes]
-        #: Column-shaped constants for the narrow path.
-        self.qs_col = ctx.qs.reshape(1, level, 1)
-        self.mus_col = np.array(
-            [(1 << 32) // q for q in self.primes], dtype=_U64
-        ).reshape(1, level, 1)
+        self.level = len(self.primes)
         #: Renormalize when the lazy bound (in units of q) would pass this.
         self.bmax = (1 << 32) // max(self.primes)
         tx = _crossover(n)
-        self.tx = tx
+        #: Inner axis of the transposed tail (0: no tail).
+        self.m1 = n // (2 * tx) if tx else 0
+        self._lock = threading.Lock()
+        self._forward: _Tables | None = None
+        self._inverse: _Tables | None = None
 
+    def narrow(self, rows: int, max_r: int) -> bool:
+        """Whether a ``rows``-high stack runs all its (row, prime) pairs in
+        one call per stage."""
+        r = rows * self.level
+        return self.level > 1 and r <= max_r and r * (self.n // 2) <= NARROW_MAX_ELEMS
+
+    def forward_tables(self) -> _Tables:
+        if self._forward is None:
+            with self._lock:
+                if self._forward is None:
+                    self._forward = self._build_forward()
+        return self._forward
+
+    def inverse_tables(self) -> _Tables:
+        if self._inverse is None:
+            with self._lock:
+                if self._inverse is None:
+                    self._inverse = self._build_inverse()
+        return self._inverse
+
+    def _mus(self) -> np.ndarray:
+        return np.array(
+            [(1 << 32) // q for q in self.primes], dtype=_U64
+        ).reshape(-1, 1)
+
+    def _build_forward(self) -> _Tables:
+        ctx = get_batched_ntt_context(self.n, self.primes)
         # Montgomery twiddles and their REDC partners, in the bit-reversed
         # stage order consumed by the Cooley-Tukey butterflies.
         wt = (ctx.psi_bitrev << _SH) % ctx.qs
-        qp_col = np.array(
+        qp = np.array(
             [(1 << 32) - pow(q, -1, 1 << 32) for q in self.primes], dtype=_U64
-        ).reshape(level, 1)
-        wp = (wt * qp_col) & _M32
-
-        #: Standard-layout forward stages: (t, m, twiddles, redc_partners)
-        #: with tables pre-expanded to contiguous (L, m, t).
-        self.std_f: list[tuple[int, int, np.ndarray, np.ndarray]] = []
-        t = n
+        ).reshape(-1, 1)
+        wp = (wt * qp) & _M32
+        stages = []
+        bound = 1
         m = 1
-        while m < n and (tx == 0 or t // 2 > tx):
-            t //= 2
-            we = np.empty((level, m, t), dtype=_U64)
-            pe = np.empty((level, m, t), dtype=_U64)
-            we[...] = wt[:, m : 2 * m, None]
-            pe[...] = wp[:, m : 2 * m, None]
-            self.std_f.append((t, m, we, pe))
+        while m < self.n:
+            renorm = bound + 2 > self.bmax
+            bound = (2 if renorm else bound) + 2
+            stages.append((m, 1, renorm))
             m *= 2
-        #: Transposed-tail forward stages: (t, K, twiddles, redc_partners)
-        #: with tables shaped (L, K, 1, m1) for the (rows, K, 2t, m1) view.
-        self.tail_f: list[tuple[int, int, np.ndarray, np.ndarray]] = []
-        self.m1 = 0
-        if tx and m < n:
-            m1 = n // (2 * tx)
-            self.m1 = m1
-            while m < n:
-                K = m // m1
-                we = np.ascontiguousarray(
-                    wt[:, m : 2 * m].reshape(level, m1, K).transpose(0, 2, 1)
-                ).reshape(level, K, 1, m1)
-                pe = np.ascontiguousarray(
-                    wp[:, m : 2 * m].reshape(level, m1, K).transpose(0, 2, 1)
-                ).reshape(level, K, 1, m1)
-                self.tail_f.append((n // (2 * m), K, we, pe))
-                m *= 2
+        q_pow = ctx.qs << np.arange(2, dtype=_U64).reshape(-1, 1, 1)
+        return _Tables(self, wt, wp, stages, (q_pow, ctx.qs, self._mus()))
 
+    def _build_inverse(self) -> _Tables:
         # Inverse stages use the plain/Shoup pair from the shared context.
-        wi = ctx.psi_inv_bitrev
-        wsi = ctx.psi_inv_shoup
-        #: Transposed-entry inverse stages: (t, h, K, twiddles, shoup).
-        self.tail_i: list[tuple[int, int, int, np.ndarray, np.ndarray]] = []
-        self.h1 = 0
-        m = n
-        t = 1
-        if tx:
-            h1 = n // (2 * tx)
-            self.h1 = h1
-            while m // 2 >= h1 and m > 1:
-                h = m // 2
-                K = h // h1
-                we = np.ascontiguousarray(
-                    wi[:, h : 2 * h].reshape(level, h1, K).transpose(0, 2, 1)
-                ).reshape(level, K, 1, h1)
-                se = np.ascontiguousarray(
-                    wsi[:, h : 2 * h].reshape(level, h1, K).transpose(0, 2, 1)
-                ).reshape(level, K, 1, h1)
-                self.tail_i.append((t, h, K, we, se))
-                t *= 2
-                m = h
-        #: Standard-layout inverse stages: (t, h, twiddles, shoup).
-        self.std_i: list[tuple[int, int, np.ndarray, np.ndarray]] = []
-        while m > 1:
-            h = m // 2
-            we = np.empty((level, h, t), dtype=_U64)
-            se = np.empty((level, h, t), dtype=_U64)
-            we[...] = wi[:, h : 2 * h, None]
-            se[...] = wsi[:, h : 2 * h, None]
-            self.std_i.append((t, h, we, se))
-            t *= 2
-            m = h
-        self.n_inv = [_U64(v) for v in ctx.n_inv.ravel()]
-        self.n_inv_shoup = [_U64(v) for v in ctx.n_inv_shoup.ravel()]
-        self.n_inv_col = ctx.n_inv.reshape(1, level, 1)
-        self.n_inv_shoup_col = ctx.n_inv_shoup.reshape(1, level, 1)
-        self._qs_vec = np.array(self.primes, dtype=_U64)
-        self._mus_vec = np.array([(1 << 32) // q for q in self.primes], dtype=_U64)
-        self._tiled_f: dict[int, _TiledForward] = {}
-        self._tiled_i: dict[int, _TiledInverse] = {}
-        self._tile_lock = threading.Lock()
-
-    # -- tiled narrow tables -------------------------------------------------------
-
-    def _tile(self, table: np.ndarray, rows: int) -> np.ndarray:
-        """Expand a per-prime stage table to the full contiguous operand shape.
-
-        ``table`` is ``(level, *stage)`` (with a possible broadcast axis of
-        length 1 inside ``stage``); the result is ``(rows * level, *stage)``
-        with every axis materialized, so narrow-stage passes never touch a
-        stride-0 operand.
-        """
-        level = self.level
-        shape = (rows, level) + table.shape[1:]
-        out = np.ascontiguousarray(np.broadcast_to(table[None], shape))
-        return out.reshape((rows * level,) + table.shape[1:])
-
-    def _tile_const(self, values: np.ndarray, rows: int, width: int) -> np.ndarray:
-        """Tile per-prime scalars to a contiguous ``(rows * level, width)``."""
-        shape = (rows, self.level, width)
-        out = np.ascontiguousarray(np.broadcast_to(values[None, :, None], shape))
-        return out.reshape(rows * self.level, width)
-
-    def tiled_forward(self, rows: int) -> "_TiledForward | None":
-        if rows * self.level * (self.n // 2) > TILE_MAX_ELEMS:
-            return None
-        tab = self._tiled_f.get(rows)
-        if tab is None:
-            with self._tile_lock:
-                tab = self._tiled_f.get(rows)
-                if tab is None:
-                    if len(self._tiled_f) >= TILE_CACHE_ENTRIES:
-                        self._tiled_f.clear()
-                    tab = self._tiled_f[rows] = _TiledForward(self, rows)
-        return tab
-
-    def tiled_inverse(self, rows: int) -> "_TiledInverse | None":
-        if rows * self.level * (self.n // 2) > TILE_MAX_ELEMS:
-            return None
-        tab = self._tiled_i.get(rows)
-        if tab is None:
-            with self._tile_lock:
-                tab = self._tiled_i.get(rows)
-                if tab is None:
-                    if len(self._tiled_i) >= TILE_CACHE_ENTRIES:
-                        self._tiled_i.clear()
-                    tab = self._tiled_i[rows] = _TiledInverse(self, rows)
-        return tab
-
-
-class _TiledForward:
-    """Forward narrow-stage tables tiled for one batch height.
-
-    The renormalization schedule is replayed at build time (it depends only
-    on the plan), so the runtime loop consumes precomputed ``renorm`` flags
-    and stays bit-identical to the untiled schedule.
-    """
-
-    __slots__ = ("qn", "mun", "qh", "two_qh", "std", "tail")
-
-    def __init__(self, plan: MontgomeryPlan, rows: int) -> None:
-        n, half = plan.n, plan.n // 2
-        self.qn = plan._tile_const(plan._qs_vec, rows, n)
-        self.mun = plan._tile_const(plan._mus_vec, rows, n)
-        self.qh = self.qn[:, :half].copy()
-        self.two_qh = self.qh * _U64(2)
-        self.std = []
-        self.tail = []
+        ctx = get_batched_ntt_context(self.n, self.primes)
+        stages = []
         bound = 1
-        for t, m, we, pe in plan.std_f:
-            renorm = bound + 2 > plan.bmax
+        m = self.n // 2
+        while m:
+            renorm = 2 * bound > self.bmax
             if renorm:
                 bound = 2
-            self.std.append((t, m, plan._tile(we, rows), plan._tile(pe, rows), renorm))
-            bound += 2
-        for t, K, we, pe in plan.tail_f:
-            renorm = bound + 2 > plan.bmax
-            if renorm:
-                bound = 2
-            # (level, K, 1, m1) -> (R, K, t, m1): materialize the broadcast
-            # t axis too, so the butterfly passes are fully contiguous.
-            wide_t = np.broadcast_to(we, (plan.level, K, t, plan.m1))
-            wide_p = np.broadcast_to(pe, (plan.level, K, t, plan.m1))
-            self.tail.append(
-                (t, K, plan._tile(wide_t, rows), plan._tile(wide_p, rows), renorm)
-            )
-            bound += 2
-
-
-class _TiledInverse:
-    """Inverse narrow-stage tables (twiddles, Shoup pairs, lift offsets)."""
-
-    __slots__ = ("qn", "mun", "qh", "n_inv_n", "n_inv_shoup_n", "tail", "std")
-
-    def __init__(self, plan: MontgomeryPlan, rows: int) -> None:
-        n, half = plan.n, plan.n // 2
-        self.qn = plan._tile_const(plan._qs_vec, rows, n)
-        self.mun = plan._tile_const(plan._mus_vec, rows, n)
-        self.n_inv_n = plan._tile_const(
-            np.array([int(v) for v in plan.n_inv], dtype=_U64), rows, n
-        )
-        self.n_inv_shoup_n = plan._tile_const(
-            np.array([int(v) for v in plan.n_inv_shoup], dtype=_U64), rows, n
-        )
-        qh = self.qh = self.qn[:, :half].copy()
-        offs: dict[int, np.ndarray] = {}
-
-        def off_for(bound: int) -> np.ndarray:
-            arr = offs.get(bound)
-            if arr is None:
-                arr = offs[bound] = qh * _U64(bound)
-            return arr
-
-        self.tail = []
-        self.std = []
-        bound = 1
-        for t, h, K, we, se in plan.tail_i:
-            renorm = 2 * bound > plan.bmax
-            if renorm:
-                bound = 2
-            wide_t = np.broadcast_to(we, (plan.level, K, t, plan.h1))
-            wide_s = np.broadcast_to(se, (plan.level, K, t, plan.h1))
-            self.tail.append(
-                (
-                    t,
-                    h,
-                    K,
-                    plan._tile(wide_t, rows),
-                    plan._tile(wide_s, rows),
-                    off_for(bound),
-                    renorm,
-                )
-            )
+            stages.append((m, bound.bit_length() - 1, renorm))
             bound *= 2
-        for t, h, we, se in plan.std_i:
-            renorm = 2 * bound > plan.bmax
-            if renorm:
-                bound = 2
-            self.std.append(
-                (
-                    t,
-                    h,
-                    plan._tile(we, rows),
-                    plan._tile(se, rows),
-                    off_for(bound),
-                    renorm,
-                )
-            )
-            bound *= 2
+            m //= 2
+        kmax = max(k for _, k, _ in stages)
+        q_pow = ctx.qs << np.arange(kmax + 1, dtype=_U64).reshape(-1, 1, 1)
+        cols = (q_pow, ctx.qs, self._mus(), ctx.n_inv, ctx.n_inv_shoup)
+        return _Tables(self, ctx.psi_inv_bitrev, ctx.psi_inv_shoup, stages, cols)
 
 
 def _approx_reduce(x: np.ndarray, mu, q) -> None:
@@ -357,6 +305,12 @@ def _approx_reduce(x: np.ndarray, mu, q) -> None:
     hi >>= _SH
     hi *= q
     x -= hi
+
+
+def _cond_sub(x: np.ndarray, q) -> None:
+    """``[0, 2q) -> [0, q)``, in place."""
+    mask = x >= q
+    np.subtract(x, np.multiply(mask, q, dtype=_U64), out=x)
 
 
 def _fwd_stage(u, v, tv, mm, we, pe, q, two_q) -> None:
@@ -388,261 +342,92 @@ def _inv_stage(u, v, d, hi, we, se, q, off) -> None:
     np.subtract(v, hi, out=v)
 
 
-def _exit_reduce(x: np.ndarray, mu, q) -> None:
-    """Exact ``-> [0, q)`` exit: approximate reduce + conditional subtract."""
-    _approx_reduce(x, mu, q)
-    mask = x >= q
-    np.subtract(x, np.multiply(mask, q, dtype=_U64), out=x)
-
-
-def plan_forward(
-    plan: MontgomeryPlan, flat: np.ndarray, mode: str | None = None
-) -> np.ndarray:
-    """Forward NTT of a ``(rows, L, N)`` uint64 working copy (mutated)."""
-    rows = flat.shape[0]
-    if mode is None:
-        wide = rows * plan.level > NARROW_MAX_R_FORWARD
-    else:
-        wide = mode == "wide"
-    s1 = np.empty(flat.size // 2, dtype=_U64)
-    s2 = np.empty(flat.size // 2, dtype=_U64)
-    if wide:
-        return _forward_wide(plan, flat, s1, s2)
-    return _forward_narrow(plan, flat, s1, s2)
-
-
-def plan_inverse(
-    plan: MontgomeryPlan, flat: np.ndarray, mode: str | None = None
-) -> np.ndarray:
-    """Inverse NTT of a ``(rows, L, N)`` uint64 working copy (mutated)."""
-    rows = flat.shape[0]
-    if mode is None:
-        wide = rows * plan.level > NARROW_MAX_R_INVERSE
-    else:
-        wide = mode == "wide"
-    s1 = np.empty(flat.size // 2, dtype=_U64)
-    s2 = np.empty(flat.size // 2, dtype=_U64)
-    if wide:
-        return _inverse_wide(plan, flat, s1, s2)
-    return _inverse_narrow(plan, flat, s1, s2)
-
-
-def _forward_wide(plan, flat, s1, s2):
-    n = plan.n
-    rows = flat.shape[0]
-    bmax = plan.bmax
-    for i in range(plan.level):
-        x = np.ascontiguousarray(flat[:, i, :])
-        q, mu = plan.qs[i], plan.mus[i]
-        two_q = q * _U64(2)
-        bound = 1
-        for t, m, we, pe in plan.std_f:
-            if bound + 2 > bmax:
-                _approx_reduce(x, mu, q)
-                bound = 2
-            blocks = x.reshape(rows, m, 2 * t)
-            cnt = rows * m * t
-            _fwd_stage(
-                blocks[..., :t],
-                blocks[..., t:],
-                s1[:cnt].reshape(rows, m, t),
-                s2[:cnt].reshape(rows, m, t),
-                we[i],
-                pe[i],
-                q,
-                two_q,
-            )
-            bound += 2
-        if plan.tail_f:
-            m1 = plan.m1
-            y = np.ascontiguousarray(x.reshape(rows, m1, n // m1).transpose(0, 2, 1))
-            for tcur, K, we, pe in plan.tail_f:
-                if bound + 2 > bmax:
-                    _approx_reduce(y, mu, q)
-                    bound = 2
-                blocks = y.reshape(rows, K, 2 * tcur, m1)
-                cnt = rows * K * tcur * m1
-                _fwd_stage(
-                    blocks[:, :, :tcur],
-                    blocks[:, :, tcur:],
-                    s1[:cnt].reshape(rows, K, tcur, m1),
-                    s2[:cnt].reshape(rows, K, tcur, m1),
-                    we[i],
-                    pe[i],
-                    q,
-                    two_q,
-                )
-                bound += 2
-            x = np.ascontiguousarray(
-                y.reshape(rows, n // m1, m1).transpose(0, 2, 1)
-            ).reshape(rows, n)
-        _exit_reduce(x, mu, q)
-        flat[:, i, :] = x
-    return flat
-
-
-def _forward_narrow(plan, flat, s1, s2):
-    n, level = plan.n, plan.level
-    rows = flat.shape[0]
-    tab = plan.tiled_forward(rows)
-    if tab is None:
-        return _forward_wide(plan, flat, s1, s2)
-    R = rows * level
-    x = flat.reshape(R, n)
-    for t, m, we, pe, renorm in tab.std:
+def _stages(a, stages, kernel, lead, views, s1, s2) -> None:
+    """Run ``stages`` over ``a`` in place (``lead``: the wide path's rows)."""
+    q, mu = views.consts[:2]
+    row_shape = lead + views.row_shape
+    cnt = a.size // 2
+    for bshape, shape, width, w, w2, c, c2, renorm in stages:
         if renorm:
-            _approx_reduce(x, tab.mun, tab.qn)
-        blocks = x.reshape(R, m, 2 * t)
-        cnt = R * m * t
-        _fwd_stage(
-            blocks[..., :t],
-            blocks[..., t:],
-            s1[:cnt].reshape(R, m, t),
-            s2[:cnt].reshape(R, m, t),
-            we,
-            pe,
-            tab.qh.reshape(R, m, t),
-            tab.two_qh.reshape(R, m, t),
+            _approx_reduce(a.reshape(row_shape), mu, q)
+        blocks = a.reshape(lead + bshape)
+        shape = lead + shape
+        kernel(
+            blocks[..., :width],
+            blocks[..., width:],
+            s1[:cnt].reshape(shape),
+            s2[:cnt].reshape(shape),
+            w,
+            w2,
+            c,
+            c2,
         )
-    if tab.tail:
-        m1 = plan.m1
-        y = np.ascontiguousarray(x.reshape(R, m1, n // m1).transpose(0, 2, 1))
-        for tcur, K, we, pe, renorm in tab.tail:
-            if renorm:
-                _approx_reduce(y.reshape(R, n), tab.mun, tab.qn)
-            blocks = y.reshape(R, K, 2 * tcur, m1)
-            cnt = R * K * tcur * m1
-            _fwd_stage(
-                blocks[:, :, :tcur],
-                blocks[:, :, tcur:],
-                s1[:cnt].reshape(R, K, tcur, m1),
-                s2[:cnt].reshape(R, K, tcur, m1),
-                we,
-                pe,
-                tab.qh.reshape(R, K, tcur, m1),
-                tab.two_qh.reshape(R, K, tcur, m1),
-            )
-        x = np.ascontiguousarray(
-            y.reshape(R, n // m1, m1).transpose(0, 2, 1)
-        ).reshape(R, n)
-        flat = x.reshape(rows, level, n)
-    _exit_reduce(x, tab.mun, tab.qn)
-    return flat
 
 
-def _inverse_wide(plan, flat, s1, s2):
-    n = plan.n
-    rows = flat.shape[0]
-    bmax = plan.bmax
-    for i in range(plan.level):
-        q, mu = plan.qs[i], plan.mus[i]
-        x = np.ascontiguousarray(flat[:, i, :])
-        bound = 1
-        if plan.tail_i:
-            h1 = plan.h1
-            y = np.ascontiguousarray(x.reshape(rows, h1, n // h1).transpose(0, 2, 1))
-            for tcur, _h, K, we, se in plan.tail_i:
-                if 2 * bound > bmax:
-                    _approx_reduce(y, mu, q)
-                    bound = 2
-                blocks = y.reshape(rows, K, 2 * tcur, h1)
-                cnt = rows * K * tcur * h1
-                _inv_stage(
-                    blocks[:, :, :tcur],
-                    blocks[:, :, tcur:],
-                    s1[:cnt].reshape(rows, K, tcur, h1),
-                    s2[:cnt].reshape(rows, K, tcur, h1),
-                    we[i],
-                    se[i],
-                    q,
-                    q * _U64(bound),
-                )
-                bound *= 2
-            x = np.ascontiguousarray(
-                y.reshape(rows, n // h1, h1).transpose(0, 2, 1)
-            ).reshape(rows, n)
-        for t, h, we, se in plan.std_i:
-            if 2 * bound > bmax:
-                _approx_reduce(x, mu, q)
-                bound = 2
-            blocks = x.reshape(rows, h, 2 * t)
-            cnt = rows * h * t
-            _inv_stage(
-                blocks[..., :t],
-                blocks[..., t:],
-                s1[:cnt].reshape(rows, h, t),
-                s2[:cnt].reshape(rows, h, t),
-                we[i],
-                se[i],
-                q,
-                q * _U64(bound),
-            )
-            bound *= 2
-        # 1/N Shoup scaling fused with the exact exit reduction.
-        hi = np.multiply(x, plan.n_inv_shoup[i])
-        hi >>= _SH
-        hi *= q
-        x *= plan.n_inv[i]
-        x -= hi
-        mask = x >= q
-        np.subtract(x, np.multiply(mask, q, dtype=_U64), out=x)
-        flat[:, i, :] = x
-    return flat
+def _to_tail(x: np.ndarray, m1: int) -> np.ndarray:
+    n = x.shape[-1]
+    return np.ascontiguousarray(x.reshape(-1, m1, n // m1).transpose(0, 2, 1))
 
 
-def _inverse_narrow(plan, flat, s1, s2):
-    n, level = plan.n, plan.level
-    rows = flat.shape[0]
-    tab = plan.tiled_inverse(rows)
-    if tab is None:
-        return _inverse_wide(plan, flat, s1, s2)
-    R = rows * level
-    x = flat.reshape(R, n)
-    if tab.tail:
-        h1 = plan.h1
-        y = np.ascontiguousarray(x.reshape(R, h1, n // h1).transpose(0, 2, 1))
-        for tcur, _h, K, we, se, off, renorm in tab.tail:
-            if renorm:
-                _approx_reduce(y.reshape(R, n), tab.mun, tab.qn)
-            blocks = y.reshape(R, K, 2 * tcur, h1)
-            cnt = R * K * tcur * h1
-            _inv_stage(
-                blocks[:, :, :tcur],
-                blocks[:, :, tcur:],
-                s1[:cnt].reshape(R, K, tcur, h1),
-                s2[:cnt].reshape(R, K, tcur, h1),
-                we,
-                se,
-                tab.qh.reshape(R, K, tcur, h1),
-                off.reshape(R, K, tcur, h1),
-            )
-        x = np.ascontiguousarray(
-            y.reshape(R, n // h1, h1).transpose(0, 2, 1)
-        ).reshape(R, n)
-        flat = x.reshape(rows, level, n)
-    for t, h, we, se, off, renorm in tab.std:
-        if renorm:
-            _approx_reduce(x, tab.mun, tab.qn)
-        blocks = x.reshape(R, h, 2 * t)
-        cnt = R * h * t
-        _inv_stage(
-            blocks[..., :t],
-            blocks[..., t:],
-            s1[:cnt].reshape(R, h, t),
-            s2[:cnt].reshape(R, h, t),
-            we,
-            se,
-            tab.qn.reshape(R, 2, n // 2)[:, 0].reshape(R, h, t),
-            off.reshape(R, h, t),
-        )
-    hi = np.multiply(x, tab.n_inv_shoup_n)
+def _from_tail(y: np.ndarray, shape) -> np.ndarray:
+    return np.ascontiguousarray(y.transpose(0, 2, 1)).reshape(shape)
+
+
+def _forward(x, views, lead, m1, s1, s2) -> np.ndarray:
+    """Forward NTT of ``x`` in place (or a new array, past the tail)."""
+    _stages(x, views.std, _fwd_stage, lead, views, s1, s2)
+    if views.tail:
+        y = _to_tail(x, m1)
+        _stages(y, views.tail, _fwd_stage, lead, views, s1, s2)
+        x = _from_tail(y, x.shape)
+    # Exact exit: approximate reduce plus one conditional subtract.
+    q, mu = views.consts
+    xw = x.reshape(lead + views.row_shape)
+    _approx_reduce(xw, mu, q)
+    _cond_sub(xw, q)
+    return x
+
+
+def _inverse(x, views, lead, m1, s1, s2) -> np.ndarray:
+    """Inverse NTT of ``x`` in place (or a new array, past the tail)."""
+    if views.tail:
+        y = _to_tail(x, m1)
+        _stages(y, views.tail, _inv_stage, lead, views, s1, s2)
+        x = _from_tail(y, x.shape)
+    _stages(x, views.std, _inv_stage, lead, views, s1, s2)
+    # 1/N Shoup scaling fused with the exact exit reduction.
+    q, _mu, n_inv, n_inv_shoup = views.consts
+    xw = x.reshape(lead + views.row_shape)
+    hi = np.multiply(xw, n_inv_shoup)
     hi >>= _SH
-    hi *= tab.qn
-    x *= tab.n_inv_n
-    x -= hi
-    mask = x >= tab.qn
-    np.subtract(x, np.multiply(mask, tab.qn, dtype=_U64), out=x)
+    hi *= q
+    xw *= n_inv
+    xw -= hi
+    _cond_sub(xw, q)
+    return x
+
+
+def _run(plan: MontgomeryPlan, tab: _Tables, kernel, flat, max_r: int):
+    rows = flat.shape[0]
+    s1 = np.empty(flat.size // 2, dtype=_U64)
+    s2 = np.empty(flat.size // 2, dtype=_U64)
+    if plan.narrow(rows, max_r):
+        return kernel(flat, tab.views(rows, None), (), plan.m1, s1, s2)
+    lead = (rows,) if rows > 1 else ()
+    for i in range(plan.level):
+        x = np.ascontiguousarray(flat[:, i, :])
+        flat[:, i, :] = kernel(x, tab.views(1, i), lead, plan.m1, s1, s2)
     return flat
+
+
+def plan_forward(plan: MontgomeryPlan, flat: np.ndarray) -> np.ndarray:
+    """Forward NTT of a ``(rows, L, N)`` uint64 working copy (mutated)."""
+    return _run(plan, plan.forward_tables(), _forward, flat, NARROW_MAX_R_FORWARD)
+
+
+def plan_inverse(plan: MontgomeryPlan, flat: np.ndarray) -> np.ndarray:
+    """Inverse NTT of a ``(rows, L, N)`` uint64 working copy (mutated)."""
+    return _run(plan, plan.inverse_tables(), _inverse, flat, NARROW_MAX_R_INVERSE)
 
 
 class MontgomeryBackend(KernelBackend):

@@ -13,12 +13,14 @@ the FHE substrate; its hardware cost model (``LAT_NTT = log2(N) * N /
   backend runs it row by row; it is the one correctness oracle.
 * :class:`BatchedNttContext` — the per-chain tables shared by the
   production kernels and the ring code: stacked twiddles and their Shoup
-  quotients, tiled moduli, NTT-domain Galois permutations and the Rescale
-  inverses.
+  quotients, the ``(L, N)`` moduli of the element-wise kernels and the
+  Rescale inverses.
+* :func:`galois_permutation` — the NTT-domain Galois permutations, which
+  depend only on the ring degree: one array per ``(N, g)``.
 
 HE call sites transform through :func:`repro.fhe.kernels.active_backend`
-(``montgomery`` by default).  Contexts are cached in an explicit,
-inspectable registry (:func:`get_ntt_context` /
+(``montgomery`` by default).  Contexts and permutations are cached in
+explicit, inspectable registries (:func:`get_ntt_context` /
 :func:`get_batched_ntt_context`, :func:`clear_caches`,
 :func:`registry_info`), and every transform counts its per-row invocations
 in the ``ntt_transform_{calls,rows}`` registry counters so NTT-pressure
@@ -207,9 +209,8 @@ class BatchedNttContext:
     so kernels broadcast them over ``(..., L, N)`` residue matrices:
     bit-reversed twiddles, the Shoup quotients ``w' = floor(w * 2**32 /
     q)`` of the inverse twiddles and of ``1/N``, tiled moduli, plus lazily
-    built NTT-domain Galois permutations and Rescale inverses.  Since
-    q < 2**30, every Shoup product ``v * w'`` with ``v < 4q <= 2**32`` fits
-    in uint64.
+    built Rescale inverses.  Since q < 2**30, every Shoup product ``v *
+    w'`` with ``v < 4q <= 2**32`` fits in uint64.
     """
 
     def __init__(self, n: int, primes: tuple[int, ...]) -> None:
@@ -234,8 +235,6 @@ class BatchedNttContext:
         # instead.  Values are identical, so outputs stay bit-identical.
         self.qs_full = np.ascontiguousarray(np.broadcast_to(self.qs, (level, n)))
         self.qs_full_i64 = self.qs_full.astype(np.int64)
-        self._galois_perms: dict[int, np.ndarray] = {}
-        self._index_exponents: np.ndarray | None = None
         self._rescale_inverses: np.ndarray | None = None
         self._rescale_inv_tiled: tuple[np.ndarray, np.ndarray] | None = None
 
@@ -243,49 +242,9 @@ class BatchedNttContext:
     def level(self) -> int:
         return len(self.primes)
 
-    # -- NTT-domain Galois ---------------------------------------------------
-
-    def _exponent_map(self) -> np.ndarray:
-        """``e[i]``: forward output index ``i`` evaluates ``a(psi**e[i])``.
-
-        The map depends only on the butterfly wiring (identical for every
-        prime), so it is computed once against the first prime by
-        transforming the monomial ``X`` and taking discrete logs over the
-        precomputed odd powers of ``psi``.
-        """
-        if self._index_exponents is None:
-            ctx = get_ntt_context(self.n, self.primes[0])
-            mono = np.zeros(self.n, dtype=_U64)
-            mono[1] = 1
-            points = ctx.forward(mono)
-            pow_to_exp = {}
-            acc = ctx.psi
-            for k in range(1, 2 * self.n, 2):
-                pow_to_exp[acc] = k
-                acc = acc * ctx.psi * ctx.psi % ctx.q
-            self._index_exponents = np.array(
-                [pow_to_exp[int(v)] for v in points], dtype=np.int64
-            )
-        return self._index_exponents
-
     def galois_permutation(self, galois_element: int) -> np.ndarray:
-        """Index permutation realizing ``a(X) -> a(X**g)`` in the NTT domain.
-
-        ``out[..., i] = in[..., perm[i]]`` — evaluation points are permuted,
-        no arithmetic (and in particular no inverse/forward round trip) is
-        required.  The permutation is shared by every prime of the chain.
-        """
-        g = int(galois_element) % (2 * self.n)
-        if g % 2 == 0:
-            raise ValueError("Galois element must be odd")
-        perm = self._galois_perms.get(g)
-        if perm is None:
-            exps = self._exponent_map()
-            index_of_exp = np.full(2 * self.n, -1, dtype=np.int64)
-            index_of_exp[exps] = np.arange(self.n)
-            perm = index_of_exp[(exps * g) % (2 * self.n)]
-            self._galois_perms[g] = perm
-        return perm
+        """:func:`galois_permutation` at this chain's ring degree."""
+        return galois_permutation(self.n, galois_element)
 
     def rescale_inverses(self) -> np.ndarray:
         """``q_last^{-1} mod q_i`` for the leading primes, shaped ``(L-1, 1)``.
@@ -324,6 +283,8 @@ class BatchedNttContext:
 #: Explicit, inspectable context caches (previously an unbounded lru_cache).
 _NTT_REGISTRY: dict[tuple[int, int], NttContext] = {}
 _BATCHED_REGISTRY: dict[tuple[int, tuple[int, ...]], BatchedNttContext] = {}
+#: NTT-domain Galois permutations by ``(n, g)``, shared by every chain.
+_GALOIS_REGISTRY: dict[tuple[int, int], np.ndarray] = {}
 
 
 def get_ntt_context(n: int, q: int) -> NttContext:
@@ -344,15 +305,37 @@ def get_batched_ntt_context(n: int, primes: tuple[int, ...]) -> BatchedNttContex
     return ctx
 
 
-def clear_caches() -> None:
-    """Drop every cached NTT context and kernel-backend plan — test helper.
+def galois_permutation(n: int, galois_element: int) -> np.ndarray:
+    """Index permutation realizing ``a(X) -> a(X**g)`` in the NTT domain.
 
-    Covers both the context registries owned by this module and the
+    ``out[..., i] = in[..., perm[i]]`` — evaluation points are permuted,
+    no arithmetic (and in particular no inverse/forward round trip) is
+    required.  Forward output ``i`` evaluates ``a(psi**(2 * rev(i) + 1))``
+    for every prime, ``rev`` being the bit reversal (the butterflies
+    consume the powers of ``psi`` in bit-reversed order), so one array per
+    ``(n, g)`` serves every chain of degree ``n``.
+    """
+    g = int(galois_element) % (2 * n)
+    if g % 2 == 0:
+        raise ValueError("Galois element must be odd")
+    perm = _GALOIS_REGISTRY.get((n, g))
+    if perm is None:
+        rev = bit_reverse_indices(n)
+        perm = _GALOIS_REGISTRY[(n, g)] = rev[(2 * rev + 1) * g % (2 * n) // 2]
+    return perm
+
+
+def clear_caches() -> None:
+    """Drop every cached NTT context, Galois permutation and kernel-backend
+    plan — test helper.
+
+    Covers both the registries owned by this module and the
     per-backend precomputed plans owned by ``repro.fhe.kernels`` (imported
     lazily; kernels imports this module at load time).
     """
     _NTT_REGISTRY.clear()
     _BATCHED_REGISTRY.clear()
+    _GALOIS_REGISTRY.clear()
     from . import kernels
 
     kernels.clear_plans()
@@ -366,6 +349,7 @@ def registry_info() -> dict[str, object]:
     return {
         "ntt": sorted(_NTT_REGISTRY),
         "batched": sorted(_BATCHED_REGISTRY),
+        "galois": sorted(_GALOIS_REGISTRY),
         "kernel_plans": kernels.plans_info(),
     }
 

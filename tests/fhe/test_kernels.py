@@ -9,7 +9,9 @@ show in-flight work is never torn.  No tolerances anywhere.
 
 from __future__ import annotations
 
+import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -17,6 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.fhe import kernels
+from repro.fhe.kernels import montgomery
 from repro.fhe.modmath import generate_ntt_primes, shoup_precompute
 
 _U64 = np.uint64
@@ -142,6 +145,107 @@ def test_modmul_const_matches_modmul(name):
         N, PRIMES, a, consts, shoup_precompute(consts, qs)
     )
     assert np.array_equal(got, backend.modmul(N, PRIMES, a, consts))
+
+
+# -- montgomery at the networks' shapes ---------------------------------------------
+
+#: ``(N, prime bits, primes)`` of the stacks the networks transform: Tiny at
+#: N=512 (7 primes, here 30-bit ones, which renormalize more often than the
+#: network's 28-bit ones) and MNIST at N=2048 (7 primes plus P).  Both have
+#: a transposed tail.
+NETWORK_SHAPES = [
+    (n, bits, level)
+    for n, bits, top in ((512, 30, 7), (2048, 28, 8))
+    for level in (1, 2, top)
+]
+NETWORK_ROWS = (1, 2, 5, 25)
+
+
+def _stack(n, bits, level, rows, seed):
+    primes = tuple(generate_ntt_primes(bits, level, n))
+    qs = np.array(primes, dtype=_U64).reshape(-1, 1)
+    rng = np.random.default_rng(seed)
+    return primes, rng.integers(0, 2**62, (rows, level, n)).astype(_U64) % qs
+
+
+def test_network_shapes_run_both_paths():
+    """The cases below run the narrow and the wide path in each direction."""
+    for max_r in (montgomery.NARROW_MAX_R_FORWARD, montgomery.NARROW_MAX_R_INVERSE):
+        paths = {
+            kernels.MontgomeryPlan(n, tuple(generate_ntt_primes(bits, level, n)))
+            .narrow(rows, max_r)
+            for n, bits, level in NETWORK_SHAPES
+            for rows in NETWORK_ROWS
+        }
+        assert paths == {True, False}
+
+
+@pytest.mark.parametrize("direction", ["forward", "inverse"])
+@pytest.mark.parametrize("rows", NETWORK_ROWS)
+@pytest.mark.parametrize("n,bits,level", NETWORK_SHAPES)
+def test_montgomery_matches_reference_at_network_shapes(
+    n, bits, level, rows, direction
+):
+    primes, stack = _stack(n, bits, level, rows, seed=n + 10 * level + rows)
+    got = getattr(kernels.get_backend("montgomery"), direction)(n, primes, stack)
+    assert np.array_equal(got, getattr(REFERENCE, direction)(n, primes, stack))
+
+
+@pytest.mark.parametrize("direction", ["forward", "inverse"])
+@pytest.mark.parametrize("rows", [2, 5])
+def test_montgomery_matches_reference_on_worst_case_residues(rows, direction):
+    """Every residue ``q - 1`` drives the lazy bounds to their maximum."""
+    primes, stack = _stack(2048, 28, 8, rows, seed=0)
+    stack[...] = np.array(primes, dtype=_U64).reshape(-1, 1) - 1
+    got = getattr(kernels.get_backend("montgomery"), direction)(2048, primes, stack)
+    assert np.array_equal(got, getattr(REFERENCE, direction)(2048, primes, stack))
+
+
+def test_first_transforms_build_each_plan_table_once(monkeypatch):
+    """Threads making the first forward and inverse on a fresh plan at once
+    each get the reference's bits, from tables built once per direction."""
+    n, primes = 2048, tuple(generate_ntt_primes(28, 4, 2048))
+    builds = {"forward": 0, "inverse": 0}
+
+    def slow(direction):
+        build = getattr(kernels.MontgomeryPlan, f"_build_{direction}")
+
+        def wrapped(plan):
+            builds[direction] += 1
+            time.sleep(0.05)  # widen the window for a second builder
+            return build(plan)
+
+        return wrapped
+
+    for direction in builds:
+        monkeypatch.setattr(
+            kernels.MontgomeryPlan, f"_build_{direction}", slow(direction)
+        )
+    backend = kernels.MontgomeryBackend()
+    stacks = [_stack(n, 28, 4, rows, seed=rows)[1] for rows in (1, 3)]
+    jobs = [(d, s) for d in builds for s in stacks]
+    barrier = threading.Barrier(len(jobs))
+    matched: list[bool] = []
+
+    def worker(direction, stack):
+        barrier.wait(timeout=30)
+        got = getattr(backend, direction)(n, primes, stack)
+        expected = getattr(REFERENCE, direction)(n, primes, stack)
+        matched.append(np.array_equal(got, expected))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=worker, args=job) for job in jobs]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert matched == [True] * len(jobs)
+    assert builds == {"forward": 1, "inverse": 1}
 
 
 # -- registry selection ------------------------------------------------------------

@@ -128,6 +128,18 @@ def test_context_cache_returns_same_object():
     assert get_ntt_context(64, q) is get_ntt_context(64, q)
 
 
+def test_galois_permutations_are_shared_by_every_chain_of_one_degree():
+    from repro.fhe.ntt import clear_caches, get_batched_ntt_context, registry_info
+
+    a = get_batched_ntt_context(64, tuple(generate_ntt_primes(24, 2, 64)))
+    b = get_batched_ntt_context(64, tuple(generate_ntt_primes(28, 3, 64)))
+    g = pow(5, 3, 128)
+    assert a.galois_permutation(g) is b.galois_permutation(g)
+    assert (64, g) in registry_info()["galois"]
+    clear_caches()
+    assert registry_info()["galois"] == []
+
+
 def test_registry_is_inspectable_and_clearable():
     from repro.fhe.ntt import (
         clear_caches,

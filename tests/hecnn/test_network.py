@@ -12,7 +12,9 @@ from repro.fhe import (
     Evaluator,
     GaloisKeys,
     OperationRecorder,
+    clear_caches,
     fxhenn_mnist_params,
+    kernels,
     tiny_test_params,
 )
 from repro.hecnn import fxhenn_mnist_model, synthetic_mnist_image, tiny_mnist_model
@@ -177,12 +179,18 @@ MNIST_N2048 = CkksParameters(
 )
 
 
+#: The two benchmark networks: builder, parameters and one input.
+NETWORKS = {
+    "mnist-n2048": (fxhenn_mnist_model, MNIST_N2048,
+                    lambda: synthetic_mnist_image(seed=2)),
+    "tiny-n512": (tiny_mnist_model, tiny_test_params(poly_degree=512, level=7),
+                  lambda: np.random.default_rng(4).uniform(0, 1, (1, 8, 8))),
+}
+
+
 @pytest.mark.parametrize("build,params,image,rows", [
-    pytest.param(fxhenn_mnist_model, MNIST_N2048,
-                 lambda: synthetic_mnist_image(seed=2), 689, id="mnist-n2048"),
-    pytest.param(tiny_mnist_model, tiny_test_params(poly_degree=512, level=7),
-                 lambda: np.random.default_rng(4).uniform(0, 1, (1, 8, 8)),
-                 375, id="tiny-n512"),
+    pytest.param(*NETWORKS["mnist-n2048"], 689, id="mnist-n2048"),
+    pytest.param(*NETWORKS["tiny-n512"], 375, id="tiny-n512"),
 ])
 def test_request_ntt_rows(build, params, image, rows):
     """Forward plus inverse NTT rows of one warm request: encrypt, forward
@@ -195,6 +203,46 @@ def test_request_ntt_rows(build, params, image, rows):
     before = _rows("forward") + _rows("inverse")
     model.infer(ctx, image())
     assert _rows("forward") + _rows("inverse") - before == rows
+
+
+def _held_bytes(obj, owners: dict, seen: set) -> None:
+    """Collect into ``owners`` the base arrays that ``obj`` holds."""
+    if id(obj) in seen:
+        return
+    seen.add(id(obj))
+    if isinstance(obj, np.ndarray):
+        while isinstance(obj.base, np.ndarray):
+            obj = obj.base
+        owners[id(obj)] = obj
+        return
+    if isinstance(obj, dict):
+        obj = list(obj.values())
+    elif not isinstance(obj, (list, tuple)):
+        obj = [getattr(obj, name) for name in getattr(obj, "__slots__", ())
+               if hasattr(obj, name)] + list(getattr(obj, "__dict__", {}).values())
+    for item in obj:
+        _held_bytes(item, owners, seen)
+
+
+@pytest.mark.parametrize("network,nbytes", [
+    ("mnist-n2048", 17_370_024),
+    ("tiny-n512", 3_738_536),
+])
+def test_request_plan_bytes(network, nbytes):
+    """Table bytes the montgomery plans hold after set-up and one request,
+    each base array once.  A plan that keeps tables per batch height, or a
+    fused op that adds a prime tuple or a direction, moves this count."""
+    build, params, image = NETWORKS[network]
+    clear_caches()
+    with kernels.using_backend("montgomery") as backend:
+        model = build(seed=0, params=params)
+        ctx = CkksContext(params, seed=1)
+        model.provision_keys(ctx)
+        model.infer(ctx, image())
+        owners: dict = {}
+        for key in backend.plan_keys():
+            _held_bytes(backend.plan(*key), owners, set())
+    assert sum(a.nbytes for a in owners.values()) == nbytes
 
 
 def test_mnist_n2048_provisioning_forward_rows():
