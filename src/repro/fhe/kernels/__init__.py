@@ -6,8 +6,9 @@ arithmetic — is dispatched through a process-global *active backend*
 selected here.  Two backends are registered:
 
 * ``reference``  — per-prime fully-reduced transforms (the one oracle).
-* ``montgomery`` — Montgomery/relaxed-lazy transforms over all RNS rows at
-  once (the default and the production path).
+* ``montgomery`` — each transform of a whole RNS stack as two exact float64
+  matrix products (the default and the production path; the name is
+  historical).
 
 Selection precedence: an explicit :func:`set_backend` /
 :func:`using_backend` call wins, then the ``REPRO_KERNEL_BACKEND``

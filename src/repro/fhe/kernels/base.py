@@ -14,8 +14,8 @@ trade-off this layer offers; the property-test suite
 (``tests/fhe/test_kernels.py``) enforces the contract for every registered
 backend.
 
-Backends may precompute per-``(n, primes)`` *plans* (twiddle layouts,
-Montgomery constants, ...).  Plans are cached per backend instance behind a
+Backends may precompute per-``(n, primes)`` *plans* (twiddle matrices,
+moduli tiles, ...).  Plans are cached per backend instance behind a
 lock and surfaced through :meth:`KernelBackend.plan_keys` /
 :meth:`KernelBackend.clear_plans` so ``repro.fhe.ntt.clear_caches`` and
 ``registry_info`` stay accurate.
@@ -33,8 +33,6 @@ from ..modmath import (
     shoup_mul,
 )
 from ..ntt import BatchedNttContext, get_batched_ntt_context
-
-_U64 = np.uint64
 
 
 class KernelBackend:
@@ -54,23 +52,8 @@ class KernelBackend:
     # -- shared helpers ------------------------------------------------------
 
     def context(self, n: int, primes: tuple[int, ...]) -> BatchedNttContext:
-        """Cached per-chain precomputed tables (qs, twiddles, ...)."""
+        """Cached per-chain precomputed tables (moduli, Rescale inverses)."""
         return get_batched_ntt_context(n, tuple(primes))
-
-    def _residue_copy(
-        self, n: int, primes: tuple[int, ...], values: np.ndarray
-    ) -> tuple[np.ndarray, tuple[int, ...]]:
-        """Validate trailing ``(L, N)`` shape; return a flat uint64 working
-        copy shaped ``(rows, L, N)`` plus the original shape."""
-        a = np.asarray(values)
-        level = len(primes)
-        if a.ndim < 2 or a.shape[-1] != n or a.shape[-2] != level:
-            raise ValueError(
-                f"expected trailing shape {(level, n)}, got {a.shape}"
-            )
-        shape = a.shape
-        flat = np.array(a, dtype=_U64, order="C", copy=True).reshape(-1, level, n)
-        return flat, shape
 
     # -- required kernels ----------------------------------------------------
 

@@ -1,437 +1,218 @@
-"""Montgomery-domain batched NTT backend.
+"""Matrix NTT backend: each transform as two exact float64 BLAS products.
 
-A stacked Harvey-lazy/Shoup NTT over all RNS rows spends most of its time
-in per-stage numpy passes, and two structural costs dominate on top of the
-raw arithmetic:
+The registry name ``montgomery`` is historical: the backend first ran
+Montgomery (REDC) butterflies, and the CLI flag, the CI matrix and the
+benchmark records still carry that name.  It now runs the four-step NTT.
 
-* broadcast operands (``(1, L, 1, 1)`` modulus columns, strided twiddle
-  views) make the uint64 inner loops ~2.5x slower than scalar-constant
-  passes over contiguous data;
-* the late (small ``t``) butterfly stages degenerate into huge numbers of
-  tiny blocks whose strided slices defeat vectorization.
+**Four steps.**  With ``N = N1 * N2`` and ``N1 = 2**floor(log2(N) / 2)``, a
+residue row read row-major as an ``(N2, N1)`` matrix ``X`` transforms to
 
-This backend attacks all three cost centers:
+    Y = ((A @ X) * T) @ C.T   (mod q)
 
-**Montgomery butterflies (forward).**  Twiddles are stored in Montgomery
-form ``w~ = w * 2**32 mod q`` with the paired constant
-``w' = w~ * (-q**-1 mod 2**32) mod 2**32``.  One REDC butterfly multiply is
+where ``A[r2, k2] = psi**(N1 * (2 * rev(r2) + 1) * k2)``, ``T[r2, k1] =
+psi**((2 * rev(r2) + 1) * k1)`` and ``C[r1, k1] = psi**(2 * N2 * rev(r1) *
+k1)``, ``rev`` reversing log2(N2) and log2(N1) bits.  Read row-major, ``Y``
+is already in the reference's bit-reversed output order.  The inverse runs
+the steps backwards with ``psi**-1``, ``X = A'.T @ ((Y @ C') * T')``, with
+``1/N`` folded into ``A'``.
 
-    t_v = (v * w~ + ((v * w') mod 2**32) * q) >> 32        in [0, 2q)
+**Exactness.**  Each table entry ``w`` is split into two 15-bit limbs, kept
+as the float64 pair ``(w - lo, lo)`` with ``lo = w mod 2**15``.  A limb
+times a value of at most 30 bits is below ``2**45`` (times ``2**15`` for
+the high limb), and a sum of at most 128 such products below ``2**52``, so
+the BLAS products are exact whatever the summation order or FMA use.  Each
+step then reduces with ``x - rint(x * (1/q)) * q``: the high limb's product
+modulo ``2**15 * q`` first, then its sum with the low limb's modulo ``q``,
+leaving every value in ``[-q/2 - 2, q/2 + 2]``.  The output adds ``q`` to
+the negative ones, so it is canonical and bit-identical to the reference.
+A plan past these bounds (``max(N1, N2) > 128``, i.e. ``N > 16384``, or a
+prime of more than 30 bits) raises ``ValueError`` before building a table.
 
-valid for *any* ``v < 2**32`` — unlike the Shoup form it does not need its
-plain operand reduced, so per-stage conditional reductions disappear
-entirely.  Values grow by ``+2q`` per stage and are renormalized with a
-division-free approximate reduction (``x - ((x * floor(2**32/q)) >> 32) *
-q``, mapping ``[0, 2**32) -> [0, 2q)``) only when the running bound would
-overflow ``2**32``; a 28-bit chain renormalizes every ~7 stages.  A single
-exit pass converts back with an exact reduction on every forward, so
-outputs are canonical (below ``q``) and bit-identical to the reference
-transform; the KeySwitch inner product (``repro.fhe.ops._inner_product``)
-relies on canonical digits for its overflow budget.
-
-**Relaxed Gentleman-Sande (inverse).**  The difference leg reuses Shoup
-twiddle quotients but defers all reductions: the working bound *doubles*
-per stage and is renormalized with the same approximate reduction when
-needed, bringing the stage down to 8 numpy passes (the sum leg is computed
-in place, no copy pass).  The final ``1/N`` Shoup multiply plus one exact
-conditional subtract restores ``[0, q)`` exactly.
-
-**Transposed tail layout.**  Once the butterfly half-length ``t`` drops to
-the crossover point the residue rows are transposed so the remaining
-stages operate on a contiguous inner axis of length ``n // (2 * tx)``;
-twiddle tables are pre-transposed at plan build.  The inverse enters in
-transposed layout and untransposes once its block size grows past the
-crossover.
-
-**Plans and wide/narrow execution.**  A plan holds one table set per
-direction, built under the plan's lock the first time that direction
-runs.  Every stage's twiddles and partners are laid out contiguously as
-its butterfly operand: ``(L, m, t)`` in the standard layout and ``(L, K,
-t * m1)`` in the transposed tail (expanded over ``t``).  Plans of two or
-more primes also hold per-prime rows: ``2**k * q`` at ``(L, N/2)`` for
-the butterflies, and ``q`` and ``floor(2**32 / q)`` (inverse: also ``1/N``
-and its Shoup quotient) at ``(L, N)`` for the passes over whole rows.
-Such a plan runs a stack of a few dozen ``(row, prime)`` pairs at most
-"narrow": all pairs in one numpy call per stage, its tables broadcast over
-the stack's rows as views of the data's shape (numpy takes a slower path
-when it broadcasts operands itself).  Single-prime stacks and larger
-stacks run "wide": one prime at a time, with scalar constants.  Either way
-every pass has a contiguous inner axis, because numpy's stride-0 inner
-loops are ~1.5-2x slower than contiguous passes at these sizes.  At
-N=2048 and 28-bit primes one direction's stages hold 176 KiB per prime,
-and its rows 48 KiB (forward) or 96 KiB (inverse).  Both paths read the
-same tables and are bit-identical.
+**Plans.**  A plan holds one table set per direction, built under the
+plan's lock the first time that direction runs: the limbs of ``A``, ``T``
+and ``C`` for every prime, stacked along a leading prime axis, so that
+``np.matmul`` runs every (row, prime) block of a stack in one call per
+product.  Plans of two or more primes also hold their moduli, reciprocals
+and the high limb's ``2**15 * q`` pair as ``(L, N2, N1)`` tiles, because
+numpy multiplies far faster by a contiguous operand than by a broadcast
+``(L, 1, 1)`` column; single-prime plans use scalars.  A stack runs in
+chunks of rows whose float temporaries hold at most :data:`CHUNK_ELEMS`
+values each, so they stay in cache.
 """
 
 from __future__ import annotations
 
 import threading
+from typing import NamedTuple
 
 import numpy as np
 
-from ..ntt import count_transform, get_batched_ntt_context
+from ..ntt import bit_reverse_indices, count_transform, get_ntt_context
 from .base import KernelBackend
 
 _U64 = np.uint64
-_M32 = _U64(0xFFFFFFFF)
-_SH = _U64(32)
+_LIMB_BITS = 15
+_LIMB = float(1 << _LIMB_BITS)
+_LO_MASK = _U64((1 << _LIMB_BITS) - 1)
 
-#: Stacked batches with at most this many total (row, prime) rows run the
-#: narrow path; beyond it the per-prime wide path wins.  The inverse flips
-#: to wide earlier: its transposed-entry stages thrash harder on large
-#: stacks.
-NARROW_MAX_R_FORWARD = 28
-NARROW_MAX_R_INVERSE = 16
+#: Exactness bounds: sums of at most this many limb products, of values
+#: below ``2**MAX_PRIME_BITS``, stay below ``2**52``.
+MAX_SIDE = 128
+MAX_PRIME_BITS = 30
 
-#: A stack whose stage operands exceed this many elements (R * N/2) runs
-#: wide too: at N=8192 an 8-prime, 3-row forward is ~25% slower narrow.
-NARROW_MAX_ELEMS = 1 << 16
+#: Values per float temporary of one chunk of a stack's rows.
+CHUNK_ELEMS = 1 << 15
 
 
-def _crossover(n: int) -> int:
-    """Butterfly half-length at which to switch to the transposed tail."""
-    tx = 1
-    while tx * tx * 4 <= n:
-        tx *= 2
-    if n // (2 * tx) < 4 or tx < 2:
-        return 0
-    return tx
+class _Tables(NamedTuple):
+    """One direction's operands, each a ``(high, low)`` pair of float64
+    limbs stacked over the primes: the first product's, the twiddles and
+    the second product's."""
+
+    first: tuple[np.ndarray, np.ndarray]
+    twiddle: tuple[np.ndarray, np.ndarray]
+    second: tuple[np.ndarray, np.ndarray]
 
 
-def _layout(w: np.ndarray, m: int, t: int, m1: int) -> np.ndarray:
-    """Stage ``m``'s twiddles ``w[:, m:2m]`` as a contiguous ``(L, blocks,
-    width)`` butterfly operand: ``(L, m, t)``, or ``(L, m // m1, t * m1)``
-    in the transposed tail (``m1 > 0``), expanded over ``t``."""
-    level = w.shape[0]
-    block = w[:, m : 2 * m]
-    if m1:
-        k = m // m1
-        src = block.reshape(level, m1, k).transpose(0, 2, 1)[:, :, None]
-        shape = (level, k, t, m1)
-    else:
-        src, shape = block[:, :, None], (level, m, t)
-    return np.ascontiguousarray(np.broadcast_to(src, shape)).reshape(
-        level, shape[1], -1
-    )
+def _limbs(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    m = np.ascontiguousarray(m)
+    lo = m & _LO_MASK
+    return (m - lo).astype(np.float64), lo.astype(np.float64)
 
 
-def _bcast(a: np.ndarray, rows: int) -> np.ndarray:
-    return a if rows == 1 else np.broadcast_to(a, (rows,) + a.shape)
+def _left(limbs, x, hi, lo) -> None:
+    np.matmul(limbs[0], x, out=hi)
+    np.matmul(limbs[1], x, out=lo)
 
 
-class _Tables:
-    """One direction's tables of a plan.
-
-    ``stages`` holds one ``(tail, w, w2, k, renorm)`` per stage, in the
-    order the stages run: whether it runs in the transposed tail, its
-    twiddles and their partners (``w`` and ``w2`` laid out by
-    :func:`_layout`), the index
-    ``k`` of its fourth operand ``2**k * q`` in ``q_pow`` (``2q`` forward,
-    the lift offset inverse) and whether it renormalizes first.
-    ``cols`` holds the per-prime constants as ``(..., L, 1)`` columns, for
-    the wide path's scalars: ``2**k * q``, then ``q`` and ``floor(2**32 /
-    q)`` (inverse: also ``1/N`` and its Shoup quotient).  Plans of two or
-    more primes, which run narrow, also hold them as rows: ``q_pow`` is
-    ``(K, L, N/2)`` and ``whole`` the ``(L, N)`` rows of the passes over
-    whole residue rows.
-    """
-
-    __slots__ = ("n", "stages", "cols", "q_pow", "whole", "_views", "_lock")
-
-    def __init__(self, plan: "MontgomeryPlan", w, w2, stages, cols) -> None:
-        n = self.n = plan.n
-        self.stages = []
-        for m, k, renorm in stages:
-            t = n // (2 * m)
-            m1 = plan.m1 if plan.m1 and m >= plan.m1 else 0
-            self.stages.append(
-                (bool(m1), _layout(w, m, t, m1), _layout(w2, m, t, m1), k, renorm)
-            )
-        self.cols = cols
-        self.q_pow, self.whole = None, ()
-        if plan.level > 1:
-            self.q_pow = np.ascontiguousarray(
-                np.broadcast_to(cols[0], cols[0].shape[:-1] + (n // 2,))
-            )
-            self.whole = tuple(
-                np.ascontiguousarray(np.broadcast_to(c, (c.shape[0], n)))
-                for c in cols[1:]
-            )
-        self._views: dict[tuple[int, int | None], _Views] = {}
-        self._lock = plan._lock
-
-    def views(self, rows: int, prime: int | None) -> "_Views":
-        """Operands for ``rows`` rows of every prime (``prime is None``), or
-        for prime ``prime`` of a stack of any height (``rows == 1``)."""
-        key = (rows, prime)
-        views = self._views.get(key)
-        if views is None:
-            with self._lock:
-                views = self._views.get(key)
-                if views is None:
-                    views = self._views[key] = _Views(self, rows, prime)
-        return views
+def _right(limbs, x, hi, lo) -> None:
+    np.matmul(x, limbs[0], out=hi)
+    np.matmul(x, limbs[1], out=lo)
 
 
-class _Views:
-    """Views of one direction's tables shaped as one stack's operands.
-
-    The narrow path runs all primes of a ``rows``-high stack: every table
-    is laid out as its pass's operand, broadcast over the rows, so that all
-    operands of a pass have one shape (numpy takes a slower path when it
-    broadcasts them itself).  The wide path runs one prime over a stack of
-    any height with scalar constants; its shapes omit the rows.
-    """
-
-    __slots__ = ("std", "tail", "row_shape", "consts")
-
-    def __init__(self, tab: _Tables, rows: int, prime: int | None) -> None:
-        n = tab.n
-        level = tab.cols[0].shape[1] if prime is None else 1
-        lead = () if rows == 1 else (rows,)
-        self.std: list[tuple] = []
-        self.tail: list[tuple] = []
-        for tail, w, w2, k, renorm in tab.stages:
-            _, blocks, width = w.shape
-            b = level * blocks
-            if prime is None:
-                w, w2, q, c2 = (
-                    _bcast(a.reshape(b, width), rows)
-                    for a in (w, w2, tab.q_pow[0], tab.q_pow[k])
-                )
-            else:
-                w, w2 = w[prime], w2[prime]
-                q, c2 = tab.cols[0][0, prime, 0], tab.cols[0][k, prime, 0]
-            (self.tail if tail else self.std).append(
-                (lead + (b, 2 * width), lead + (b, width), width, w, w2, q, c2, renorm)
-            )
-        #: The stack as whole residue rows, for the passes over them.
-        self.row_shape = lead + (level * n,)
-        if prime is None:
-            self.consts = tuple(_bcast(c.reshape(-1), rows) for c in tab.whole)
-        else:
-            self.consts = tuple(c[prime, 0] for c in tab.cols[1:])
+def _reduce(hi, lo, out, tmp, consts) -> None:
+    """``out = (hi + lo) mod q`` in ``[-q/2 - 2, q/2 + 2]``; ``hi`` is the
+    high limb's product, a multiple of ``2**15`` (clobbered)."""
+    qi_hi, q_hi, qi, q = consts[:4]
+    np.multiply(hi, qi_hi, out=tmp)
+    np.rint(tmp, out=tmp)
+    tmp *= q_hi
+    hi -= tmp
+    hi += lo
+    np.multiply(hi, qi, out=tmp)
+    np.rint(tmp, out=tmp)
+    tmp *= q
+    np.subtract(hi, tmp, out=out)
 
 
 class MontgomeryPlan:
-    """Precomputed per-``(n, primes)`` tables for the Montgomery kernels.
-
-    Builds on the shared :class:`~repro.fhe.ntt.BatchedNttContext` tables
-    (roots, Shoup quotients) and adds Montgomery twiddles plus the
-    stage-by-stage layouts described in the module docstring, one
-    :class:`_Tables` per direction, built when that direction first runs.
-    """
+    """Precomputed per-``(n, primes)`` tables of the matrix NTT (see the
+    module docstring)."""
 
     def __init__(self, n: int, primes: tuple[int, ...]) -> None:
         self.n = n
         self.primes = tuple(int(q) for q in primes)
         self.level = len(self.primes)
-        #: Renormalize when the lazy bound (in units of q) would pass this.
-        self.bmax = (1 << 32) // max(self.primes)
-        tx = _crossover(n)
-        #: Inner axis of the transposed tail (0: no tail).
-        self.m1 = n // (2 * tx) if tx else 0
+        self.n1 = 1 << ((n.bit_length() - 1) // 2)
+        self.n2 = n // self.n1
+        if max(self.n1, self.n2) > MAX_SIDE or max(self.primes) >> MAX_PRIME_BITS:
+            raise ValueError(
+                f"matrix NTT is exact up to N={MAX_SIDE ** 2} and "
+                f"{MAX_PRIME_BITS}-bit primes; got N={n}, "
+                f"{max(self.primes).bit_length()}-bit primes"
+            )
+        #: Rows of a stack per chunk.
+        self.chunk = max(1, CHUNK_ELEMS // (self.level * n))
+        #: ``1/(2**15 q)``, ``2**15 q``, ``1/q`` and ``q`` as float64, then
+        #: ``q`` as uint64: scalars for one prime, else ``(L, N2, N1)`` tiles.
+        qs = np.array(self.primes, dtype=np.float64)
+        consts = (1 / (qs * _LIMB), qs * _LIMB, 1 / qs, qs)
+        if self.level == 1:
+            self.consts = tuple(float(c[0]) for c in consts) + (_U64(self.primes[0]),)
+        else:
+            shape = (self.level, self.n2, self.n1)
+            self.consts = tuple(
+                np.ascontiguousarray(np.broadcast_to(c.reshape(-1, 1, 1), shape))
+                for c in consts + (np.array(self.primes, dtype=_U64),)
+            )
         self._lock = threading.Lock()
-        self._forward: _Tables | None = None
-        self._inverse: _Tables | None = None
+        self._tables: dict[bool, _Tables] = {}
 
-    def narrow(self, rows: int, max_r: int) -> bool:
-        """Whether a ``rows``-high stack runs all its (row, prime) pairs in
-        one call per stage."""
-        r = rows * self.level
-        return self.level > 1 and r <= max_r and r * (self.n // 2) <= NARROW_MAX_ELEMS
-
-    def forward_tables(self) -> _Tables:
-        if self._forward is None:
+    def tables(self, inverse: bool) -> _Tables:
+        """One direction's tables, built on its first use."""
+        tab = self._tables.get(inverse)
+        if tab is None:
             with self._lock:
-                if self._forward is None:
-                    self._forward = self._build_forward()
-        return self._forward
+                tab = self._tables.get(inverse)
+                if tab is None:
+                    tab = self._tables[inverse] = self._build(inverse)
+        return tab
 
-    def inverse_tables(self) -> _Tables:
-        if self._inverse is None:
-            with self._lock:
-                if self._inverse is None:
-                    self._inverse = self._build_inverse()
-        return self._inverse
+    def _build(self, inverse: bool) -> _Tables:
+        n, n1, n2 = self.n, self.n1, self.n2
+        contexts = [get_ntt_context(n, q) for q in self.primes]
+        qs = np.array(self.primes, dtype=_U64).reshape(-1, 1)
+        # psi**e for every prime and e < 2N, gathered from the reference
+        # contexts' bit-reversed powers (psi**N = -1).
+        rev = bit_reverse_indices(n)
+        powers = np.stack([
+            (ctx.psi_inv_bitrev if inverse else ctx.psi_bitrev)[rev]
+            for ctx in contexts
+        ])
+        powers = np.concatenate([powers, qs - powers], axis=1)
 
-    def _mus(self) -> np.ndarray:
-        return np.array(
-            [(1 << 32) // q for q in self.primes], dtype=_U64
-        ).reshape(-1, 1)
+        def table(exponent: np.ndarray) -> np.ndarray:
+            return powers[:, exponent % (2 * n)]
 
-    def _build_forward(self) -> _Tables:
-        ctx = get_batched_ntt_context(self.n, self.primes)
-        # Montgomery twiddles and their REDC partners, in the bit-reversed
-        # stage order consumed by the Cooley-Tukey butterflies.
-        wt = (ctx.psi_bitrev << _SH) % ctx.qs
-        qp = np.array(
-            [(1 << 32) - pow(q, -1, 1 << 32) for q in self.primes], dtype=_U64
-        ).reshape(-1, 1)
-        wp = (wt * qp) & _M32
-        stages = []
-        bound = 1
-        m = 1
-        while m < self.n:
-            renorm = bound + 2 > self.bmax
-            bound = (2 if renorm else bound) + 2
-            stages.append((m, 1, renorm))
-            m *= 2
-        q_pow = ctx.qs << np.arange(2, dtype=_U64).reshape(-1, 1, 1)
-        return _Tables(self, wt, wp, stages, (q_pow, ctx.qs, self._mus()))
+        odd = 2 * bit_reverse_indices(n2) + 1
+        a = table(n1 * np.outer(odd, np.arange(n2)))
+        t = table(np.outer(odd, np.arange(n1)))
+        c = table(2 * n2 * np.outer(bit_reverse_indices(n1), np.arange(n1)))
+        if inverse:
+            n_inv = np.array([ctx.n_inv for ctx in contexts], dtype=_U64)
+            a = (a * n_inv.reshape(-1, 1, 1) % qs[:, :, None]).transpose(0, 2, 1)
+            return _Tables(_limbs(c), _limbs(t), _limbs(a))
+        return _Tables(_limbs(a), _limbs(t), _limbs(c.transpose(0, 2, 1)))
 
-    def _build_inverse(self) -> _Tables:
-        # Inverse stages use the plain/Shoup pair from the shared context.
-        ctx = get_batched_ntt_context(self.n, self.primes)
-        stages = []
-        bound = 1
-        m = self.n // 2
-        while m:
-            renorm = 2 * bound > self.bmax
-            if renorm:
-                bound = 2
-            stages.append((m, bound.bit_length() - 1, renorm))
-            bound *= 2
-            m //= 2
-        kmax = max(k for _, k, _ in stages)
-        q_pow = ctx.qs << np.arange(kmax + 1, dtype=_U64).reshape(-1, 1, 1)
-        cols = (q_pow, ctx.qs, self._mus(), ctx.n_inv, ctx.n_inv_shoup)
-        return _Tables(self, ctx.psi_inv_bitrev, ctx.psi_inv_shoup, stages, cols)
-
-
-def _approx_reduce(x: np.ndarray, mu, q) -> None:
-    """Division-free ``[0, 2**32) -> [0, 2q)`` renormalization, in place."""
-    hi = np.multiply(x, mu)
-    hi >>= _SH
-    hi *= q
-    x -= hi
-
-
-def _cond_sub(x: np.ndarray, q) -> None:
-    """``[0, 2q) -> [0, q)``, in place."""
-    mask = x >= q
-    np.subtract(x, np.multiply(mask, q, dtype=_U64), out=x)
-
-
-def _fwd_stage(u, v, tv, mm, we, pe, q, two_q) -> None:
-    """One REDC Cooley-Tukey stage; adds at most 2q to the value bound."""
-    np.multiply(v, we, out=tv)
-    np.multiply(v, pe, out=mm)
-    np.bitwise_and(mm, _M32, out=mm)
-    np.multiply(mm, q, out=mm)
-    np.add(tv, mm, out=tv)
-    np.right_shift(tv, _SH, out=tv)
-    np.subtract(u, tv, out=v)
-    np.add(v, two_q, out=v)
-    np.add(u, tv, out=u)
-
-
-def _inv_stage(u, v, d, hi, we, se, q, off) -> None:
-    """One relaxed Gentleman-Sande stage; doubles the value bound.
-
-    ``off`` is ``bound * q`` — it lifts the difference leg above zero before
-    the uint64 subtraction.
-    """
-    np.subtract(u, v, out=d)
-    np.add(d, off, out=d)
-    np.add(u, v, out=u)
-    np.multiply(d, se, out=hi)
-    np.right_shift(hi, _SH, out=hi)
-    np.multiply(hi, q, out=hi)
-    np.multiply(d, we, out=v)
-    np.subtract(v, hi, out=v)
-
-
-def _stages(a, stages, kernel, lead, views, s1, s2) -> None:
-    """Run ``stages`` over ``a`` in place (``lead``: the wide path's rows)."""
-    q, mu = views.consts[:2]
-    row_shape = lead + views.row_shape
-    cnt = a.size // 2
-    for bshape, shape, width, w, w2, c, c2, renorm in stages:
-        if renorm:
-            _approx_reduce(a.reshape(row_shape), mu, q)
-        blocks = a.reshape(lead + bshape)
-        shape = lead + shape
-        kernel(
-            blocks[..., :width],
-            blocks[..., width:],
-            s1[:cnt].reshape(shape),
-            s2[:cnt].reshape(shape),
-            w,
-            w2,
-            c,
-            c2,
-        )
-
-
-def _to_tail(x: np.ndarray, m1: int) -> np.ndarray:
-    n = x.shape[-1]
-    return np.ascontiguousarray(x.reshape(-1, m1, n // m1).transpose(0, 2, 1))
-
-
-def _from_tail(y: np.ndarray, shape) -> np.ndarray:
-    return np.ascontiguousarray(y.transpose(0, 2, 1)).reshape(shape)
-
-
-def _forward(x, views, lead, m1, s1, s2) -> np.ndarray:
-    """Forward NTT of ``x`` in place (or a new array, past the tail)."""
-    _stages(x, views.std, _fwd_stage, lead, views, s1, s2)
-    if views.tail:
-        y = _to_tail(x, m1)
-        _stages(y, views.tail, _fwd_stage, lead, views, s1, s2)
-        x = _from_tail(y, x.shape)
-    # Exact exit: approximate reduce plus one conditional subtract.
-    q, mu = views.consts
-    xw = x.reshape(lead + views.row_shape)
-    _approx_reduce(xw, mu, q)
-    _cond_sub(xw, q)
-    return x
-
-
-def _inverse(x, views, lead, m1, s1, s2) -> np.ndarray:
-    """Inverse NTT of ``x`` in place (or a new array, past the tail)."""
-    if views.tail:
-        y = _to_tail(x, m1)
-        _stages(y, views.tail, _inv_stage, lead, views, s1, s2)
-        x = _from_tail(y, x.shape)
-    _stages(x, views.std, _inv_stage, lead, views, s1, s2)
-    # 1/N Shoup scaling fused with the exact exit reduction.
-    q, _mu, n_inv, n_inv_shoup = views.consts
-    xw = x.reshape(lead + views.row_shape)
-    hi = np.multiply(xw, n_inv_shoup)
-    hi >>= _SH
-    hi *= q
-    xw *= n_inv
-    xw -= hi
-    _cond_sub(xw, q)
-    return x
-
-
-def _run(plan: MontgomeryPlan, tab: _Tables, kernel, flat, max_r: int):
-    rows = flat.shape[0]
-    s1 = np.empty(flat.size // 2, dtype=_U64)
-    s2 = np.empty(flat.size // 2, dtype=_U64)
-    if plan.narrow(rows, max_r):
-        return kernel(flat, tab.views(rows, None), (), plan.m1, s1, s2)
-    lead = (rows,) if rows > 1 else ()
-    for i in range(plan.level):
-        x = np.ascontiguousarray(flat[:, i, :])
-        flat[:, i, :] = kernel(x, tab.views(1, i), lead, plan.m1, s1, s2)
-    return flat
-
-
-def plan_forward(plan: MontgomeryPlan, flat: np.ndarray) -> np.ndarray:
-    """Forward NTT of a ``(rows, L, N)`` uint64 working copy (mutated)."""
-    return _run(plan, plan.forward_tables(), _forward, flat, NARROW_MAX_R_FORWARD)
-
-
-def plan_inverse(plan: MontgomeryPlan, flat: np.ndarray) -> np.ndarray:
-    """Inverse NTT of a ``(rows, L, N)`` uint64 working copy (mutated)."""
-    return _run(plan, plan.inverse_tables(), _inverse, flat, NARROW_MAX_R_INVERSE)
+    def transform(self, values, inverse: bool) -> np.ndarray:
+        """Forward (or inverse) NTT of ``(..., L, N)`` residues."""
+        level, n = self.level, self.n
+        a = np.asarray(values, dtype=_U64)
+        if a.ndim < 2 or a.shape[-2:] != (level, n):
+            raise ValueError(f"expected trailing shape {(level, n)}, got {a.shape}")
+        src = a.reshape(-1, level, n).view(np.int64)
+        rows = src.shape[0]
+        tab = self.tables(inverse)
+        first, second = (_right, _left) if inverse else (_left, _right)
+        consts = self.consts
+        out = np.empty(src.shape, dtype=_U64)
+        chunk = min(rows, self.chunk)
+        x = np.empty((chunk, level, self.n2, self.n1))
+        tmp = np.empty_like(x)
+        halves = np.empty((2,) + x.shape)
+        for r in range(0, rows, chunk):
+            m = min(chunk, rows - r)
+            xs, ts, hi, lo = x[:m], tmp[:m], halves[0, :m], halves[1, :m]
+            np.copyto(xs.reshape(m, level, n), src[r : r + m], casting="unsafe")
+            first(tab.first, xs, hi, lo)
+            _reduce(hi, lo, xs, ts, consts)
+            np.multiply(xs, tab.twiddle[0], out=hi)
+            np.multiply(xs, tab.twiddle[1], out=lo)
+            _reduce(hi, lo, xs, ts, consts)
+            second(tab.second, xs, hi, lo)
+            _reduce(hi, lo, xs, ts, consts)
+            # Canonical: negative values wrap as uint64, so adding q maps
+            # them below q and leaves every other value above itself.
+            o = out[r : r + m].reshape(xs.shape)
+            np.copyto(o.view(np.int64), xs, casting="unsafe")
+            wrapped = hi.view(_U64)
+            np.add(o, consts[4], out=wrapped)
+            np.minimum(o, wrapped, out=o)
+        return out.reshape(a.shape)
 
 
 class MontgomeryBackend(KernelBackend):
-    """Single-threaded Montgomery/relaxed-lazy kernel backend (default)."""
+    """Matrix-NTT kernel backend (the default; the name is historical)."""
 
     name = "montgomery"
 
@@ -449,17 +230,18 @@ class MontgomeryBackend(KernelBackend):
                     plan = self._plans[key] = MontgomeryPlan(*key)
         return plan
 
-    def forward(self, n, primes, values):
+    def _transform(self, n, primes, values, inverse: bool) -> np.ndarray:
         plan = self.plan(n, primes)
-        flat, shape = self._residue_copy(n, plan.primes, values)
-        count_transform("forward", flat.shape[0] * plan.level, self.name)
-        return plan_forward(plan, flat).reshape(shape)
+        out = plan.transform(values, inverse)
+        direction = "inverse" if inverse else "forward"
+        count_transform(direction, out.size // n, self.name)
+        return out
+
+    def forward(self, n, primes, values):
+        return self._transform(n, primes, values, inverse=False)
 
     def inverse(self, n, primes, values):
-        plan = self.plan(n, primes)
-        flat, shape = self._residue_copy(n, plan.primes, values)
-        count_transform("inverse", flat.shape[0] * plan.level, self.name)
-        return plan_inverse(plan, flat).reshape(shape)
+        return self._transform(n, primes, values, inverse=True)
 
     def plan_keys(self) -> list[tuple]:
         return sorted(self._plans)

@@ -11,10 +11,9 @@ the FHE substrate; its hardware cost model (``LAT_NTT = log2(N) * N /
   twiddle factors (forward), and Gentleman-Sande with ``psi**-1``
   (inverse), fully reducing after every stage.  The ``reference`` kernel
   backend runs it row by row; it is the one correctness oracle.
-* :class:`BatchedNttContext` — the per-chain tables shared by the
-  production kernels and the ring code: stacked twiddles and their Shoup
-  quotients, the ``(L, N)`` moduli of the element-wise kernels and the
-  Rescale inverses.
+* :class:`BatchedNttContext` — the per-chain tables of the element-wise
+  kernels and the ring code: the ``(L, N)`` moduli and the Rescale
+  inverses.
 * :func:`galois_permutation` — the NTT-domain Galois permutations, which
   depend only on the ring degree: one array per ``(N, g)``.
 
@@ -206,11 +205,10 @@ class BatchedNttContext:
     """Precomputed tables for every prime of an RNS chain.
 
     Per-prime constants are stacked along a leading ``(L, ...)`` prime axis
-    so kernels broadcast them over ``(..., L, N)`` residue matrices:
-    bit-reversed twiddles, the Shoup quotients ``w' = floor(w * 2**32 /
-    q)`` of the inverse twiddles and of ``1/N``, tiled moduli, plus lazily
-    built Rescale inverses.  Since q < 2**30, every Shoup product ``v *
-    w'`` with ``v < 4q <= 2**32`` fits in uint64.
+    so kernels broadcast them over ``(..., L, N)`` residue matrices: the
+    moduli, tiled, plus lazily built Rescale inverses and their Shoup
+    quotients ``w' = floor(w * 2**32 / q)``.  Since q < 2**30, every Shoup
+    product ``v * w'`` with ``v < 4q <= 2**32`` fits in uint64.
     """
 
     def __init__(self, n: int, primes: tuple[int, ...]) -> None:
@@ -218,16 +216,8 @@ class BatchedNttContext:
             raise ValueError("need at least one prime")
         self.n = n
         self.primes = tuple(int(q) for q in primes)
-        contexts = [get_ntt_context(n, q) for q in self.primes]
         level = len(self.primes)
         self.qs = np.array(self.primes, dtype=_U64).reshape(level, 1)
-        self.psi_bitrev = np.stack([c.psi_bitrev for c in contexts])
-        self.psi_inv_bitrev = np.stack([c.psi_inv_bitrev for c in contexts])
-        self.psi_inv_shoup = (self.psi_inv_bitrev << _SHOUP_SHIFT) // self.qs
-        self.n_inv = np.array(
-            [c.n_inv for c in contexts], dtype=_U64
-        ).reshape(level, 1)
-        self.n_inv_shoup = (self.n_inv << _SHOUP_SHIFT) // self.qs
         # Fully-tiled (L, N) copies of the per-prime constants.  Broadcasting
         # an ``(L, 1)`` column over the slot axis forces stride-0 inner loops
         # in numpy (1.5-2x slower per pass on this substrate); the hot

@@ -19,8 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.fhe import kernels
-from repro.fhe.kernels import montgomery
-from repro.fhe.modmath import generate_ntt_primes, shoup_precompute
+from repro.fhe.modmath import generate_ntt_primes, is_prime, shoup_precompute
 
 _U64 = np.uint64
 
@@ -150,9 +149,8 @@ def test_modmul_const_matches_modmul(name):
 # -- montgomery at the networks' shapes ---------------------------------------------
 
 #: ``(N, prime bits, primes)`` of the stacks the networks transform: Tiny at
-#: N=512 (7 primes, here 30-bit ones, which renormalize more often than the
-#: network's 28-bit ones) and MNIST at N=2048 (7 primes plus P).  Both have
-#: a transposed tail.
+#: N=512 (7 primes, here 30-bit ones, the widest the matrix NTT takes, where
+#: the network uses 28-bit ones) and MNIST at N=2048 (7 primes plus P).
 NETWORK_SHAPES = [
     (n, bits, level)
     for n, bits, top in ((512, 30, 7), (2048, 28, 8))
@@ -166,18 +164,6 @@ def _stack(n, bits, level, rows, seed):
     qs = np.array(primes, dtype=_U64).reshape(-1, 1)
     rng = np.random.default_rng(seed)
     return primes, rng.integers(0, 2**62, (rows, level, n)).astype(_U64) % qs
-
-
-def test_network_shapes_run_both_paths():
-    """The cases below run the narrow and the wide path in each direction."""
-    for max_r in (montgomery.NARROW_MAX_R_FORWARD, montgomery.NARROW_MAX_R_INVERSE):
-        paths = {
-            kernels.MontgomeryPlan(n, tuple(generate_ntt_primes(bits, level, n)))
-            .narrow(rows, max_r)
-            for n, bits, level in NETWORK_SHAPES
-            for rows in NETWORK_ROWS
-        }
-        assert paths == {True, False}
 
 
 @pytest.mark.parametrize("direction", ["forward", "inverse"])
@@ -194,11 +180,48 @@ def test_montgomery_matches_reference_at_network_shapes(
 @pytest.mark.parametrize("direction", ["forward", "inverse"])
 @pytest.mark.parametrize("rows", [2, 5])
 def test_montgomery_matches_reference_on_worst_case_residues(rows, direction):
-    """Every residue ``q - 1`` drives the lazy bounds to their maximum."""
+    """Every residue ``q - 1`` drives every limb product to its bound."""
     primes, stack = _stack(2048, 28, 8, rows, seed=0)
     stack[...] = np.array(primes, dtype=_U64).reshape(-1, 1) - 1
     got = getattr(kernels.get_backend("montgomery"), direction)(2048, primes, stack)
     assert np.array_equal(got, getattr(REFERENCE, direction)(2048, primes, stack))
+
+
+@pytest.mark.parametrize("direction", ["forward", "inverse"])
+@pytest.mark.parametrize("rows", [1, 3])
+def test_montgomery_exact_at_its_bound(rows, direction):
+    """N=16384 (128 x 128 products) with 30-bit primes and every residue
+    ``q - 1``: each product sums 128 limb products of their largest size."""
+    n = 16384
+    primes, stack = _stack(n, 30, 2, rows, seed=0)
+    stack[...] = np.array(primes, dtype=_U64).reshape(-1, 1) - 1
+    backend = kernels.MontgomeryBackend()
+    got = getattr(backend, direction)(n, primes, stack)
+    assert np.array_equal(got, getattr(REFERENCE, direction)(n, primes, stack))
+
+
+def _wide_ntt_prime(n: int) -> int:
+    """The smallest 31-bit prime ``q = 1 (mod 2n)``, wider than the ring
+    code's primes."""
+    return next(q for q in range(2**30 + 1, 2**31, 2 * n) if is_prime(q))
+
+
+@pytest.mark.parametrize("n,wide", [(32768, False), (64, True)])
+def test_montgomery_rejects_a_plan_past_its_bound(monkeypatch, n, wide):
+    """A ring past 128 x 128 or a prime of more than 30 bits raises before
+    any table is built."""
+
+    def build(plan, inverse):
+        raise AssertionError("built a table past the bound")
+
+    monkeypatch.setattr(kernels.MontgomeryPlan, "_build", build)
+    primes = (_wide_ntt_prime(n),) if wide else tuple(generate_ntt_primes(30, 1, n))
+    backend = kernels.MontgomeryBackend()
+    with pytest.raises(ValueError, match="exact up to"):
+        backend.forward(n, primes, np.zeros((1, n), dtype=_U64))
+    with pytest.raises(ValueError, match="exact up to"):
+        kernels.MontgomeryPlan(n, primes)
+    assert backend.plan_keys() == []
 
 
 def test_first_transforms_build_each_plan_table_once(monkeypatch):
@@ -206,21 +229,14 @@ def test_first_transforms_build_each_plan_table_once(monkeypatch):
     each get the reference's bits, from tables built once per direction."""
     n, primes = 2048, tuple(generate_ntt_primes(28, 4, 2048))
     builds = {"forward": 0, "inverse": 0}
+    build = kernels.MontgomeryPlan._build
 
-    def slow(direction):
-        build = getattr(kernels.MontgomeryPlan, f"_build_{direction}")
+    def slow(plan, inverse):
+        builds["inverse" if inverse else "forward"] += 1
+        time.sleep(0.05)  # widen the window for a second builder
+        return build(plan, inverse)
 
-        def wrapped(plan):
-            builds[direction] += 1
-            time.sleep(0.05)  # widen the window for a second builder
-            return build(plan)
-
-        return wrapped
-
-    for direction in builds:
-        monkeypatch.setattr(
-            kernels.MontgomeryPlan, f"_build_{direction}", slow(direction)
-        )
+    monkeypatch.setattr(kernels.MontgomeryPlan, "_build", slow)
     backend = kernels.MontgomeryBackend()
     stacks = [_stack(n, 28, 4, rows, seed=rows)[1] for rows in (1, 3)]
     jobs = [(d, s) for d in builds for s in stacks]

@@ -225,8 +225,8 @@ def _held_bytes(obj, owners: dict, seen: set) -> None:
 
 
 @pytest.mark.parametrize("network,nbytes", [
-    ("mnist-n2048", 17_370_024),
-    ("tiny-n512", 3_738_536),
+    ("mnist-n2048", 12_419_072),
+    ("tiny-n512", 3_104_768),
 ])
 def test_request_plan_bytes(network, nbytes):
     """Table bytes the montgomery plans hold after set-up and one request,
