@@ -1,4 +1,4 @@
-"""Reporting utilities: table rendering, literature data, experiment records."""
+"""Reporting utilities: table rendering and literature data."""
 
 from .literature import (
     PAPER_HEADLINES,
@@ -9,12 +9,9 @@ from .literature import (
     Fpl21Entry,
     LiteratureEntry,
 )
-from .report import Comparison, ExperimentReport
 from .tables import format_table, ratio_note
 
 __all__ = [
-    "Comparison",
-    "ExperimentReport",
     "Fpl21Entry",
     "LiteratureEntry",
     "PAPER_HEADLINES",

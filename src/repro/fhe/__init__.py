@@ -32,7 +32,6 @@ from .modmath import (
     mod_add,
     mod_inverse,
     mod_mul,
-    mod_pow,
     mod_sub,
 )
 from .noise import (
@@ -65,7 +64,6 @@ from .serialization import (
     SerializationError,
     ciphertext_from_bytes,
     ciphertext_to_bytes,
-    ciphertext_wire_bytes,
     ciphertext_wire_size,
     plaintext_from_bytes,
     plaintext_to_bytes,
@@ -95,7 +93,6 @@ __all__ = [
     "SerializationError",
     "ciphertext_from_bytes",
     "ciphertext_to_bytes",
-    "ciphertext_wire_bytes",
     "ciphertext_wire_size",
     "plaintext_from_bytes",
     "plaintext_to_bytes",
@@ -124,7 +121,6 @@ __all__ = [
     "mod_add",
     "mod_inverse",
     "mod_mul",
-    "mod_pow",
     "mod_sub",
     "security_bits",
     "tiny_test_params",

@@ -70,12 +70,3 @@ class Ciphertext:
     def is_linear(self) -> bool:
         """True when the ciphertext has two components (no pending relin)."""
         return len(self.components) == 2
-
-    def byte_size(self) -> int:
-        """Serialized size: level * N residues per component, 8 B words.
-
-        Used by the model-size accounting in Table VI and by the buffer
-        model (a ciphertext occupies ``size * L * N`` words on chip).
-        """
-        basis = self.basis
-        return len(self.components) * basis.level * basis.n * 8

@@ -104,12 +104,6 @@ class CkksContext:
             fresh = self.keygen.generate_galois_keys(missing)
             self.galois_keys.keys.update(fresh.keys)
 
-    def ensure_conjugation_keys(self, levels: list[int] | None = None) -> None:
-        """Generate complex-conjugation keys (Galois element ``2N - 1``)."""
-        from .keys import CONJUGATION_STEP
-
-        self.ensure_galois_keys([CONJUGATION_STEP], levels)
-
     # -- bases ---------------------------------------------------------------------
 
     def basis(self, level: int | None = None) -> RnsBasis:

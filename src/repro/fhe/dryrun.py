@@ -13,7 +13,7 @@ without one, primes and scales are symbolic (1.0) and no context is needed.
 
 from __future__ import annotations
 
-from functools import partial, partialmethod
+from functools import partial
 from types import SimpleNamespace
 from typing import NamedTuple
 
@@ -104,21 +104,15 @@ class DryRunEvaluator(Evaluator):
         return self._out("PCmult", (ct,), ct.level, ct.scale * pt.scale,
                          (pt,), ct.size)
 
-    def _sum(self, op, cts, pts, rescaled):
+    def multiply_plain_rescale_sum(self, cts, pts):
         level, scale = cts[0].level, cts[0].scale * pts[0].scale
         for ct, pt in zip(cts, pts, strict=True):
             if ct.level != level:
                 raise ValueError(f"level mismatch: {ct.level} vs {level}")
             self._check_scales(scale, ct.scale * pt.scale)
-        self._note_sum(len(cts), rescaled)
-        if rescaled:
-            level, scale = level - 1, scale / cts[0].basis.primes[-1]
-        return self._out(op, cts, level, scale, pts)
-
-    multiply_plain_sum = partialmethod(_sum, "PCmultSum", rescaled=False)
-    multiply_plain_rescale_sum = partialmethod(
-        _sum, "PCmultRescaleSum", rescaled=True
-    )
+        self._note_sum(len(cts), rescaled=True)
+        return self._out("PCmultRescaleSum", cts, level - 1,
+                         scale / cts[0].basis.primes[-1], pts)
 
     def square(self, ct):
         self._note(HeOp.CC_MULT)

@@ -87,13 +87,6 @@ class CkksEncoder:
             basis, np.rint(real_coeffs).astype(np.int64)
         )
 
-    def encode_scalar(
-        self, value: float, scale: float, basis: RnsBasis
-    ) -> RnsPolynomial:
-        """Encode one value replicated across all slots (constant plaintext)."""
-        slots = np.full(self.slot_count, value, dtype=np.complex128)
-        return self.encode(slots, scale, basis)
-
     def decode(self, plaintext: RnsPolynomial, scale: float) -> np.ndarray:
         """Decode an RNS plaintext back to its complex slot vector."""
         if plaintext.basis.n != self.n:

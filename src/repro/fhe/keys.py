@@ -84,17 +84,9 @@ class KeySwitchKey:
         )
 
 
-#: Sentinel step used to index complex-conjugation keys (element 2N - 1).
-CONJUGATION_STEP = -1
-
-
 @dataclass
 class GaloisKeys:
-    """Key-switching keys for rotations, indexed by (step, level).
-
-    Complex conjugation (Galois element ``2N - 1``) is stored under the
-    sentinel step :data:`CONJUGATION_STEP`.
-    """
+    """Key-switching keys for rotations, indexed by (step, level)."""
 
     keys: dict[tuple[int, int], KeySwitchKey] = field(default_factory=dict)
 
@@ -102,12 +94,8 @@ class GaloisKeys:
         try:
             return self.keys[(step, level)]
         except KeyError:
-            kind = (
-                "conjugation" if step == CONJUGATION_STEP
-                else f"rotation step {step}"
-            )
             raise KeyError(
-                f"no Galois key for {kind} at level {level}; "
+                f"no Galois key for rotation step {step} at level {level}; "
                 "generate it via KeyGenerator.generate_galois_keys"
             ) from None
 
@@ -221,8 +209,7 @@ class KeyGenerator:
         n = self.n
         rotated: dict[int, np.ndarray] = {}
         for step, lvl in pairs:
-            g = (2 * n - 1 if step == CONJUGATION_STEP
-                 else pow(5, step % (n // 2), 2 * n))
+            g = pow(5, step % (n // 2), 2 * n)
             if g not in rotated:
                 rotated[g] = _apply_galois_signed(
                     self.secret_key.signed_coeffs, g, n

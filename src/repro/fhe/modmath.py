@@ -108,13 +108,6 @@ def mod_sub(a: np.ndarray, b: np.ndarray, q: int) -> np.ndarray:
     return np.where(a64 >= b64, a64 - b64, a64 + q64 - b64)
 
 
-def mod_neg(a: np.ndarray, q: int) -> np.ndarray:
-    """Elementwise ``(-a) mod q`` for a residue array ``a < q``."""
-    q64 = _U64(q)
-    a64 = np.asarray(a, dtype=_U64)
-    return np.where(a64 == 0, a64, q64 - a64)
-
-
 def mod_mul(a: np.ndarray, b: np.ndarray, bc: BarrettConstant) -> np.ndarray:
     """Elementwise ``(a * b) mod q`` via Barrett reduction.
 
@@ -233,11 +226,6 @@ def shoup_mul(
     r = np.multiply(a64, np.asarray(b, dtype=_U64))
     r -= hi
     return np.where(r >= qs, r - qs, r)
-
-
-def mod_pow(base: int, exp: int, q: int) -> int:
-    """Scalar modular exponentiation ``base**exp mod q``."""
-    return pow(int(base) % q, int(exp), q)
 
 
 def mod_inverse(a: int, q: int) -> int:

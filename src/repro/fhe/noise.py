@@ -157,22 +157,6 @@ class NoiseEstimator:
             scale=a.scale * pt_scale,
         )
 
-    def multiply(self, a: NoiseBound, b: NoiseBound) -> NoiseBound:
-        """CCmult of two distinct ciphertexts.
-
-        ``(m_a + e_a)(m_b + e_b)`` carries the cross terms
-        ``e_a m_b + e_b m_a + e_a e_b``; :meth:`square` is the ``a = b``
-        special case.  Operands are aligned to the minimum level first
-        (mirroring the evaluator's implicit mod switch).
-        """
-        level = min(a.level, b.level)
-        return NoiseBound(
-            error=a.error * b.message + b.error * a.message + a.error * b.error,
-            message=a.message * b.message,
-            level=level,
-            scale=a.scale * b.scale,
-        )
-
     def square(self, a: NoiseBound) -> NoiseBound:
         return NoiseBound(
             error=2 * a.error * a.message + a.error**2,
@@ -240,18 +224,13 @@ def propagate_op(
     elif op == "PCmult":
         bound = est.multiply_plain(parents[0], *(plains[0] if plains else (1.0,)))
     elif op == "CCmult":
-        if len(parents) == 1:
-            bound = est.square(parents[0])
-        else:
-            bound = est.multiply(*_align_levels(*parents))
+        bound = est.square(parents[0])
     elif op == "Rescale":
         bound = est.rescale(parents[0])
-    elif op in ("Relinearize", "Conjugate"):
+    elif op == "Relinearize":
         bound = est.key_switch(parents[0])
     elif op == "Rotate":
         bound = est.rotate(parents[0])
-    elif op == "PCmultSum":
-        bound = _plain_sum(est, parents, plains)
     elif op == "PCmultRescaleSum":
         # One Rescale of the product sum, as executed.
         bound = est.rescale(_plain_sum(est, parents, plains))

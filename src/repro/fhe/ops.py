@@ -149,19 +149,6 @@ class Evaluator:
         self._note(HeOp.CC_ADD)
         return Ciphertext(components=comps, scale=a.scale)
 
-    @_probed("CCadd")
-    def sub(self, a: Ciphertext, b: Ciphertext) -> Ciphertext:
-        """Ciphertext subtraction (counted as CCadd — same hardware module)."""
-        self._check_scales(a.scale, b.scale)
-        level = min(a.level, b.level)
-        a = self.mod_switch_to_level(a, level)
-        b = self.mod_switch_to_level(b, level)
-        comps = tuple(
-            x.to_ntt() - y.to_ntt() for x, y in zip(a.components, b.components)
-        )
-        self._note(HeOp.CC_ADD)
-        return Ciphertext(components=comps, scale=a.scale)
-
     @_probed("PCadd")
     def add_plain(self, ct: Ciphertext, pt: Plaintext) -> Ciphertext:
         """PCadd: add an encoded plaintext to a ciphertext."""
@@ -197,28 +184,14 @@ class Evaluator:
         self._note(HeOp.PC_MULT)
         return Ciphertext(components=comps, scale=ct.scale * pt.scale)
 
-    @_probed("PCmultSum")
-    def multiply_plain_sum(self, cts, pts) -> Ciphertext:
-        """``sum_i PCmult(cts[i], pts[i])``: the PCmult + CCadd loop in one
-        exact reduction.
-
-        The NTT-domain products are accumulated in uint64 and reduced once
-        (:func:`_product_sum`), bit-identical to the sequential loop.  Its
-        logical operations are recorded: ``k`` PCmult and ``k - 1`` CCadd.
-        """
-        basis, comps, plains, scale = self._sum_operands(cts, pts)
-        self._note_sum(len(cts), rescaled=False)
-        return Ciphertext(
-            components=_plain_product_sums(basis, comps, plains), scale=scale
-        )
-
     @_probed("PCmultRescaleSum")
     def multiply_plain_rescale_sum(self, cts, pts) -> Ciphertext:
         """``sum_i Rescale(PCmult(cts[i], pts[i]))``, the NKS-layer loop
         (paper Listing 1), executed as one Rescale of the product sum.
 
-        Equal to ``rescale(multiply_plain_sum(cts, pts))``: one exact
-        reduction and one division by the last prime, where the loop
+        The NTT-domain products are accumulated in uint64 and reduced once
+        (:func:`_product_sum`), bit-identical to the PCmult + CCadd loop,
+        and the sum is divided by the last prime once, where the NKS loop
         divides each term and rounds ``k`` times.  Its logical operations
         are recorded: ``k`` PCmult, ``k`` Rescale and ``k - 1`` CCadd.
         """
@@ -226,9 +199,13 @@ class Evaluator:
         if basis.level <= 1:
             raise ValueError("cannot rescale a level-1 ciphertext")
         self._note_sum(len(cts), rescaled=True)
+        ctx = basis.ntt()
+        sums = _polys(basis, [
+            _product_sum(zip((c[j] for c in comps), plains), ctx)
+            for j in range(len(comps[0]))
+        ])
         return Ciphertext(
-            components=rescale_polys(_plain_product_sums(basis, comps, plains)),
-            scale=scale / basis.primes[-1],
+            components=rescale_polys(sums), scale=scale / basis.primes[-1]
         )
 
     def _sum_operands(self, cts, pts):
@@ -267,28 +244,10 @@ class Evaluator:
             self._note(HeOp.CC_ADD, terms - 1)
 
     @_probed("CCmult")
-    def multiply(self, a: Ciphertext, b: Ciphertext) -> Ciphertext:
-        """CCmult: tensor product; yields a 3-component ciphertext.
-
-        Call :meth:`relinearize` afterwards (or use :meth:`square` which is
-        the only CCmult the HE-CNNs in the paper perform).
-        """
-        if not (a.is_linear and b.is_linear):
-            raise ValueError("operands must be 2-component ciphertexts")
-        level = min(a.level, b.level)
-        a = self.mod_switch_to_level(a, level)
-        b = self.mod_switch_to_level(b, level)
-        a0, a1 = (c.to_ntt() for c in a.components)
-        b0, b1 = (c.to_ntt() for c in b.components)
-        c0 = a0 * b0
-        c1 = a0 * b1 + a1 * b0
-        c2 = a1 * b1
-        self._note(HeOp.CC_MULT)
-        return Ciphertext(components=(c0, c1, c2), scale=a.scale * b.scale)
-
-    @_probed("CCmult")
     def square(self, ct: Ciphertext) -> Ciphertext:
-        """Homomorphic squaring — the activation of CryptoNets-style CNNs."""
+        """CCmult of a ciphertext with itself, a 3-component result: the
+        activation of CryptoNets-style CNNs and the only CCmult the
+        networks perform.  Follow with :meth:`relinearize`."""
         if not ct.is_linear:
             raise ValueError("operand must be a 2-component ciphertext")
         c0, c1 = (c.to_ntt() for c in ct.components)
@@ -322,7 +281,7 @@ class Evaluator:
                 f"no relinearization key at level {ct.level}; call "
                 "context.ensure_relin_keys()"
             )
-        k0, k1 = _key_switch(ct.components[2], key)
+        k0, k1 = _key_switch(ct.components[2], ((None, key),))
         c0 = ct.components[0].to_ntt() + k0
         c1 = ct.components[1].to_ntt() + k1
         self._note(HeOp.KEY_SWITCH)
@@ -376,37 +335,7 @@ class Evaluator:
             scale=ct.scale,
         )
 
-    def negate(self, ct: Ciphertext) -> Ciphertext:
-        """Homomorphic negation (free — no HE operation module involved)."""
-        return Ciphertext(
-            components=tuple(-c for c in ct.components), scale=ct.scale
-        )
-
-    @_probed("Conjugate")
-    def conjugate(self, ct: Ciphertext) -> Ciphertext:
-        """Complex-conjugate every slot (Galois element ``2N - 1``).
-
-        Needs a conjugation key: ``context.ensure_conjugation_keys()``.
-        Counted as a KeySwitch — same hardware module as Rotate.
-        """
-        from .keys import CONJUGATION_STEP
-
-        if not ct.is_linear:
-            raise ValueError("relinearize before conjugating")
-        n = self.context.params.poly_degree
-        g = 2 * n - 1
-        key = self.context.galois_keys.get(CONJUGATION_STEP, ct.level)
-        conj0 = ct.components[0].galois_transform(g)
-        conj1 = ct.components[1].galois_transform(g)
-        k0, k1 = _key_switch(conj1, key)
-        self._note(HeOp.KEY_SWITCH)
-        return Ciphertext(components=(conj0.to_ntt() + k0, k1), scale=ct.scale)
-
     # -- composite helpers -----------------------------------------------------------
-
-    def multiply_plain_rescale(self, ct: Ciphertext, pt: Plaintext) -> Ciphertext:
-        """PCmult followed by Rescale — the NKS-layer inner step."""
-        return self.rescale(self.multiply_plain(ct, pt))
 
     def multiply_values_rescale(
         self, ct: Ciphertext, values, cache_key=None
@@ -581,22 +510,6 @@ class Evaluator:
         self._note(HeOp.RESCALE, len(giants))
         self._note(HeOp.CC_ADD, len(giants) - 1)
 
-    def rotate_and_sum(self, ct: Ciphertext, width: int) -> Ciphertext:
-        """Sum the first ``width`` slots into slot 0 by log2(width) rotations.
-
-        The paper's KS-layer pattern: "summing up all the slots ... is
-        equivalent to iterations of Rotate and CCadd operations" [5].
-        ``width`` must be a power of two.
-        """
-        if width <= 0 or width & (width - 1):
-            raise ValueError("width must be a positive power of two")
-        steps = []
-        step = width // 2
-        while step >= 1:
-            steps.append(step)
-            step //= 2
-        return self.rotate_fold(ct, steps)
-
     def rotate_fold(self, ct: Ciphertext, steps) -> Ciphertext:
         """Sequential rotate-and-accumulate: ``acc = add(acc, rotate(acc, s))``
         for each step, executed with *hoisted* groups where possible.
@@ -605,59 +518,35 @@ class Evaluator:
         rotations of the group's input — one per non-empty subset sum of the
         steps — which all share a single digit decomposition, basis lift and
         forward NTT (Halevi-Shoup hoisting) plus a single rescale inside
-        :func:`_key_switch_hoisted`.  Group size is capped at
+        :func:`_key_switch`.  Group size is capped at
         :data:`_FOLD_GROUP`: the per-group fixed cost is amortized over
         ``k`` steps while the per-rotation inner products grow as
         ``(2**k - 1) / k``, which makes ``k = 3`` the sweet spot on this
         substrate.
 
-        Falls back to the plain rotate/add sequence when a composite Galois
-        key was not provisioned.  A hoisted group shares one rescale, so its
-        rounding differs from the sequential walk: outputs agree within the
-        CKKS noise budget, not bit for bit.  Recorded operation counts are
-        the *logical* ones — ``k`` KeySwitch and ``k`` CCadd per group — so
-        analytic layer traces and the FPGA cost model are unaffected by the
-        execution strategy.
+        The groups are those of :func:`_fold_groups`, the walk key
+        provisioning follows (:func:`fold_composite_steps`), so a missing
+        Galois key raises ``KeyError``.  A hoisted group shares one
+        rescale, so its rounding differs from the sequential walk: outputs
+        agree within the CKKS noise budget, not bit for bit.  Recorded
+        operation counts are the *logical* ones — ``k`` KeySwitch and ``k``
+        CCadd per group — so analytic layer traces and the FPGA cost model
+        are unaffected by the execution strategy.
         """
-        slots = self.context.slot_count
-        seq = [s % slots for s in steps]
+        if not ct.is_linear:
+            raise ValueError("relinearize before rotating")
+        two_n = 2 * self.context.params.poly_degree
         acc = ct
-        i = 0
-        while i < len(seq):
-            if acc.is_linear:
-                grouped = False
-                for size in range(min(_FOLD_GROUP, len(seq) - i), 1, -1):
-                    group = seq[i : i + size]
-                    subs = _subset_steps(group, slots)
-                    if subs is None:
-                        continue
-                    try:
-                        rotations = self._fold_rotations(acc, subs)
-                    except KeyError:
-                        continue
-                    acc = self._rotate_fold_group(
-                        acc, rotations, logical=size
-                    )
-                    i += size
-                    grouped = True
-                    break
-                if grouped:
-                    continue
-            acc = self.add(acc, self.rotate(acc, seq[i]))
-            i += 1
+        for group, sums in _fold_groups(steps, self.context.slot_count):
+            if sums is None:
+                acc = self.add(acc, self.rotate(acc, group[0]))
+                continue
+            rotations = tuple(
+                (pow(5, s, two_n), self.context.galois_keys.get(s, acc.level))
+                for s in sums
+            )
+            acc = self._rotate_fold_group(acc, rotations, logical=len(group))
         return acc
-
-    def _fold_rotations(self, ct: Ciphertext, steps):
-        """Resolve ``(galois_element, key)`` pairs for a hoisted group.
-
-        Raises ``KeyError`` if any key is missing, letting the caller fall
-        back to a smaller group or the sequential path.
-        """
-        n = self.context.params.poly_degree
-        return tuple(
-            (pow(5, s, 2 * n), self.context.galois_keys.get(s, ct.level))
-            for s in steps
-        )
 
     @_probed("RotateFold")
     def _rotate_fold_group(
@@ -667,12 +556,12 @@ class Evaluator:
         non-empty subset sum ``c`` of the group's ``logical`` steps.
 
         The ``c1`` component is key-switched once for all rotations via
-        :func:`_key_switch_hoisted`; the ``c0`` side only needs the (cheap)
+        :func:`_key_switch`; the ``c0`` side only needs the (cheap)
         NTT-domain Galois permutations and additions.
         """
         c0 = ct.components[0].to_ntt()
         c1 = ct.components[1].to_ntt()
-        k0, k1 = _key_switch_hoisted(c1, rotations)
+        k0, k1 = _key_switch(c1, rotations)
         # Lazily accumulate c0 and its NTT-domain Galois permutations with
         # plain adds (canonical inputs, so the sum of 2**k terms stays far
         # below 2**64) and canonicalize once — bit-identical to a chain of
@@ -783,16 +672,6 @@ def _product_sum(pairs, ctx) -> np.ndarray:
     return np.remainder(acc, ctx.qs_full, out=acc)
 
 
-def _plain_product_sums(basis, comps, plains) -> tuple[RnsPolynomial, ...]:
-    """Each component's ``sum_i comps[i][j] * plains[i]`` over ``basis``
-    (the operands of :meth:`Evaluator._sum_operands`), NTT-domain."""
-    ctx = basis.ntt()
-    return _polys(basis, [
-        _product_sum(zip((c[j] for c in comps), plains), ctx)
-        for j in range(len(comps[0]))
-    ])
-
-
 def _polys(basis, rows) -> tuple[RnsPolynomial, ...]:
     """NTT-domain polynomials over ``basis`` from stacked residue rows."""
     return tuple(RnsPolynomial(basis, row, is_ntt=True) for row in rows)
@@ -889,37 +768,22 @@ def _lift(component: RnsPolynomial, keys) -> np.ndarray:
 
 
 def _key_switch(
-    component: RnsPolynomial, key
-) -> tuple[RnsPolynomial, RnsPolynomial]:
-    """Hybrid RNS key switch of one polynomial component.
-
-    Decomposes ``d`` into its per-prime residues, lifts each (centered) into
-    the extended basis, inner-products with the key, and divides out the
-    special prime.  Returns NTT-domain polynomials over the chain basis.
-    """
-    ext = key.basis
-    digits = _lift(component, (key,))
-    return rescale_polys(_polys(ext, _switched_over_qp(
-        ext, digits, ((None, key),)
-    )))
-
-
-def _key_switch_hoisted(
     component: RnsPolynomial, rotations
 ) -> tuple[RnsPolynomial, RnsPolynomial]:
-    """Hoisted key switch: one decomposition/lift/forward-NTT shared by
-    several rotations of the same component (Halevi-Shoup hoisting),
-    summed into one result.
+    """Hybrid RNS key switch of one polynomial component under each
+    ``(galois_element, key)`` pair of ``rotations``, summed into one result
+    (``None`` leaves the component unpermuted: a relinearization).
 
-    ``rotations`` is a sequence of ``(galois_element, key)`` pairs.  Because
-    the Galois automorphism commutes with the per-prime digit decomposition,
-    the centered lift and the NTT (where it is a pure permutation of
-    evaluation points), the digits of ``galois_g(d)`` equal the permuted
-    digits of ``d`` bit-for-bit — so the expensive lift + batched forward
-    NTT run once and each rotation costs only an index permutation plus its
-    share of one :func:`_inner_product`, which accumulates every rotation's
-    ``L`` products before its exact reduction, followed by one shared
-    rescale by the special prime.
+    The component is decomposed into its per-prime residues, each lifted
+    (centered) into the extended basis and forward-transformed once
+    (:func:`_lift`).  Because the Galois automorphism commutes with the
+    digit decomposition, the centered lift and the NTT (where it is a pure
+    permutation of evaluation points), the digits of ``galois_g(d)`` equal
+    the permuted digits of ``d`` bit-for-bit — so several rotations share
+    that lift (Halevi-Shoup hoisting) and each costs only an index
+    permutation plus its share of one :func:`_inner_product`, followed by
+    one shared division by the special prime.  Returns NTT-domain
+    polynomials over the chain basis.
     """
     ext = rotations[0][1].basis
     digits = _lift(component, (key for _g, key in rotations))
@@ -954,28 +818,34 @@ def _subset_steps(group, slot_count: int) -> list[int] | None:
     return sums
 
 
+def _fold_groups(steps, slot_count: int):
+    """The grouping walk of :meth:`Evaluator.rotate_fold`: yields each run
+    of consecutive ``steps`` (reduced mod ``slot_count``) it executes as a
+    ``(group, sums)`` pair, taking the longest run of at most
+    :data:`_FOLD_GROUP` steps whose subset sums (:func:`_subset_steps`)
+    hoist, or else one step with ``sums = None``."""
+    seq = [s % slot_count for s in steps]
+    i = 0
+    while i < len(seq):
+        for size in range(min(_FOLD_GROUP, len(seq) - i), 1, -1):
+            sums = _subset_steps(seq[i : i + size], slot_count)
+            if sums is not None:
+                break
+        else:
+            size, sums = 1, None
+        yield seq[i : i + size], sums
+        i += size
+
+
 def fold_composite_steps(steps, slot_count: int) -> list[int]:
-    """Rotation steps :meth:`Evaluator.rotate_fold` will need keys for,
-    mirroring its grouping walk exactly (subset sums of each hoisted group).
+    """Rotation steps the hoisted groups of :meth:`Evaluator.rotate_fold`
+    fetch keys for: the subset sums of each group of :func:`_fold_groups`.
 
     The dry run (:mod:`repro.fhe.dryrun`) logs these, with the fold's
     non-zero steps, so key provisioning covers exactly the hoisted
-    execution; a missing composite key only costs the fallback to a smaller
-    group or the sequential path, never an error.
+    execution; a fold missing one of them raises ``KeyError``.
     """
-    seq = [s % slot_count for s in steps]
-    out: list[int] = []
-    i = 0
-    while i < len(seq):
-        advanced = False
-        for size in range(min(_FOLD_GROUP, len(seq) - i), 1, -1):
-            subs = _subset_steps(seq[i : i + size], slot_count)
-            if subs is None:
-                continue
-            out.extend(subs)
-            i += size
-            advanced = True
-            break
-        if not advanced:
-            i += 1
-    return out
+    return [
+        s for _group, sums in _fold_groups(steps, slot_count) if sums
+        for s in sums
+    ]

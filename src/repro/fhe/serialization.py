@@ -168,11 +168,3 @@ def ciphertext_wire_size(
 def plaintext_wire_size(poly_degree: int, level: int) -> int:
     """Exact serialized size of one encoded plaintext."""
     return ciphertext_wire_size(poly_degree, level, num_polys=1)
-
-
-def ciphertext_wire_bytes(poly_degree: int, level: int, components: int = 2) -> int:
-    """Exact serialized size of a ciphertext with the given geometry.
-
-    Kept as the historical name; identical to :func:`ciphertext_wire_size`.
-    """
-    return ciphertext_wire_size(poly_degree, level, num_polys=components)

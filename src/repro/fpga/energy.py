@@ -17,8 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .device import FpgaDevice
-
 
 @dataclass(frozen=True)
 class PlatformResult:
@@ -31,22 +29,6 @@ class PlatformResult:
     def __post_init__(self) -> None:
         if self.tdp_watts <= 0 or self.latency_seconds <= 0:
             raise ValueError("TDP and latency must be positive")
-
-    @classmethod
-    def from_design(
-        cls, device: FpgaDevice, latency_seconds: float
-    ) -> "PlatformResult":
-        """Platform record of a generated design on a known device.
-
-        Pulls the platform name and TDP from the device spec so fleet
-        code can price any (device, latency) pair without building a full
-        :class:`~repro.core.framework.AcceleratorDesign`.
-        """
-        return cls(
-            platform=device.name,
-            tdp_watts=device.tdp_watts,
-            latency_seconds=latency_seconds,
-        )
 
     @property
     def energy_joules(self) -> float:

@@ -18,7 +18,6 @@ from .data import (
     glorot_weights,
     small_bias,
     synthetic_cifar10_image,
-    synthetic_image_batch,
     synthetic_mnist_image,
 )
 from .layers import (
@@ -94,7 +93,6 @@ __all__ = [
     "ntt_pass_basic_ops",
     "small_bias",
     "synthetic_cifar10_image",
-    "synthetic_image_batch",
     "synthetic_mnist_image",
     "tiny_mnist_model",
 ]

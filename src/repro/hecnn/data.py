@@ -43,16 +43,6 @@ def synthetic_cifar10_image(seed: int = 0) -> np.ndarray:
     return np.clip(img, 0.0, 1.0)
 
 
-def synthetic_image_batch(kind: str, count: int, seed: int = 0) -> list[np.ndarray]:
-    """A list of synthetic images of the requested dataset shape."""
-    maker = {"mnist": synthetic_mnist_image, "cifar10": synthetic_cifar10_image}
-    try:
-        fn = maker[kind]
-    except KeyError:
-        raise ValueError(f"unknown dataset kind {kind!r}") from None
-    return [fn(seed + i) for i in range(count)]
-
-
 def glorot_weights(shape: tuple[int, ...], rng: np.random.Generator) -> np.ndarray:
     """Glorot-uniform weights; keeps activations in CKKS-friendly range."""
     fan_in = int(np.prod(shape[1:])) if len(shape) > 1 else shape[0]

@@ -110,10 +110,6 @@ class SlotLayout:
     def value_count(self) -> int:
         return len(self.ct_index)
 
-    def positions_for_ct(self, ct: int) -> np.ndarray:
-        """Value indices living in ciphertext ``ct``."""
-        return np.nonzero(self.ct_index == ct)[0]
-
     @classmethod
     def contiguous(cls, slot_count: int, width: int, clean: bool = True) -> "SlotLayout":
         """Values ``0..width-1`` at slots ``0..width-1`` of one ciphertext."""

@@ -191,6 +191,3 @@ class PlainNetwork:
         for layer in self.layers:
             x = layer.forward(x)
         return x
-
-    def predict(self, image: np.ndarray) -> int:
-        return int(np.argmax(self.forward(image)))

@@ -143,13 +143,6 @@ class NetworkTrace:
     def he_macs(self) -> int:
         return sum(layer.he_macs(self.poly_degree) for layer in self.layers)
 
-    def total_op_counts(self) -> dict[HeOp, int]:
-        out: dict[HeOp, int] = {}
-        for layer in self.layers:
-            for op, c in layer.op_counts.items():
-                out[op] = out.get(op, 0) + c
-        return out
-
     def rotation_steps(self) -> list[int]:
         steps: set[int] = set()
         for layer in self.layers:
@@ -184,15 +177,6 @@ class NetworkTrace:
             layer.plaintext_count
             * plaintext_wire_size(self.poly_degree, layer.level)
             for layer in self.layers
-        )
-
-    def input_wire_bytes(self) -> int:
-        """Exact wire bytes of the encrypted input the client uploads."""
-        from ..fhe.serialization import ciphertext_wire_size
-
-        first = self.layers[0]
-        return first.num_input_cts * ciphertext_wire_size(
-            self.poly_degree, first.level
         )
 
     def boundary_wire_bytes(self, cut_after: int) -> int:
@@ -290,12 +274,3 @@ def he_op_basic_ops(op: HeOp, poly_degree: int, level: int) -> int:
         divide = 2 * ((2 * ext - 1) * ntt + 2 * (ext - 1) * n)
         return decompose + lift + mac + divide
     raise ValueError(f"unknown op {op}")
-
-
-def merge_op_counts(*counts: dict[HeOp, int]) -> dict[HeOp, int]:
-    """Sum several op-count dicts."""
-    out: dict[HeOp, int] = {}
-    for c in counts:
-        for op, v in c.items():
-            out[op] = out.get(op, 0) + v
-    return out

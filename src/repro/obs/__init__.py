@@ -34,7 +34,7 @@ from .alerts import (
 from .config import disable, enable, enabled, observed, set_enabled
 from .export import Snapshotter, render_openmetrics, validate_openmetrics
 from .flight import FLIGHT, FlightRecorder, dump_on_error, get_flight_recorder
-from .timeseries import TIMESERIES, TimeSeriesStore, get_timeseries
+from .timeseries import TIMESERIES, TimeSeriesStore
 from .lineage import (
     HeadroomWatch,
     LineageNode,
@@ -123,7 +123,6 @@ __all__ = [
     "enabled",
     "get_flight_recorder",
     "get_registry",
-    "get_timeseries",
     "get_tracer",
     "lineage_context",
     "load_rules",

@@ -144,10 +144,10 @@ def record_request_outcome(outcome: str, **fields: Any) -> None:
 
 
 def record_tenant_event(event: str) -> None:
-    """Count one tenant lifecycle transition: registered / key_rotation /
-    evicted.  The matching flight events carry the tenant identity; this
-    counter answers "how much key churn" without unbounded label
-    cardinality (no per-tenant labels)."""
+    """Count one tenant lifecycle transition: registered / evicted.  The
+    matching flight events carry the tenant identity; this counter answers
+    "how much tenant churn" without unbounded label cardinality (no
+    per-tenant labels)."""
     if not config.enabled():
         return
     REGISTRY.counter("tenant_events_total", event=event).inc()

@@ -273,7 +273,3 @@ class TimeSeriesStore:
 #: The process-global store :func:`repro.obs.probes.record_timeseries_tick`
 #: samples into; :func:`repro.obs.reset` clears it.
 TIMESERIES = TimeSeriesStore()
-
-
-def get_timeseries() -> TimeSeriesStore:
-    return TIMESERIES

@@ -140,11 +140,6 @@ class Tracer:
             "span_seconds", category=span.category, name=span.name
         ).observe(span.duration_seconds)
 
-    def current_span(self) -> Span | None:
-        """The innermost open span on this thread, if any."""
-        stack = self._stack()
-        return stack[-1] if stack else None
-
     # -- virtual-time events --------------------------------------------------
 
     #: ``pid`` used for events with caller-supplied (virtual) timestamps,
@@ -238,25 +233,6 @@ class Tracer:
             })
         rows.sort(key=lambda r: -r["total_ms"])
         return rows
-
-    def format_summary(self, category: str | None = None) -> str:
-        """Render :meth:`summary` as an aligned plain-text table."""
-        rows = self.summary(category)
-        header = ["category", "name", "count", "total ms", "mean ms",
-                  "p50 ms", "p95 ms"]
-        cells = [header] + [
-            [r["category"], r["name"], str(r["count"]),
-             f"{r['total_ms']:.2f}", f"{r['mean_ms']:.3f}",
-             f"{r['p50_ms']:.3f}", f"{r['p95_ms']:.3f}"]
-            for r in rows
-        ]
-        widths = [max(len(row[i]) for row in cells) for i in range(len(header))]
-        lines = [
-            "  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip()
-            for row in cells
-        ]
-        lines.insert(1, "  ".join("-" * w for w in widths))
-        return "\n".join(lines)
 
 
 #: The process-global tracer all spans record into.

@@ -176,15 +176,6 @@ class CostLedger:
         self._fleet["slot_us"] += slot_us
         self._fleet["wire_bytes"] += int(wire_bytes)
 
-    def note_request(
-        self,
-        key_group: str | None,
-        slot_seconds: float,
-        wire_bytes: int = 0,
-    ) -> None:
-        """Charge one request directly (a LoLa single, for instance)."""
-        self.note_batch([key_group], slot_seconds, wire_bytes)
-
     def note_stage_wire(self, stage: str, wire_bytes: int) -> None:
         """Track the same wire bytes by pipeline stage (the dual view:
         stage sums must reconcile against tenant sums)."""

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass
+from functools import cached_property
 from typing import Any
 
 
@@ -129,25 +130,28 @@ def _percentile(sorted_values: list[float], p: float) -> float:
 
 @dataclass(frozen=True)
 class ServeReport:
-    """Aggregate outcome of one serving session."""
+    """Aggregate outcome of one serving session.
+
+    The counts and the makespan walk every result, so each is computed once
+    per report (``results`` is a tuple)."""
 
     results: tuple[RequestResult, ...]
     batches: tuple[BatchRecord, ...]
     config: dict[str, Any]
 
-    @property
+    @cached_property
     def completed(self) -> int:
         return sum(1 for r in self.results if r.completed)
 
-    @property
+    @cached_property
     def rejected(self) -> int:
         return sum(1 for r in self.results if r.outcome == "rejected")
 
-    @property
+    @cached_property
     def expired(self) -> int:
         return sum(1 for r in self.results if r.outcome == "expired")
 
-    @property
+    @cached_property
     def makespan_s(self) -> float:
         """First arrival to last completion."""
         finishes = [r.finish_s for r in self.results if r.finish_s is not None]

@@ -8,11 +8,9 @@ identity layer the serving stack batches, caches and accounts by:
 
 * :class:`TenantRegistry` — tenants with a stable **key-group ID**
   (``"{tenant_id}:k{epoch}"``).  The key group is the unit of batching
-  and cache sharding; rotating a tenant's key bumps the epoch, so stale
-  contexts can never be confused with fresh ones.  Registration,
-  rotation and eviction all land in the flight recorder
-  (``tenant_registered`` / ``key_rotation`` / ``tenant_evicted``), so a
-  post-mortem window shows the key lifecycle around a failure.
+  and cache sharding.  Registration lands in the flight recorder
+  (``tenant_registered``), so a post-mortem window shows which tenants
+  were live around a failure.
 * :class:`TenantShardedCache` — per-tenant :class:`~repro.caching
   .LruCache` shards with a **bounded per-tenant quota** and a bounded
   tenant population: the least-recently-active tenant's whole shard is
@@ -79,7 +77,7 @@ def tenant_of_key_group(key_group: str) -> str:
 
 
 class TenantRegistry:
-    """Thread-safe tenant directory with key-rotation lifecycle events."""
+    """Thread-safe tenant directory."""
 
     def __init__(self) -> None:
         self._tenants: dict[str, Tenant] = {}
@@ -114,44 +112,6 @@ class TenantRegistry:
         if tenant is None:
             tenant = self.register(tenant_id)
         return tenant.key_group
-
-    def rotate_key(self, tenant_id: str) -> Tenant:
-        """Bump the tenant's key epoch; old contexts are now stale.
-
-        Returns the post-rotation snapshot.  Callers owning caches keyed
-        by key group should also :meth:`TenantShardedCache.invalidate`
-        the old group — the epoch bump guarantees no *new* lookup can
-        hit stale material either way.
-        """
-        with self._lock:
-            tenant = self._tenants.get(tenant_id)
-            if tenant is None:
-                raise KeyError(f"unknown tenant {tenant_id!r}")
-            rotated = Tenant(
-                tenant_id=tenant_id, tier=tenant.tier,
-                key_epoch=tenant.key_epoch + 1,
-            )
-            self._tenants[tenant_id] = rotated
-        record_flight(
-            "key_rotation", tenant=tenant_id,
-            old_key_group=tenant.key_group, new_key_group=rotated.key_group,
-            key_epoch=rotated.key_epoch,
-        )
-        record_tenant_event("key_rotation")
-        return rotated
-
-    def evict(self, tenant_id: str) -> bool:
-        """Forget a tenant (deprovisioning); True when it existed."""
-        with self._lock:
-            tenant = self._tenants.pop(tenant_id, None)
-        if tenant is None:
-            return False
-        record_flight(
-            "tenant_evicted", tenant=tenant_id, source="registry",
-            key_group=tenant.key_group,
-        )
-        record_tenant_event("evicted")
-        return True
 
     def tenants(self) -> list[Tenant]:
         with self._lock:
@@ -246,22 +206,6 @@ class TenantShardedCache:
         value = self.shard(key_group).get_or_create(key, factory)
         self._publish_total()
         return value
-
-    def invalidate(self, key_group: str) -> int:
-        """Drop one tenant's shard (key rotation); returns entries lost."""
-        with self._lock:
-            cache = self._shards.pop(key_group, None)
-            if cache is None:
-                return 0
-            self._order.remove(key_group)
-        entries = len(cache)
-        cache.clear()
-        record_flight(
-            "tenant_invalidated", tenant=tenant_of_key_group(key_group),
-            key_group=key_group, cache=self.name, entries=entries,
-        )
-        self._publish_total()
-        return entries
 
     def clear(self) -> None:
         with self._lock:

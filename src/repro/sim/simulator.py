@@ -68,9 +68,6 @@ class SimulationReport:
             return 0.0
         return (self.simulated_cycles - self.analytic_cycles) / self.analytic_cycles
 
-    def simulated_seconds(self, clock_hz: float) -> float:
-        return self.simulated_cycles / clock_hz
-
 
 class AcceleratorSimulator:
     """Discrete simulation of a network on a configured accelerator."""

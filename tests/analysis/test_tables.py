@@ -1,12 +1,10 @@
-"""Tests for table rendering and experiment reports."""
+"""Tests for table rendering and literature data."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.analysis import (
-    Comparison,
-    ExperimentReport,
     TABLE7_LITERATURE,
     TABLE8_FPL21,
     format_table,
@@ -33,20 +31,6 @@ def test_float_formatting():
 def test_ratio_note():
     assert ratio_note(2.0, 1.0) == "2.00x of paper"
     assert ratio_note(1.0, 0.0) == "n/a"
-
-
-def test_comparison_ratio():
-    c = Comparison(metric="lat", paper=0.24, measured=0.12)
-    assert c.ratio == pytest.approx(0.5)
-
-
-def test_experiment_report_render_and_worst():
-    rep = ExperimentReport("Table X")
-    rep.add("lat", paper=1.0, measured=2.0)
-    rep.add("dsp", paper=100, measured=100)
-    text = rep.render()
-    assert "Table X" in text and "lat" in text and "2.00x" in text
-    assert rep.max_abs_log_ratio() == pytest.approx(0.30103, rel=1e-3)
 
 
 def test_literature_platform_lookup():

@@ -71,7 +71,7 @@ def test_keys_and_ciphertexts_do_not_depend_on_provisioning():
     wide.ensure_rotation_keys(
         [(5, 7), (1, 3)] + list(reversed(model.rotation_keys()))
     )
-    wide.ensure_conjugation_keys([2])
+    wide.ensure_rotation_keys([(3, 2)])
     wide.ensure_relin_keys(sorted(range(1, 8), reverse=True))
     assert set(exact.galois_keys.keys) < set(wide.galois_keys.keys)
     assert set(exact.relin_keys) < set(wide.relin_keys)
@@ -110,12 +110,6 @@ def test_ensure_keys_idempotent(ctx):
 def test_galois_key_lookup_error(ctx):
     with pytest.raises(KeyError, match="no Galois key"):
         ctx.galois_keys.get(3331, 1)
-
-
-def test_ciphertext_byte_size(ctx):
-    ct = ctx.encrypt_values(np.ones(4))
-    n = ctx.params.poly_degree
-    assert ct.byte_size() == 2 * ctx.params.level * n * 8
 
 
 def test_noise_budget_survives_depth(small_params):

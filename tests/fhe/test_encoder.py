@@ -70,12 +70,6 @@ def test_short_vector_zero_pads(encoder, basis):
     assert np.allclose(out[3:], 0.0, atol=1e-5)
 
 
-def test_encode_scalar_fills_all_slots(encoder, basis):
-    pt = encoder.encode_scalar(2.5, SCALE, basis)
-    out = encoder.decode_real(pt, SCALE)
-    assert np.allclose(out, 2.5, atol=1e-5)
-
-
 def test_encoding_is_additively_homomorphic(encoder, basis):
     """encode(a) + encode(b) decodes to a + b (linearity of the embedding)."""
     rng = np.random.default_rng(2)

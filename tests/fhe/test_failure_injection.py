@@ -74,7 +74,7 @@ def test_key_level_mismatch_raises(ctx, evaluator):
     ct = ctx.encrypt_values(np.ones(4), level=2)
     key = ctx.galois_keys.get(1, 3)  # wrong level on purpose
     with pytest.raises(ValueError, match="level"):
-        _key_switch(ct.components[1], key)
+        _key_switch(ct.components[1], ((None, key),))
 
 
 def test_mixed_ring_degree_rejected(ctx):

@@ -184,10 +184,10 @@ def _residues(ciphertext):
     return [c.to_ntt().residues.copy() for c in ciphertext.components]
 
 
-def _per_digit_key_switch_hoisted(component, rotations):
-    """Hoisted KeySwitch oracle: lift and transform one decomposition digit
-    at a time, apply each rotation's Galois element to it (``None`` leaves
-    it unpermuted), accumulate every digit x key product with modular ring
+def _per_digit_key_switch(component, rotations):
+    """KeySwitch oracle: lift and transform one decomposition digit at a
+    time, apply each rotation's Galois element to it (``None`` leaves it
+    unpermuted), accumulate every digit x key product with modular ring
     ops, then rescale by the special prime."""
     basis, ext = component.basis, rotations[0][1].basis
     d = component.to_coefficient()
@@ -207,11 +207,6 @@ def _per_digit_key_switch_hoisted(component, rotations):
     return tuple(p.to_coefficient().rescale().to_ntt() for p in (acc0, acc1))
 
 
-def _per_digit_key_switch(component, key):
-    """KeySwitch oracle: the hoisted oracle with one unpermuted key."""
-    return _per_digit_key_switch_hoisted(component, [(None, key)])
-
-
 @pytest.mark.parametrize("step", [1, 2])
 def test_keyswitch_matches_per_digit_oracle(ctx, ct, step):
     """Rotate equals the Galois map of ``c0`` plus the per-digit oracle's
@@ -221,7 +216,7 @@ def test_keyswitch_matches_per_digit_oracle(ctx, ct, step):
     g = pow(5, step, 2 * ctx.params.poly_degree)
     c0, c1 = ct.components
     k0, k1 = _per_digit_key_switch(
-        c1.galois_transform(g), ctx.galois_keys.get(step, ct.level)
+        c1.galois_transform(g), [(None, ctx.galois_keys.get(step, ct.level))]
     )
     slow = [(c0.galois_transform(g).to_ntt() + k0).residues, k1.residues]
     for f, s in zip(_residues(fast), slow, strict=True):
@@ -247,18 +242,16 @@ def test_hoisted_keyswitch_matches_per_digit_oracle(prime_bits, monkeypatch):
     ct = context.encrypt_values(rng.uniform(-1, 1, context.slot_count))
     ev = Evaluator(context)
     groups = []
-    hoisted = ops._key_switch_hoisted
+    hoisted = ops._key_switch
 
     def counted(component, rotations):
         groups.append(len(rotations))
         return hoisted(component, rotations)
 
-    monkeypatch.setattr(ops, "_key_switch_hoisted", counted)
+    monkeypatch.setattr(ops, "_key_switch", counted)
     fast = ev.rotate_fold(ct, steps)
-    assert groups == [7]  # one hoisted group, no sequential fallback
-    monkeypatch.setattr(
-        ops, "_key_switch_hoisted", _per_digit_key_switch_hoisted
-    )
+    assert groups == [7]  # one hoisted group
+    monkeypatch.setattr(ops, "_key_switch", _per_digit_key_switch)
     slow = ev.rotate_fold(ct, steps)
     for f, s in zip(_residues(fast), _residues(slow)):
         assert np.array_equal(f, s)

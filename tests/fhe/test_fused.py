@@ -1,13 +1,12 @@
 """The fused evaluator ops and the one-transform encryption are
 bit-identical to the sequences of primitives they execute.
 
-``multiply_plain_sum`` must equal ``multiply_plain`` + ``add`` and
-``multiply_plain_rescale_sum`` must equal that sum followed by one
-``rescale``, residues and scale alike, record the logical operations of
-the loop they replace (a Rescale per term), and carry the bound of the
-ops they execute in a lineage DAG.  Worst-case operands (every residue
-``q - 1``) push the uint64 accumulator past its lazy budget at 30-bit
-primes, where an unreduced sum overflows.
+``multiply_plain_rescale_sum`` must equal the ``multiply_plain`` + ``add``
+loop followed by one ``rescale``, residues and scale alike, record the
+logical operations of the loop it replaces (a Rescale per term), and
+carry the bound of the ops it executes in a lineage DAG.  Worst-case
+operands (every residue ``q - 1``) push the uint64 accumulator past its
+lazy budget at 30-bit primes, where an unreduced sum overflows.
 
 The divisions by the special prime ``P`` are deferred and fused:
 ``rescale_twice`` must equal ``rescale_polys`` applied twice, and
@@ -42,7 +41,8 @@ _U64 = np.uint64
 
 
 def sequential_plain_sum(ev, cts, pts):
-    """The PCmult + CCadd loop that ``multiply_plain_sum`` fuses."""
+    """The PCmult + CCadd loop whose sum ``multiply_plain_rescale_sum``
+    rescales once."""
     acc = None
     for ct, pt in zip(cts, pts):
         term = ev.multiply_plain(ct, pt)
@@ -125,18 +125,6 @@ CASES = [(1, False), (5, False), (40, False), (40, True)]
 
 
 @pytest.mark.parametrize("k,worst", CASES)
-def test_plain_sum_equals_pcmult_ccadd_loop(ring, k, worst):
-    cts, pts = _terms(ring, k, seed=k, worst=worst)
-    rec = OperationRecorder()
-    got = Evaluator(ring, rec).multiply_plain_sum(cts, pts)
-    _assert_same(got, sequential_plain_sum(Evaluator(ring), cts, pts))
-    expected = {HeOp.PC_MULT: k}
-    if k > 1:
-        expected[HeOp.CC_ADD] = k - 1
-    assert rec.counts == expected
-
-
-@pytest.mark.parametrize("k,worst", CASES)
 def test_rescale_sum_equals_pcmult_rescale_ccadd_loop(ring, k, worst):
     """One Rescale of the product sum, recorded as the per-term loop.  The
     loop rounds each of its ``k`` divisions on its own, so it differs from
@@ -168,8 +156,6 @@ def test_fused_sums_take_coefficient_domain_and_higher_plaintexts(ring):
     pts = [Plaintext(poly=pt.poly.to_coefficient(), scale=pt.scale)
            for pt in pts]
     ev = Evaluator(ring)
-    _assert_same(ev.multiply_plain_sum(cts, pts),
-                 sequential_plain_sum(ev, cts, pts))
     _assert_same(ev.multiply_plain_rescale_sum(cts, pts),
                  sequential_rescale_sum(ev, cts, pts))
 
@@ -194,12 +180,8 @@ def test_rescale_sum_transforms_once(ring):
     assert rows == (2 * (level - 1), 2)
 
 
-@pytest.mark.parametrize(
-    "op", ["multiply_plain_sum", "multiply_plain_rescale_sum"]
-)
-def test_fused_sums_reject_mismatched_terms(ring, op):
-    ev = Evaluator(ring)
-    fused = getattr(ev, op)
+def test_fused_sums_reject_mismatched_terms(ring):
+    fused = Evaluator(ring).multiply_plain_rescale_sum
     cts, pts = _terms(ring, 2, seed=10)
     low, low_pts = _terms(ring, 1, seed=11, level=2)
     with pytest.raises(ValueError, match="level mismatch"):
@@ -276,22 +258,18 @@ def test_fused_bounds_compose_the_per_op_rules(ring):
     ]
     ev = Evaluator(ring)
     est = NoiseEstimator.for_context(ring)
-    for fused, sequential in (
-        (ev.multiply_plain_sum, sequential_plain_sum),
-        (ev.multiply_plain_rescale_sum, sequential_rescale_sum),
-    ):
-        seq_tracker = obs.LineageTracker(estimator=est)
-        fused_tracker = obs.LineageTracker(estimator=est)
-        with obs.observed():
-            with obs.lineage_context(seq_tracker):
-                want = sequential(ev, _fresh(cts), pts)
-            with obs.lineage_context(fused_tracker):
-                got = fused(_fresh(cts), pts)
-        assert fused_tracker.bound_of(got) == seq_tracker.bound_of(want)
-        (node,) = [n for n in fused_tracker.nodes.values() if n.parents]
-        assert len(node.parents) == k
-        assert list(node.parents) == fused_tracker.roots()
-        assert fused_tracker.propagation_failures == 0
+    seq_tracker = obs.LineageTracker(estimator=est)
+    fused_tracker = obs.LineageTracker(estimator=est)
+    with obs.observed():
+        with obs.lineage_context(seq_tracker):
+            want = sequential_rescale_sum(ev, _fresh(cts), pts)
+        with obs.lineage_context(fused_tracker):
+            got = ev.multiply_plain_rescale_sum(_fresh(cts), pts)
+    assert fused_tracker.bound_of(got) == seq_tracker.bound_of(want)
+    (node,) = [n for n in fused_tracker.nodes.values() if n.parents]
+    assert len(node.parents) == k
+    assert list(node.parents) == fused_tracker.roots()
+    assert fused_tracker.propagation_failures == 0
 
 
 def test_tiny_lineage_equals_the_sequential_execution(monkeypatch):
@@ -313,7 +291,6 @@ def test_tiny_lineage_equals_the_sequential_execution(monkeypatch):
         return tracker
 
     fused = tracked()
-    monkeypatch.setattr(Evaluator, "multiply_plain_sum", sequential_plain_sum)
     monkeypatch.setattr(
         Evaluator, "multiply_plain_rescale_sum", sequential_rescale_sum
     )
@@ -402,7 +379,7 @@ def logical_loop(ev, ct, diagonal):
             ev.encode_cached(diagonal(gi, bi), level=ct.level, scale=q_last)
             for bi in range(len(BABIES))
         ]
-        partial = ev.multiply_plain_sum(babies, pts)
+        partial = sequential_plain_sum(ev, babies, pts)
         partial = ev.rotate(ev.rescale(partial), giant)
         total = partial if total is None else ev.add(total, partial)
     return total

@@ -130,34 +130,6 @@ def test_error_bits_of_zero_error():
     assert b.error_bits == float("inf")
 
 
-def test_multiply_cross_term_formula(estimator):
-    a = estimator.fresh(1.0)
-    b = estimator.fresh(2.0)
-    c = estimator.multiply(a, b)
-    assert c.error == pytest.approx(
-        a.error * b.message + b.error * a.message + a.error * b.error
-    )
-    assert c.message == a.message * b.message
-    assert c.level == min(a.level, b.level)
-    assert c.scale == pytest.approx(a.scale * b.scale)
-
-
-def test_multiply_bound_is_conservative(noise_ctx, estimator):
-    rng = np.random.default_rng(3)
-    ev = Evaluator(noise_ctx)
-    x = rng.uniform(-1, 1, noise_ctx.slot_count)
-    y = rng.uniform(-1, 1, noise_ctx.slot_count)
-    ct = ev.rescale(ev.relinearize(
-        ev.multiply(noise_ctx.encrypt_values(x), noise_ctx.encrypt_values(y))
-    ))
-    bound = estimator.rescale(estimator.key_switch(
-        estimator.multiply(estimator.fresh(1.0), estimator.fresh(1.0))
-    ))
-    assert bound.error_bits <= measured_noise_bits(noise_ctx, ct, x * y)
-    assert bound.level == ct.level
-    assert bound.scale == pytest.approx(ct.scale)
-
-
 @pytest.mark.parametrize("backend", kernels.available_backends())
 def test_bounds_conservative_under_every_backend(backend):
     """The analytic bounds are backend-agnostic claims: whatever kernel
@@ -166,8 +138,8 @@ def test_bounds_conservative_under_every_backend(backend):
     with kernels.using_backend(backend):
         ctx = CkksContext(tiny_test_params(512, 5), seed=13)
         ctx.ensure_relin_keys()
-        # Composite steps 3/5/6/7 let rotate_and_sum run as one hoisted
-        # Halevi-Shoup group instead of falling back to sequential.
+        # Composite steps 3/5/6/7 let the fold of [4, 2, 1] run as one
+        # hoisted Halevi-Shoup group.
         ctx.ensure_galois_keys([1, 2, 3, 4, 5, 6, 7])
         est = NoiseEstimator.for_context(ctx)
         ev = Evaluator(ctx)
@@ -190,7 +162,7 @@ def test_bounds_conservative_under_every_backend(backend):
         assert bound.error_bits <= measured_noise_bits(ctx, ct, x)
 
         # Hoisted rotate-and-sum fold.
-        ct = ev.rotate_and_sum(ct, 8)
+        ct = ev.rotate_fold(ct, [4, 2, 1])
         x = sum(np.roll(x, -j) for j in range(8))
         for _ in range(3):  # three logical rotate-and-add steps
             bound = est.add(bound, est.rotate(bound))

@@ -29,14 +29,6 @@ def test_ccadd(ctx, evaluator):
     assert np.allclose(out, a + b, atol=ATOL)
 
 
-def test_ccsub(ctx, evaluator):
-    a, b = _vals(ctx, 3), _vals(ctx, 4)
-    out = ctx.decrypt_values(
-        evaluator.sub(ctx.encrypt_values(a), ctx.encrypt_values(b))
-    )
-    assert np.allclose(out, a - b, atol=ATOL)
-
-
 def test_pcadd(ctx, evaluator):
     a, b = _vals(ctx, 5), _vals(ctx, 6)
     out = ctx.decrypt_values(
@@ -59,25 +51,27 @@ def test_add_mixed_levels(ctx, evaluator):
 
 def test_pcmult_rescale(ctx, evaluator):
     a, b = _vals(ctx, 9), _vals(ctx, 10)
-    ct = evaluator.multiply_plain_rescale(ctx.encrypt_values(a), ctx.encode(b))
+    ct = evaluator.rescale(
+        evaluator.multiply_plain(ctx.encrypt_values(a), ctx.encode(b))
+    )
     assert ct.level == ctx.params.level - 1
     assert np.allclose(ctx.decrypt_values(ct), a * b, atol=ATOL)
 
 
 def test_ccmult_relinearize_rescale(ctx, evaluator):
-    a, b = _vals(ctx, 11, -1, 1), _vals(ctx, 12, -1, 1)
-    prod = evaluator.multiply(ctx.encrypt_values(a), ctx.encrypt_values(b))
+    a = _vals(ctx, 11, -1, 1)
+    prod = evaluator.square(ctx.encrypt_values(a))
     assert prod.size == 3
     lin = evaluator.relinearize(prod)
     assert lin.size == 2
     out = evaluator.rescale(lin)
-    assert np.allclose(ctx.decrypt_values(out), a * b, atol=ATOL)
+    assert np.allclose(ctx.decrypt_values(out), a**2, atol=ATOL)
 
 
 def test_three_component_decrypts_without_relin(ctx, evaluator):
     """Decryption handles c0 + c1 s + c2 s^2 directly."""
     a = _vals(ctx, 13, -1, 1)
-    prod = evaluator.multiply(ctx.encrypt_values(a), ctx.encrypt_values(a))
+    prod = evaluator.square(ctx.encrypt_values(a))
     out = ctx.decrypt(prod)
     decoded = ctx.encoder.decode_real(out.poly, out.scale)
     assert np.allclose(decoded, a * a, atol=ATOL)
@@ -130,10 +124,9 @@ def test_rotate_zero_is_identity(ctx, evaluator):
 
 def test_rotate_at_reduced_level(ctx, evaluator):
     a = _vals(ctx, 19)
-    ct = evaluator.multiply_plain_rescale(
-        ctx.encrypt_values(a), ctx.encode_ones() if hasattr(ctx, "encode_ones")
-        else ctx.encode(np.ones(ctx.slot_count))
-    )
+    ct = evaluator.rescale(evaluator.multiply_plain(
+        ctx.encrypt_values(a), ctx.encode(np.ones(ctx.slot_count))
+    ))
     out = ctx.decrypt_values(evaluator.rotate(ct, 2))
     assert np.allclose(out, np.roll(a, -2), atol=ATOL)
 
@@ -145,7 +138,7 @@ def _rotate_direct(ctx, ct, step):
 
     g = pow(5, step, 2 * ctx.params.poly_degree)
     c0, c1 = (c.galois_transform(g) for c in ct.components)
-    k0, k1 = _key_switch(c1, ctx.galois_keys.get(step, ct.level))
+    k0, k1 = _key_switch(c1, ((None, ctx.galois_keys.get(step, ct.level)),))
     return [(c0.to_ntt() + k0).residues, k1.residues]
 
 
@@ -205,20 +198,6 @@ def test_rotate_hoisted_observed_as_one_rotate_per_step(ctx, evaluator):
         assert node.noise_bits_after is not None
 
 
-def test_rotate_and_sum(ctx, evaluator):
-    rng = np.random.default_rng(20)
-    width = 16
-    a = np.zeros(ctx.slot_count)
-    a[:width] = rng.uniform(-1, 1, width)
-    out = ctx.decrypt_values(evaluator.rotate_and_sum(ctx.encrypt_values(a), width))
-    assert abs(out[0] - a[:width].sum()) < ATOL
-
-
-def test_rotate_and_sum_rejects_non_power_of_two(ctx, evaluator):
-    with pytest.raises(ValueError):
-        evaluator.rotate_and_sum(ctx.encrypt_values(np.ones(4)), 6)
-
-
 def test_rotate_fold_hoisted_matches_sequential(ctx, evaluator, monkeypatch):
     from repro.fhe import ops
     from repro.fhe.ops import fold_composite_steps
@@ -240,19 +219,18 @@ def test_rotate_fold_hoisted_matches_sequential(ctx, evaluator, monkeypatch):
     assert np.allclose(ctx.decrypt_values(sequential), expected, atol=ATOL)
 
 
-def test_rotate_fold_falls_back_without_composite_keys(ctx, evaluator):
-    # Powers of two whose pairwise sums (12, 3, ...) were never provisioned:
-    # every group attempt raises KeyError and the sequential walk must kick
-    # in transparently.
-    steps = [8, 4, 2, 1]
-    a = _vals(ctx, 41)
-    expected = a.copy()
-    for s in steps:
-        expected = expected + np.roll(expected, -s)
-    out = ctx.decrypt_values(
-        evaluator.rotate_fold(ctx.encrypt_values(a), steps)
-    )
-    assert np.allclose(out, expected, atol=ATOL)
+def test_rotate_fold_missing_composite_key_raises(ctx, evaluator):
+    """A fold fetches the keys of the groups ``fold_composite_steps``
+    lists: missing one of them raises ``KeyError``."""
+    from repro.fhe.ops import fold_composite_steps
+
+    steps = [8, 16, 32]
+    sums = fold_composite_steps(steps, ctx.slot_count)
+    assert 56 in sums
+    ct = ctx.encrypt_values(_vals(ctx, 41))
+    ctx.ensure_rotation_keys([(s, ct.level) for s in sums if s != 56])
+    with pytest.raises(KeyError, match="rotation step 56"):
+        evaluator.rotate_fold(ct, steps)
 
 
 def test_fold_composite_steps_mirrors_grouping():
@@ -294,6 +272,8 @@ def test_rotate_requires_linear(ctx, evaluator):
     ct = evaluator.square(ctx.encrypt_values(np.ones(4)))
     with pytest.raises(ValueError):
         evaluator.rotate(ct, 1)
+    with pytest.raises(ValueError):
+        evaluator.rotate_fold(ct, [])
 
 
 def test_mod_switch_cannot_raise_level(ctx, evaluator):
@@ -356,51 +336,3 @@ def test_rotation_group_property(step):
     g = pow(5, step % (n // 2), 2 * n)
     out = enc.decode_real(pt.galois_transform(g), 2.0**20)
     assert np.allclose(out, np.roll(vals, -(step % (n // 2))), atol=1e-3)
-
-
-# -- negation / conjugation ------------------------------------------------------
-
-
-def test_negate(ctx, evaluator):
-    a = _vals(ctx, 30)
-    out = ctx.decrypt_values(evaluator.negate(ctx.encrypt_values(a)))
-    assert np.allclose(out, -a, atol=ATOL)
-
-
-def test_negate_records_nothing(ctx):
-    rec = OperationRecorder()
-    ev = Evaluator(ctx, recorder=rec)
-    ev.negate(ctx.encrypt_values(np.ones(4)))
-    assert rec.total == 0
-
-
-def test_conjugate(ctx, evaluator):
-    rng = np.random.default_rng(31)
-    values = rng.uniform(-1, 1, ctx.slot_count) + 1j * rng.uniform(
-        -1, 1, ctx.slot_count
-    )
-    ctx.ensure_conjugation_keys()
-    pt = ctx.encoder.encode(values, ctx.scale, ctx.basis())
-    from repro.fhe import Plaintext
-
-    ct = ctx.encrypt(Plaintext(poly=pt, scale=ctx.scale))
-    out = evaluator.conjugate(ct)
-    decrypted = ctx.encoder.decode(ctx.decrypt(out).poly, out.scale)
-    assert np.allclose(decrypted, np.conj(values), atol=ATOL)
-
-
-def test_conjugate_requires_key(small_params):
-    from repro.fhe import CkksContext
-
-    bare = CkksContext(small_params, seed=55)
-    ev = Evaluator(bare)
-    with pytest.raises(KeyError, match="conjugation"):
-        ev.conjugate(bare.encrypt_values(np.ones(4)))
-
-
-def test_conjugate_counts_keyswitch(ctx):
-    ctx.ensure_conjugation_keys()
-    rec = OperationRecorder()
-    ev = Evaluator(ctx, recorder=rec)
-    ev.conjugate(ctx.encrypt_values(np.ones(4)))
-    assert rec.count(HeOp.KEY_SWITCH) == 1

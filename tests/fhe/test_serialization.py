@@ -9,7 +9,7 @@ from repro.fhe import (
     SerializationError,
     ciphertext_from_bytes,
     ciphertext_to_bytes,
-    ciphertext_wire_bytes,
+    ciphertext_wire_size,
     plaintext_from_bytes,
     plaintext_to_bytes,
 )
@@ -54,8 +54,8 @@ def test_plaintext_roundtrip(ctx):
 def test_wire_size_formula(ctx):
     ct = ctx.encrypt_values(np.ones(4))
     data = ciphertext_to_bytes(ct)
-    assert len(data) == ciphertext_wire_bytes(
-        ctx.params.poly_degree, ct.level, components=2
+    assert len(data) == ciphertext_wire_size(
+        ctx.params.poly_degree, ct.level, num_polys=2
     )
 
 
@@ -135,8 +135,6 @@ def test_max_component_count_roundtrips(ctx):
 
 
 def test_wire_size_matches_three_component_ciphertext(ctx, evaluator):
-    from repro.fhe import ciphertext_wire_size
-
     ct = evaluator.square(ctx.encrypt_values(np.ones(4)))
     assert len(ciphertext_to_bytes(ct)) == ciphertext_wire_size(
         ctx.params.poly_degree, ct.level, num_polys=3
@@ -153,8 +151,6 @@ def test_plaintext_wire_size_matches_bytes(ctx):
 
 
 def test_wire_size_validation():
-    from repro.fhe import ciphertext_wire_size
-
     with pytest.raises(SerializationError):
         ciphertext_wire_size(512, 4, num_polys=0)
     with pytest.raises(SerializationError):

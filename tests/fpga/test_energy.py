@@ -36,15 +36,6 @@ def test_validation():
         PlatformResult(platform="X", tdp_watts=1, latency_seconds=0)
 
 
-def test_from_design_uses_device_tdp():
-    from repro.fpga import acu15eg
-
-    r = PlatformResult.from_design(acu15eg(), latency_seconds=0.1)
-    assert r.platform == "ACU15EG"
-    assert r.tdp_watts == acu15eg().tdp_watts
-    assert r.energy_joules == pytest.approx(acu15eg().tdp_watts * 0.1)
-
-
 def test_cluster_energy_sums_stage_occupancy():
     from repro.fpga import cluster_energy_per_inference
 

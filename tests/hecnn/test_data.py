@@ -9,7 +9,6 @@ from repro.hecnn import (
     glorot_weights,
     small_bias,
     synthetic_cifar10_image,
-    synthetic_image_batch,
     synthetic_mnist_image,
 )
 
@@ -33,14 +32,6 @@ def test_images_deterministic_and_distinct():
     c = synthetic_mnist_image(seed=6)
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
-
-
-def test_batch_generation():
-    batch = synthetic_image_batch("cifar10", 3, seed=1)
-    assert len(batch) == 3
-    assert all(img.shape == (3, 32, 32) for img in batch)
-    with pytest.raises(ValueError):
-        synthetic_image_batch("imagenet", 1)
 
 
 def test_glorot_weights_bounds():

@@ -144,8 +144,8 @@ def test_tiny_provisions_exactly_the_fetched_keys(
 ):
     """The forward pass fetches every provisioned Galois key and no other.
 
-    A missing composite key would be fetched, miss, and silently fall back
-    to the sequential fold, so the NTT work must also equal a run on a
+    The fold groups come from the steps alone, not from the keys a context
+    holds (a missing key raises), so the NTT work also equals a run on a
     context holding every fetched step at every level.
     """
     ctx = CkksContext(tiny_params, seed=123)
@@ -194,8 +194,8 @@ NETWORKS = {
 ])
 def test_request_ntt_rows(build, params, image, rows):
     """Forward plus inverse NTT rows of one warm request: encrypt, forward
-    pass, decrypt.  A transform added anywhere, or a hoisted key lost (its
-    fold falls back to sequential rotations), moves this count."""
+    pass, decrypt.  A transform added anywhere, or a hoisted fold group
+    split into smaller ones, moves this count."""
     model = build(seed=0, params=params)
     ctx = CkksContext(params, seed=1)
     model.provision_keys(ctx)

@@ -115,15 +115,6 @@ def test_layout_validation():
         )
 
 
-def test_positions_for_ct():
-    lay = SlotLayout(
-        slot_count=8, num_cts=2,
-        ct_index=np.array([0, 1, 0]), slot_index=np.array([0, 3, 5]), clean=True,
-    )
-    assert lay.positions_for_ct(0).tolist() == [0, 2]
-    assert lay.positions_for_ct(1).tolist() == [1]
-
-
 # -- ConvPacking ---------------------------------------------------------------------
 
 

@@ -118,10 +118,9 @@ def test_dense_validation():
         dense.forward(np.zeros(5))
 
 
-def test_network_composition_and_predict():
+def test_network_composition():
     spec = DenseSpec(in_features=3, out_features=3)
     w = np.eye(3)
     net = PlainNetwork([PlainDense(spec, w, np.zeros(3)), PlainSquare()])
     out = net.forward(np.array([1.0, -3.0, 2.0]))
     assert np.allclose(out, [1.0, 9.0, 4.0])
-    assert net.predict(np.array([1.0, -3.0, 2.0])) == 1

@@ -5,7 +5,6 @@ from __future__ import annotations
 import pytest
 
 from repro.hecnn import LayerTrace, he_op_basic_ops, ntt_pass_basic_ops
-from repro.hecnn.trace import merge_op_counts
 from repro.optypes import HeOp
 
 
@@ -92,19 +91,10 @@ def test_he_macs_aggregation():
     assert t.he_macs(1024) == expected
 
 
-def test_merge_op_counts():
-    merged = merge_op_counts(
-        {HeOp.CC_ADD: 1, HeOp.PC_MULT: 2}, {HeOp.CC_ADD: 3, HeOp.RESCALE: 1}
-    )
-    assert merged == {HeOp.CC_ADD: 4, HeOp.PC_MULT: 2, HeOp.RESCALE: 1}
-
-
 def test_network_trace_aggregates(mnist_model):
     trace = mnist_model.trace()
     assert trace.hop_count == sum(lt.hop_count for lt in trace.layers)
     assert trace.keyswitch_count == sum(lt.keyswitch_count for lt in trace.layers)
-    totals = trace.total_op_counts()
-    assert sum(totals.values()) == trace.hop_count
     with pytest.raises(KeyError):
         trace.layer("nope")
 
@@ -160,14 +150,3 @@ def test_model_wire_size_tracks_plaintext_format(mnist_model):
     # The wire format carries headers + 64-bit words, so it is strictly
     # larger than the native prime_bits-packed DRAM stream.
     assert trace.model_wire_size_bytes() > trace.model_size_bytes()
-
-
-def test_input_wire_bytes(mnist_model):
-    from repro.fhe import ciphertext_wire_size
-
-    trace = mnist_model.trace()
-    first = trace.layers[0]
-    assert trace.input_wire_bytes() == (
-        first.num_input_cts
-        * ciphertext_wire_size(trace.poly_degree, first.level)
-    )

@@ -101,8 +101,9 @@ def test_op_counts_cover_the_expected_op_mix(run):
     # Conv + dense packing guarantees these op families appear.
     for op in ("Input", "PCmult", "Rescale", "PCmultRescaleSum", "CCmult"):
         assert counts.get(op, 0) > 0, op
-    # Rotations execute hoisted (RotateFold) or sequential (Rotate)
-    # depending on provisioned composite keys; either way they exist.
+    # Rotations execute hoisted (RotateFold) or sequential (Rotate) as the
+    # fold's grouping walk decides (a missing key raises); either way
+    # they exist.
     assert counts.get("RotateFold", 0) + counts.get("Rotate", 0) > 0
 
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 import json
 
 from repro import obs
-from repro.obs.tracing import _NULL_SPAN, Tracer, trace_span
+from repro.obs.tracing import _NULL_SPAN, trace_span
 
 
 def test_disabled_trace_span_is_shared_null_singleton():
@@ -90,17 +90,6 @@ def test_summary_aggregates_per_name():
     row = rows[0]
     assert row["name"] == "Rotate" and row["count"] == 3
     assert row["total_ms"] >= row["p95_ms"] >= row["p50_ms"] >= 0.0
-    text = obs.get_tracer().format_summary()
-    assert "Rotate" in text and "Cnv1" in text
-
-
-def test_current_span_tracks_thread_stack():
-    tracer = Tracer()
-    assert tracer.current_span() is None
-    with obs.observed():
-        with trace_span("outer") as outer:
-            assert obs.get_tracer().current_span() is outer
-        assert obs.get_tracer().current_span() is None
 
 
 def test_traced_decorator_disabled_passthrough():

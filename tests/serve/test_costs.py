@@ -79,7 +79,7 @@ def test_note_batch_splits_occupancy_across_lanes():
 
 def test_unkeyed_requests_charge_the_legacy_bucket():
     ledger = CostLedger()
-    ledger.note_request(None, 0.001)
+    ledger.note_batch([None], 0.001)
     report = ledger.report()
     assert [r.tenant for r in report.tenants] == [UNKEYED]
     assert report.tenants[0].slot_us == 1000

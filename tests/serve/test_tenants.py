@@ -53,28 +53,6 @@ def test_key_group_auto_registers_cold_tenants():
     assert reg.get("drive-by").tier == "cold"
 
 
-def test_key_rotation_bumps_epoch_and_records_flight():
-    reg = TenantRegistry()
-    reg.register("alice", tier="hot")
-    with obs.observed():
-        obs.reset()
-        FLIGHT.clear()
-        rotated = reg.rotate_key("alice")
-        assert rotated.key_group == "alice:k1"
-        assert reg.key_group("alice") == "alice:k1"
-        events = FLIGHT.events("key_rotation")
-        assert len(events) == 1
-        assert events[0]["old_key_group"] == "alice:k0"
-        assert events[0]["new_key_group"] == "alice:k1"
-        reg.evict("alice")
-        assert FLIGHT.events("tenant_evicted")
-        assert obs.get_registry().counter(
-            "tenant_events_total", event="key_rotation"
-        ).value == 1
-    with pytest.raises(KeyError):
-        reg.rotate_key("alice")
-
-
 # ---------------------------------------------------------------------------
 # Sharded caches and per-tenant quotas
 # ---------------------------------------------------------------------------
@@ -106,19 +84,6 @@ def test_sharded_cache_bounds_tenant_population_with_flight_event():
         assert events[-1]["entries"] == 1
 
 
-def test_sharded_cache_invalidate_on_rotation():
-    cache = TenantShardedCache("t", per_tenant_capacity=4, max_tenants=8)
-    cache.get_or_create("a:k0", 1, lambda: "v1")
-    cache.get_or_create("a:k0", 2, lambda: "v2")
-    assert cache.invalidate("a:k0") == 2
-    assert cache.tenant_count() == 0
-    assert cache.invalidate("a:k0") == 0  # idempotent
-    # A fresh build after rotation misses (no stale material).
-    calls = []
-    cache.get_or_create("a:k1", 1, lambda: calls.append(1) or "v1'")
-    assert calls == [1]
-
-
 def test_sharded_cache_aggregate_stats_and_gauge():
     cache = TenantShardedCache("probe-shard", per_tenant_capacity=4,
                                max_tenants=8)
@@ -141,8 +106,7 @@ def test_sharded_cache_aggregate_stats_and_gauge():
 
 def test_sharded_cache_publishes_population_wide_hit_ratio():
     """The ``cache_hit_ratio`` gauge aggregates over every shard and
-    stays in lock step with ``stats().hit_rate`` — including after a
-    rotation invalidates a whole shard."""
+    stays in lock step with ``stats().hit_rate``."""
     cache = TenantShardedCache("probe-ratio", per_tenant_capacity=4,
                                max_tenants=8)
     with obs.observed():
@@ -156,8 +120,6 @@ def test_sharded_cache_publishes_population_wide_hit_ratio():
         cache.get_or_create("b:k0", 1, lambda: "y")   # miss
         assert gauge.value == pytest.approx(cache.stats().hit_rate)
         assert gauge.value == pytest.approx(1 / 3)
-        cache.invalidate("a:k0")
-        assert gauge.value == pytest.approx(cache.stats().hit_rate)
 
 
 def test_concurrent_same_tenant_context_provisioning_builds_once():
@@ -258,14 +220,6 @@ def test_zipf_traffic_registers_tenants_with_tiers():
     assert len(reg) == 20
     assert reg.get("tenant-0000").tier == "hot"
     assert reg.get("tenant-0019").tier == "cold"
-    # A pre-rotated registry hands out post-rotation key groups.
-    reg.rotate_key("tenant-0000")
-    rotated = zipf_tenant_arrivals(
-        50, 1000.0, tenant_count=20, seed=5, registry=reg
-    )
-    groups = {r.key_group for r in rotated}
-    assert "tenant-0000:k1" in groups
-    assert "tenant-0000:k0" not in groups
 
 
 # ---------------------------------------------------------------------------
