@@ -29,7 +29,7 @@ from .layers import (
     PackedSquare,
 )
 from .models import (
-    conv_as_dense_matrix,
+    ConvMatrix,
     fxhenn_cifar10_model,
     fxhenn_mnist_model,
     tiny_mnist_model,
@@ -57,6 +57,7 @@ from .trace import LayerTrace, NetworkTrace, he_op_basic_ops, ntt_pass_basic_ops
 
 __all__ = [
     "BatchedLayerSpec",
+    "ConvMatrix",
     "ConvPacking",
     "ConvSpec",
     "DensePacking",
@@ -82,7 +83,6 @@ __all__ = [
     "SlotLayout",
     "batched_layer_trace",
     "batched_network_trace",
-    "conv_as_dense_matrix",
     "cryptonets_mnist_batched",
     "max_batch_lanes",
     "fxhenn_cifar10_model",

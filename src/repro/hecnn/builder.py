@@ -17,8 +17,10 @@ layers automatically:
 The first layer must be a convolution (it defines the client-side input
 packing); the final dense layer is automatically built unmerged (LoLa's
 output-layer convention, saving the mask level).  Mid-network convolutions
-are lowered to matrix layers via :func:`~repro.hecnn.models
-.conv_as_dense_matrix`, exactly like the paper's FxHENN-CIFAR10 ``Cnv2``.
+are lowered to matrix layers, exactly like the paper's FxHENN-CIFAR10
+``Cnv2``; the matrix is a :class:`~repro.hecnn.models.ConvMatrix`, whose
+entries are read from the conv kernel on demand, and the plain reference
+is the convolution itself.
 
 Matrix layers use LoLa's packing, except where its replicated plan has a
 single copy and several chunks: there each chunk is one row paying a full
@@ -92,7 +94,8 @@ class NetworkBuilder:
 
         The first conv defines the input image (``in_channels``/``in_size``
         required); later convs are lowered to matrix layers over the
-        current grid.
+        current grid, whose weights a :class:`~repro.hecnn.models
+        .ConvMatrix` reads from the kernel.
         """
         self._conv_count += 1
         name = name or f"Cnv{self._conv_count}"
@@ -119,7 +122,7 @@ class NetworkBuilder:
         # Mid-network conv: lower to a matrix layer on the current grid.
         if self._grid is None:
             raise ValueError("mid-network conv needs a grid-shaped input")
-        from .models import conv_as_dense_matrix
+        from .models import ConvMatrix
 
         channels, size = self._grid
         spec = ConvSpec(
@@ -131,13 +134,14 @@ class NetworkBuilder:
             (out_channels, channels, kernel_size, kernel_size), self.rng
         )
         b = bias if bias is not None else small_bias(out_channels, self.rng)
-        matrix, bias_vec = conv_as_dense_matrix(spec, w, b)
+        matrix = ConvMatrix(spec, w)
+        bias_vec = np.repeat(np.asarray(b, dtype=float), spec.out_positions)
         dspec = DenseSpec(
             in_features=channels * size * size,
             out_features=spec.output_count,
         )
         self._layers.append(self._matrix_layer(name, dspec, matrix, bias_vec))
-        self._plain.append(PlainDense(dspec, matrix, bias_vec))
+        self._plain.append(PlainConv2d(spec, w, b))
         self._grid = (out_channels, spec.out_size)
         return self
 

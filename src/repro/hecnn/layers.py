@@ -213,7 +213,9 @@ class PackedSquare(PackedLayer):
 @dataclass
 class _MatrixLayer(PackedLayer):
     """A fully connected layer: ``out x in`` weights and a bias over a
-    packing plan that owns the output layout."""
+    packing plan that owns the output layout.  The packing reads the
+    weights only as ``weights[rows, cols]``, so they may be a lowered
+    conv's :class:`~repro.hecnn.models.ConvMatrix` instead of an array."""
 
     name: str
     packing: DensePacking | DiagonalPacking

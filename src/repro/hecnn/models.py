@@ -20,7 +20,10 @@ topology:
   (-> 83x13x13 = 14_027), square, Conv2 163 maps of 10x10x83 stride 1
   (-> 163x4x4 = 2_608) *expressed as a matrix layer* (mid-network
   convolutions cannot use the client-side per-offset packing, so LoLa — and
-  we — lower them to matrix multiplication), square, FC 2608->10.
+  we — lower them to matrix multiplication), square, FC 2608->10.  The
+  matrix is a :class:`ConvMatrix`: its entries are read from the conv
+  kernel when a weight plaintext is built, so the 2608 x 14027 dense
+  matrix is never stored.
 
 Weights are deterministic Glorot samples (see DESIGN.md substitutions:
 the paper's trained LoLa weights are unavailable and accuracy is orthogonal
@@ -37,42 +40,34 @@ from .network import HeCnn
 from .reference import ConvSpec
 
 
-def conv_as_dense_matrix(
-    spec: ConvSpec, weights: np.ndarray, bias: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Lower a convolution to an equivalent dense matrix.
+class ConvMatrix:
+    """A convolution's lowered matrix, read from its kernel on demand.
 
-    Input features are indexed ``c * P_in + p_in`` (map-major, matching the
-    previous packed layer's output layout); output features ``m * P_out +
-    p_out``.  The resulting (sparse, materialized dense) matrix computes
-    exactly the convolution.
-
-    Filled one kernel offset ``(ky, kx)`` at a time: each offset scatters
-    one weight per (out map, in map, in-bounds output position).  Index
-    arrays for a single offset stay small next to the matrix itself.
+    Rows are output features ``m * P_out + oy * out + ox`` and columns
+    input features ``c * P_in + iy * in + ix`` (map-major, matching the
+    previous packed layer's output layout).  Entry ``(r, i)`` is
+    ``w[m, c, iy - oy * stride + pad, ix - ox * stride + pad]`` when both
+    kernel offsets fall in ``[0, k)``, else 0.  The packed matrix layers
+    read weights only as ``weights[rows, cols]`` on integer indices, so
+    only the kernel is stored, never the (mostly zero) dense matrix.
     """
-    in_positions = spec.in_size * spec.in_size
-    p_out = spec.out_positions
-    matrix = np.zeros((spec.output_count, spec.in_channels * in_positions))
-    bias_vec = np.repeat(np.asarray(bias, dtype=float), p_out)
-    out_coords = np.arange(spec.out_size)
-    out_maps = np.arange(spec.out_channels)[:, None, None] * p_out
-    in_maps = np.arange(spec.in_channels)[None, :, None] * in_positions
-    for ky in range(spec.kernel_size):
-        iy = out_coords * spec.stride + ky - spec.padding
-        oy = (iy >= 0) & (iy < spec.in_size)
-        for kx in range(spec.kernel_size):
-            ix = out_coords * spec.stride + kx - spec.padding
-            ox = (ix >= 0) & (ix < spec.in_size)
-            # In-bounds (output, input) position pairs for this offset.
-            out_pos = (
-                out_coords[oy][:, None] * spec.out_size + out_coords[ox]
-            ).ravel()
-            in_pos = (iy[oy][:, None] * spec.in_size + ix[ox]).ravel()
-            matrix[out_maps + out_pos, in_maps + in_pos] = (
-                weights[:, :, ky, kx][:, :, None]
-            )
-    return matrix, bias_vec
+
+    def __init__(self, spec: ConvSpec, kernel: np.ndarray) -> None:
+        self.spec = spec
+        self.kernel = np.asarray(kernel, dtype=np.float64)
+        in_positions = spec.in_size * spec.in_size
+        self.shape = (spec.output_count, spec.in_channels * in_positions)
+
+    def __getitem__(self, index: tuple) -> np.ndarray:
+        rows, cols = index
+        s, k = self.spec, self.spec.kernel_size
+        m, p_out = np.divmod(rows, s.out_positions)
+        c, p_in = np.divmod(cols, s.in_size * s.in_size)
+        ky = p_in // s.in_size - (p_out // s.out_size) * s.stride + s.padding
+        kx = p_in % s.in_size - (p_out % s.out_size) * s.stride + s.padding
+        inside = (ky >= 0) & (ky < k) & (kx >= 0) & (kx < k)
+        taps = self.kernel[m, c, np.clip(ky, 0, k - 1), np.clip(kx, 0, k - 1)]
+        return np.where(inside, taps, 0.0)
 
 
 def _build_conv_square_dense_model(

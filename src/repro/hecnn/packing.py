@@ -345,15 +345,15 @@ class DensePacking:
         vec = np.zeros(self.slot_count)
         lay = self.input_layout
         if self.replicated:
-            b_width, c, j = self.block_width, self.copies, chunk
-            for b in range(c):
-                for u in range(self.spec.in_features):
-                    # Slots below the diagonal shift serve the previous
-                    # block's row (the rotate-and-sum window wraps there).
-                    owner_block = b if u >= j else (b - 1) % c
-                    row = j * c + owner_block
-                    if row < self.spec.out_features:
-                        vec[b * b_width + u] = weights[row, u]
+            c, j = self.copies, chunk
+            b = np.arange(c)[:, None]
+            u = np.arange(self.spec.in_features)
+            # Slots below the diagonal shift serve the previous block's
+            # row (the rotate-and-sum window wraps there).
+            row = j * c + np.where(u >= j, b, (b - 1) % c)
+            keep = row < self.spec.out_features
+            col = np.broadcast_to(u, row.shape)
+            vec[(b * self.block_width + u)[keep]] = weights[row[keep], col[keep]]
             return vec
         row = chunk
         mask = lay.ct_index == input_ct

@@ -66,7 +66,9 @@ class PlainConv2d:
     """Valid/same 2-D convolution over one image, channel-major output.
 
     The output is flattened as ``out[c * P + p]`` (map-major, position-minor)
-    to match the packed slot layout of the encrypted pipeline.
+    to match the packed slot layout of the encrypted pipeline.  The input
+    may be that flattening too (a mid-network conv's input), and is then
+    read back as ``(C, H, W)``.
     """
 
     def __init__(self, spec: ConvSpec, weights: np.ndarray, bias: np.ndarray) -> None:
@@ -81,6 +83,8 @@ class PlainConv2d:
 
     def forward(self, image: np.ndarray) -> np.ndarray:
         s = self.spec
+        if image.shape == (s.in_channels * s.in_size * s.in_size,):
+            image = image.reshape(s.in_channels, s.in_size, s.in_size)
         if image.shape != (s.in_channels, s.in_size, s.in_size):
             raise ValueError(
                 f"image must have shape {(s.in_channels, s.in_size, s.in_size)}"

@@ -275,7 +275,7 @@ class ServeLoop:
             self._terminal(RequestResult(
                 request_id=req.request_id, outcome=mode,
                 arrival_s=req.arrival_s, start_s=at_s, finish_s=finish,
-                batch_id=batch_id, key_group=group,
+                batch_id=batch_id, key_group=req.key_group,
             ), finish)
         if obs_enabled():
             for req, finish in zip(batch, finishes):

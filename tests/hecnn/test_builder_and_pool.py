@@ -7,12 +7,18 @@ import pytest
 
 from repro.fhe import CkksContext, OperationRecorder, tiny_test_params
 from repro.hecnn import (
+    ConvMatrix,
     NetworkBuilder,
     PackedAveragePool,
+    PackedDense,
+    PackedDiagonalDense,
     PlainAveragePool,
+    PlainConv2d,
     PoolSpec,
     SlotLayout,
 )
+
+from .test_network import _fetch_log
 
 
 @pytest.fixture(scope="module")
@@ -152,25 +158,80 @@ def test_builder_plaintext_count_is_the_encoded_plaintexts(
     assert counts[-1] == 6 + 6  # unmerged Fc1: a bias per row
 
 
-def test_builder_mid_network_conv(pool_params):
-    """A second conv is lowered to a matrix layer (like CIFAR's Cnv2)."""
-    net = (
-        NetworkBuilder("two-conv", pool_params, seed=7)
+def _replicated_mid_conv():
+    """72 conv outputs in one clean ciphertext: LoLa's replicated plan."""
+    return (
+        NetworkBuilder("two-conv", tiny_test_params(poly_degree=1024, level=7),
+                       seed=7)
         .conv(out_channels=2, kernel_size=3, stride=1, in_channels=1, in_size=8)
         .square()
         .conv(out_channels=3, kernel_size=2, stride=2)
         .build()
     )
-    from repro.hecnn import PackedDense
 
-    assert isinstance(net.layers[-1], PackedDense)
-    assert net.layers[-1].name == "Cnv2"
-    ctx = CkksContext(pool_params, seed=3)
-    net.provision_keys(ctx)
-    img = np.random.default_rng(2).uniform(0, 1, (1, 8, 8))
-    assert np.allclose(
-        net.infer(ctx, img), net.infer_plain(img), atol=2e-2
+
+def _scattered_mid_conv():
+    """288 conv outputs spread over two ciphertexts, as CIFAR10's Cnv2."""
+    return (
+        NetworkBuilder("scattered-conv", tiny_test_params(poly_degree=512,
+                                                          level=7), seed=8)
+        .conv(out_channels=8, kernel_size=3, stride=1, in_channels=1, in_size=8)
+        .square()
+        .conv(out_channels=2, kernel_size=3, stride=2)
+        .square()
+        .dense(4)
+        .build()
     )
+
+
+def _diagonal_mid_conv():
+    """144 conv outputs in 256 slots and 64 rows: one copy, many chunks."""
+    return (
+        NetworkBuilder("diagonal-conv", tiny_test_params(poly_degree=512,
+                                                         level=7), seed=9)
+        .conv(out_channels=4, kernel_size=3, stride=1, in_channels=1, in_size=8)
+        .square()
+        .conv(out_channels=4, kernel_size=3)
+        .square()
+        .dense(4)
+        .build()
+    )
+
+
+@pytest.mark.parametrize(
+    "build, packed, input_cts",
+    [
+        (_replicated_mid_conv, PackedDense, 1),
+        (_scattered_mid_conv, PackedDense, 2),
+        (_diagonal_mid_conv, PackedDiagonalDense, 1),
+    ],
+    ids=["replicated", "scattered", "diagonal"],
+)
+def test_builder_mid_network_conv(build, packed, input_cts, monkeypatch):
+    """A second conv is lowered to a matrix layer (like CIFAR's Cnv2) in
+    each packing regime: it decrypts to the plain convolution, runs its
+    trace, fetches exactly its provisioned keys and passes the audit."""
+    net = build()
+    cnv2 = net.layers[2]
+    assert cnv2.name == "Cnv2" and type(cnv2) is packed
+    assert isinstance(cnv2.weights, ConvMatrix)
+    assert cnv2.packing.input_layout.num_cts == input_cts
+    assert isinstance(net.plain_reference.layers[2], PlainConv2d)
+    if packed is PackedDense:
+        assert cnv2.packing.replicated == (input_cts == 1)
+
+    ctx = CkksContext(tiny_test_params(net.poly_degree, level=7), seed=3)
+    net.provision_keys(ctx)
+    fetched = _fetch_log(monkeypatch)
+    img = np.random.default_rng(2).uniform(0, 1, (1, 8, 8))
+    rec = OperationRecorder()
+    assert np.allclose(
+        net.infer(ctx, img, recorder=rec), net.infer_plain(img), atol=2e-2
+    )
+    for lt in net.trace().layers:
+        assert rec.by_phase[lt.name] == lt.op_counts, lt.name
+    assert fetched == set(ctx.galois_keys.keys) == set(net.rotation_keys())
+    net.audit_noise(ctx, img)  # raises on an optimistic layer
 
 
 def test_builder_requires_conv_first(pool_params):

@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from repro.hecnn import conv_as_dense_matrix, ConvSpec, PlainConv2d
+from repro.hecnn import ConvMatrix, ConvSpec, PlainConv2d, fxhenn_cifar10_model
 from repro.optypes import HeOp
 
 
@@ -107,25 +109,30 @@ def test_rotation_steps_are_provisionable(mnist_model):
     assert all(0 < s < mnist_model.input_packing.slot_count for s in steps)
 
 
-def _conv_as_dense_matrix_loop(spec, weights, bias):
-    """Element-by-element lowering: the oracle for the vectorized fill."""
+def _conv_as_dense_matrix_loop(spec, weights, rows=None):
+    """Element-by-element lowering of the given output rows (all by
+    default): the oracle for :class:`ConvMatrix`'s entries."""
     in_positions = spec.in_size * spec.in_size
-    matrix = np.zeros((spec.output_count, spec.in_channels * in_positions))
-    bias_vec = np.zeros(spec.output_count)
-    for m in range(spec.out_channels):
-        for oy in range(spec.out_size):
-            for ox in range(spec.out_size):
-                out_idx = m * spec.out_positions + oy * spec.out_size + ox
-                bias_vec[out_idx] = bias[m]
-                for c in range(spec.in_channels):
-                    for ky in range(spec.kernel_size):
-                        for kx in range(spec.kernel_size):
-                            iy = oy * spec.stride + ky - spec.padding
-                            ix = ox * spec.stride + kx - spec.padding
-                            if 0 <= iy < spec.in_size and 0 <= ix < spec.in_size:
-                                in_idx = c * in_positions + iy * spec.in_size + ix
-                                matrix[out_idx, in_idx] = weights[m, c, ky, kx]
-    return matrix, bias_vec
+    rows = range(spec.output_count) if rows is None else rows
+    matrix = np.zeros((len(rows), spec.in_channels * in_positions))
+    for n, out_idx in enumerate(rows):
+        m, p_out = divmod(out_idx, spec.out_positions)
+        oy, ox = divmod(p_out, spec.out_size)
+        for c in range(spec.in_channels):
+            for ky in range(spec.kernel_size):
+                for kx in range(spec.kernel_size):
+                    iy = oy * spec.stride + ky - spec.padding
+                    ix = ox * spec.stride + kx - spec.padding
+                    if 0 <= iy < spec.in_size and 0 <= ix < spec.in_size:
+                        in_idx = c * in_positions + iy * spec.in_size + ix
+                        matrix[n, in_idx] = weights[m, c, ky, kx]
+    return matrix
+
+
+def _full(matrix: ConvMatrix) -> np.ndarray:
+    """Every entry of the lowered matrix, read through ``[rows, cols]``."""
+    rows, cols = np.indices(matrix.shape)
+    return matrix[rows, cols]
 
 
 @pytest.mark.parametrize(
@@ -148,16 +155,40 @@ def test_conv_as_dense_matrix_bit_identical_to_loop(
     )
     rng = np.random.default_rng(in_size)
     w = rng.normal(size=(out_channels, in_channels, kernel_size, kernel_size))
-    b = rng.normal(size=out_channels)
-    matrix, bias_vec = conv_as_dense_matrix(spec, w, b)
-    want_matrix, want_bias = _conv_as_dense_matrix_loop(spec, w, b)
-    assert matrix.dtype == want_matrix.dtype
-    assert np.array_equal(matrix, want_matrix)
-    assert np.array_equal(bias_vec, want_bias)
+    matrix = ConvMatrix(spec, w)
+    want = _conv_as_dense_matrix_loop(spec, w)
+    assert matrix.shape == want.shape
+    got = _full(matrix)
+    assert got.dtype == want.dtype
+    assert np.array_equal(got, want)
+    # A single row against an index array, as the scattered packing reads.
+    assert np.array_equal(matrix[1, np.arange(3)], want[1, :3])
+    with pytest.raises(IndexError):
+        matrix[np.array([matrix.shape[0]]), np.array([0])]
+
+
+def test_conv_matrix_rows_of_cifar10_cnv2():
+    """Whole rows of CIFAR10's Cnv2 lowering (163 maps of 10x10x83 on
+    13x13): the first, the last and one in each output map block."""
+    spec = ConvSpec(
+        in_channels=83, out_channels=163, kernel_size=10, stride=1,
+        padding=0, in_size=13,
+    )
+    w = np.random.default_rng(10).normal(size=(163, 83, 10, 10))
+    matrix = ConvMatrix(spec, w)
+    p_out = spec.out_positions
+    rows = [0, spec.output_count - 1] + [
+        m * p_out + m % p_out for m in range(spec.out_channels)
+    ]
+    cols = np.arange(matrix.shape[1])
+    want = _conv_as_dense_matrix_loop(spec, w, rows)
+    for n, row in enumerate(rows):
+        assert np.array_equal(matrix[row, cols], want[n]), row
 
 
 def test_conv_as_dense_matrix_equivalence():
-    """The lowered matrix reproduces the convolution on map-major vectors."""
+    """The lowered matrix reproduces the convolution on map-major vectors,
+    and the plain conv reads that flat vector as its grid."""
     rng = np.random.default_rng(3)
     spec = ConvSpec(
         in_channels=2, out_channels=3, kernel_size=3, stride=1, padding=0,
@@ -165,8 +196,22 @@ def test_conv_as_dense_matrix_equivalence():
     )
     w = rng.normal(size=(3, 2, 3, 3))
     b = rng.normal(size=3)
-    matrix, bias_vec = conv_as_dense_matrix(spec, w, b)
     img = rng.uniform(0, 1, (2, 5, 5))
-    flat_in = img.reshape(2, -1).reshape(-1)  # c * P_in + p_in ordering
-    expected = PlainConv2d(spec, w, b).forward(img)
-    assert np.allclose(matrix @ flat_in + bias_vec, expected)
+    flat_in = img.reshape(-1)  # c * P_in + p_in ordering
+    plain = PlainConv2d(spec, w, b)
+    bias_vec = np.repeat(b, spec.out_positions)
+    lowered = _full(ConvMatrix(spec, w)) @ flat_in + bias_vec
+    assert np.allclose(plain.forward(flat_in), lowered)
+    assert np.array_equal(plain.forward(flat_in), plain.forward(img))
+
+
+def test_cifar10_trace_stores_no_dense_matrix():
+    """Tracing FxHENN-CIFAR10 allocates its kernels, not Cnv2's 279 MiB
+    lowered matrix (2608 x 14027 float64); the Cnv2 kernel is 10.3 MiB."""
+    tracemalloc.start()
+    try:
+        fxhenn_cifar10_model().trace()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20

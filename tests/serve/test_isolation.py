@@ -5,6 +5,8 @@ batch must never mix tenant key groups — on one board, through the
 pipeline, or across the autoscaled fleet.  One zipf tenant stream, with
 an admission queue small enough to reject, runs through all three loops.
 Every loop must also start each served request no earlier than it arrived.
+A counter-example (a batch choice that ignores the group) must fail the
+isolation check on every loop, so the check is shown able to fail.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from repro.serve import (
     zipf_tenant_arrivals,
 )
 from repro.serve.costs import CostLedger
+from repro.serve.loop import ServeLoop
 
 TENANTS = 16
 POLY_DEGREE = 8192
@@ -93,6 +96,39 @@ def test_every_loop_isolates_key_groups(build, cost_model, planner):
     costs = ledger.report()
     assert costs.reconciled
     assert costs.totals()["requests"] == report.completed
+
+
+def _mixing_take(self, group):
+    """A faulty batch choice: the oldest ``capacity`` requests of any
+    group, with the per-group queue counts kept consistent."""
+    batch, self.queue = self.queue[:self.capacity], self.queue[self.capacity:]
+    for req in batch:
+        self.counts[req.key_group] -= 1
+    return batch
+
+
+@pytest.mark.parametrize(
+    "build", [_scheduler, _cluster, _autoscaler],
+    ids=["scheduler", "cluster", "autoscale"],
+)
+def test_mixed_batches_fail_the_isolation_check(
+    build, cost_model, planner, monkeypatch
+):
+    monkeypatch.setattr(ServeLoop, "_take", _mixing_take)
+    requests = zipf_tenant_arrivals(
+        400, 10.0, tenant_count=TENANTS, seed=11
+    )
+    report = build(cost_model, planner, CostLedger()).run(requests)
+    report = getattr(report, "serve", report)
+
+    # The fault did mix: some batch served several requests' own groups.
+    group_of = {r.request_id: r.key_group for r in requests}
+    served: dict[int, set[str]] = {}
+    for r in report.results:
+        if r.batch_id is not None:
+            served.setdefault(r.batch_id, set()).add(group_of[r.request_id])
+    assert any(len(groups) > 1 for groups in served.values())
+    assert not report.isolation_ok()
 
 
 def test_full_group_on_idle_board_dispatches_when_it_fills(cost_model):
