@@ -81,7 +81,7 @@ class CkksContext:
 
     def ensure_relin_keys(self, levels: list[int] | None = None) -> None:
         """Generate relinearization keys for the given levels (default: all)."""
-        levels = levels or list(range(1, self.params.level + 1))
+        levels = levels if levels is not None else range(1, self.params.level + 1)
         missing = [lvl for lvl in levels if lvl not in self.relin_keys]
         if missing:
             self.relin_keys.update(self.keygen.generate_relin_keys(missing))
@@ -91,7 +91,7 @@ class CkksContext:
     ) -> None:
         """Generate rotation keys for every step at every given level
         (default: all) if absent."""
-        levels = levels or list(range(1, self.params.level + 1))
+        levels = levels if levels is not None else range(1, self.params.level + 1)
         self.ensure_rotation_keys([(s, lvl) for s in steps for lvl in levels])
 
     def ensure_rotation_keys(self, pairs: list[tuple[int, int]]) -> None:

@@ -181,7 +181,7 @@ class KeyGenerator:
         self, levels: list[int] | None = None
     ) -> dict[int, KeySwitchKey]:
         """Relinearization keys (target ``s^2``) for each requested level."""
-        levels = levels or list(range(1, len(self.chain_primes) + 1))
+        levels = levels if levels is not None else range(1, len(self.chain_primes) + 1)
         # Square the secret in a wide-enough basis: coefficients of s^2 are
         # bounded by N, far below any prime, so one prime suffices to lift.
         basis = self.chain_basis(1)

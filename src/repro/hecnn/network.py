@@ -136,8 +136,7 @@ class HeCnn:
         relin_levels = sorted(
             set().union(*(run.relin_levels for run in self._runs))
         )
-        if relin_levels:
-            context.ensure_relin_keys(relin_levels)
+        context.ensure_relin_keys(relin_levels)
         context.ensure_rotation_keys(self.rotation_keys())
 
     # -- inference ----------------------------------------------------------------------

@@ -107,6 +107,16 @@ def test_ensure_keys_idempotent(ctx):
     }
 
 
+def test_empty_level_list_provisions_no_keys(small_params):
+    """An empty level list means no level; only ``None`` means all."""
+    ctx = CkksContext(small_params, seed=5)
+    ctx.ensure_relin_keys([])
+    ctx.ensure_galois_keys([1], levels=[])
+    assert ctx.relin_keys == {}
+    assert ctx.galois_keys.keys == {}
+    assert ctx.keygen.generate_relin_keys([]) == {}
+
+
 def test_galois_key_lookup_error(ctx):
     with pytest.raises(KeyError, match="no Galois key"):
         ctx.galois_keys.get(3331, 1)

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import obs
 from repro.fhe import Evaluator, OperationRecorder
 from repro.optypes import HeOp
 
@@ -178,7 +179,6 @@ def test_rotate_hoisted_missing_key_raises(ctx, evaluator):
 
 
 def test_rotate_hoisted_observed_as_one_rotate_per_step(ctx, evaluator):
-    from repro import obs
     from repro.fhe import NoiseEstimator
 
     ct = ctx.encrypt_values(_vals(ctx, 24))
@@ -280,6 +280,40 @@ def test_mod_switch_cannot_raise_level(ctx, evaluator):
     ct = ctx.encrypt_values(np.ones(4), level=2)
     with pytest.raises(ValueError):
         evaluator.mod_switch_to_level(ct, 3)
+
+
+# -- cost order ----------------------------------------------------------------------
+
+
+def _ntt_rows() -> int:
+    reg = obs.get_registry()
+    return sum(
+        reg.counter("ntt_transform_rows", direction=d).value
+        for d in ("forward", "inverse")
+    )
+
+
+def test_ntt_rows_follow_table1_order(ctx, evaluator):
+    """Table I's cost order in software, KeySwitch > Rescale >> elementwise,
+    as the row transforms each op runs at level 4.  A KeySwitch with one
+    digit per prime transforms (l+1)(l+2) rows; a Rescale moves the last
+    prime of both components out and back into l-1 primes.  Row counts do
+    not depend on N (the same at N=2048)."""
+    ct = ctx.encrypt_values(_vals(ctx, 40))
+    squared = evaluator.square(ct)
+    product = evaluator.multiply_plain(ct, ctx.encode(_vals(ctx, 41)))
+
+    def rows(op, *args) -> int:
+        before = _ntt_rows()
+        op(*args)
+        return _ntt_rows() - before
+
+    assert {
+        "rotate": rows(evaluator.rotate, ct, 1),
+        "relinearize": rows(evaluator.relinearize, squared),
+        "rescale": rows(evaluator.rescale, product),
+        "add": rows(evaluator.add, ct, ct),
+    } == {"rotate": 30, "relinearize": 30, "rescale": 8, "add": 0}
 
 
 # -- operation recording ------------------------------------------------------------
