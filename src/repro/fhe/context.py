@@ -2,7 +2,9 @@
 
 A :class:`CkksContext` owns everything a client or server needs:
 
-* the RNS prime chain and special key-switching prime,
+* the RNS prime chain and special key-switching prime, declared once
+  (:func:`~repro.fhe.ntt.declare_chain`) so every tuple of their primes
+  shares one table set,
 * the canonical-embedding encoder,
 * a seeded key generator holding the secret key, and (on request)
   relinearization and Galois keys,
@@ -19,6 +21,7 @@ from ..caching import LruCache
 from .ciphertext import Ciphertext, Plaintext
 from .encoder import CkksEncoder
 from .keys import GaloisKeys, KeyGenerator, KeySwitchKey
+from .ntt import declare_chain
 from .params import CkksParameters, build_prime_chain
 from .poly import RnsBasis, RnsPolynomial
 from .sampling import ENCRYPT, key_stream, sample_gaussian, sample_uniform
@@ -54,6 +57,7 @@ class CkksContext:
         chain, special = build_prime_chain(params)
         self.chain_primes = chain
         self.special_prime = special
+        declare_chain(params.poly_degree, chain + (special,))
         self.encoder = CkksEncoder(params.poly_degree)
         self.keygen = KeyGenerator(
             chain, special, params.poly_degree, seed, params.error_std

@@ -28,16 +28,26 @@ the negative ones, so it is canonical and bit-identical to the reference.
 A plan past these bounds (``max(N1, N2) > 128``, i.e. ``N > 16384``, or a
 prime of more than 30 bits) raises ``ValueError`` before building a table.
 
-**Plans.**  A plan holds one table set per direction, built under the
-plan's lock the first time that direction runs: the limbs of ``A``, ``T``
-and ``C`` for every prime, stacked along a leading prime axis, so that
-``np.matmul`` runs every (row, prime) block of a stack in one call per
-product.  Plans of two or more primes also hold their moduli, reciprocals
-and the high limb's ``2**15 * q`` pair as ``(L, N2, N1)`` tiles, because
-numpy multiplies far faster by a contiguous operand than by a broadcast
-``(L, 1, 1)`` column; single-prime plans use scalars.  A stack runs in
-chunks of rows whose float temporaries hold at most :data:`CHUNK_ELEMS`
-values each, so they stay in cache.
+**Plans.**  Tables live in *stacks*: one table set per direction, built
+under the stack's lock the first time that direction runs, holding the
+limbs of ``A``, ``T`` and ``C`` for every prime of the stack along a
+leading prime axis, so that ``np.matmul`` runs every (row, prime) block
+in one call per product.  A stack of two or more primes also holds their
+moduli, reciprocals and the high limb's ``2**15 * q`` pair as
+``(L, N2, N1)`` tiles, because numpy multiplies far faster by a
+contiguous operand than by a broadcast ``(L, 1, 1)`` column.  The stack
+of a declared chain (:func:`~repro.fhe.ntt.declare_chain`: the chain
+``q_1 .. q_L`` then ``P``) serves every plan whose primes it holds, so
+each prime's tables exist once per direction.  A plan runs its primes as
+*runs*, views of contiguous primes of its stack: one for a prefix, a
+single prime or ``P``, two for ``(q_1 .. q_l, P)``; a single-prime run
+uses scalars instead of tiles.  A tuple no declared chain holds is its
+own stack.  A run takes chunks of rows whose float temporaries hold at
+most :data:`CHUNK_ELEMS` values each, so they stay in cache.  Where one
+row of a run's primes holds more (``N * L > CHUNK_ELEMS``: five or more
+primes at ``N = 8192``), the run goes one prime at a time, each prime
+taking all its rows before the next, so that one prime's tables and the
+temporaries fit in a 2 MiB L2 together.
 """
 
 from __future__ import annotations
@@ -47,7 +57,12 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ..ntt import bit_reverse_indices, count_transform, get_ntt_context
+from ..ntt import (
+    bit_reverse_indices,
+    count_transform,
+    covering_chain,
+    get_ntt_context,
+)
 from .base import KernelBackend
 
 _U64 = np.uint64
@@ -106,10 +121,19 @@ def _reduce(hi, lo, out, tmp, consts) -> None:
 
 
 class MontgomeryPlan:
-    """Precomputed per-``(n, primes)`` tables of the matrix NTT (see the
-    module docstring)."""
+    """Precomputed per-``(n, primes)`` runs of the matrix NTT over a table
+    stack (see the module docstring).
 
-    def __init__(self, n: int, primes: tuple[int, ...]) -> None:
+    ``stack`` is the declared chain's plan whose tables this plan views;
+    ``None`` makes the plan its own stack.
+    """
+
+    def __init__(
+        self,
+        n: int,
+        primes: tuple[int, ...],
+        stack: MontgomeryPlan | None = None,
+    ) -> None:
         self.n = n
         self.primes = tuple(int(q) for q in primes)
         self.level = len(self.primes)
@@ -121,32 +145,54 @@ class MontgomeryPlan:
                 f"{MAX_PRIME_BITS}-bit primes; got N={n}, "
                 f"{max(self.primes).bit_length()}-bit primes"
             )
-        #: Rows of a stack per chunk.
-        self.chunk = max(1, CHUNK_ELEMS // (self.level * n))
-        #: ``1/(2**15 q)``, ``2**15 q``, ``1/q`` and ``q`` as float64, then
-        #: ``q`` as uint64: scalars for one prime, else ``(L, N2, N1)`` tiles.
-        qs = np.array(self.primes, dtype=np.float64)
-        consts = (1 / (qs * _LIMB), qs * _LIMB, 1 / qs, qs)
-        if self.level == 1:
-            self.consts = tuple(float(c[0]) for c in consts) + (_U64(self.primes[0]),)
-        else:
-            shape = (self.level, self.n2, self.n1)
-            self.consts = tuple(
-                np.ascontiguousarray(np.broadcast_to(c.reshape(-1, 1, 1), shape))
-                for c in consts + (np.array(self.primes, dtype=_U64),)
+        self.stack = self if stack is None else stack
+        if stack is None:
+            #: :func:`_moduli` as ``(L, N2, N1)`` tiles, for multi-prime runs.
+            self.tiles = (
+                _tiles(self.primes, (self.n2, self.n1)) if self.level > 1 else ()
             )
-        self._lock = threading.Lock()
-        self._tables: dict[bool, _Tables] = {}
+            self._lock = threading.Lock()
+            self._tables: dict[bool, _Tables] = {}
+        #: ``(start, stop, offset)`` per run: where its primes sit here and
+        #: where they start in the stack.
+        self.runs = _runs([self.stack.primes.index(q) for q in self.primes], n)
+        self._views: dict[bool, list] = {}
+
+    def _consts(self, offset: int, width: int) -> tuple:
+        """A run's constants: scalars for one prime, else views of the
+        stack's tiles."""
+        if width > 1:
+            return tuple(t[offset : offset + width] for t in self.stack.tiles)
+        *floats, q = _moduli(self.stack.primes[offset : offset + 1])
+        return tuple(float(c[0]) for c in floats) + (q[0],)
 
     def tables(self, inverse: bool) -> _Tables:
-        """One direction's tables, built on its first use."""
-        tab = self._tables.get(inverse)
+        """The stack's tables of one direction, built on its first use."""
+        stack = self.stack
+        tab = stack._tables.get(inverse)
         if tab is None:
-            with self._lock:
-                tab = self._tables.get(inverse)
+            with stack._lock:
+                tab = stack._tables.get(inverse)
                 if tab is None:
-                    tab = self._tables[inverse] = self._build(inverse)
+                    tab = stack._tables[inverse] = stack._build(inverse)
         return tab
+
+    def _direction(self, inverse: bool) -> list:
+        """Each run of one direction: ``(start, stop, tables, consts,
+        chunk)``, its tables views of the stack's and ``chunk`` its rows
+        per chunk."""
+        runs = self._views.get(inverse)
+        if runs is None:
+            tab = self.tables(inverse)
+            runs = self._views[inverse] = [
+                (start, stop,
+                 _Tables(*(tuple(limb[offset : offset + stop - start]
+                                 for limb in pair) for pair in tab)),
+                 self._consts(offset, stop - start),
+                 max(1, CHUNK_ELEMS // ((stop - start) * self.n)))
+                for start, stop, offset in self.runs
+            ]
+        return runs
 
     def _build(self, inverse: bool) -> _Tables:
         n, n1, n2 = self.n, self.n1, self.n2
@@ -176,39 +222,77 @@ class MontgomeryPlan:
 
     def transform(self, values, inverse: bool) -> np.ndarray:
         """Forward (or inverse) NTT of ``(..., L, N)`` residues."""
-        level, n = self.level, self.n
+        level, n, n1, n2 = self.level, self.n, self.n1, self.n2
         a = np.asarray(values, dtype=_U64)
         if a.ndim < 2 or a.shape[-2:] != (level, n):
             raise ValueError(f"expected trailing shape {(level, n)}, got {a.shape}")
         src = a.reshape(-1, level, n).view(np.int64)
         rows = src.shape[0]
-        tab = self.tables(inverse)
         first, second = (_right, _left) if inverse else (_left, _right)
-        consts = self.consts
         out = np.empty(src.shape, dtype=_U64)
-        chunk = min(rows, self.chunk)
-        x = np.empty((chunk, level, self.n2, self.n1))
-        tmp = np.empty_like(x)
-        halves = np.empty((2,) + x.shape)
-        for r in range(0, rows, chunk):
-            m = min(chunk, rows - r)
-            xs, ts, hi, lo = x[:m], tmp[:m], halves[0, :m], halves[1, :m]
-            np.copyto(xs.reshape(m, level, n), src[r : r + m], casting="unsafe")
-            first(tab.first, xs, hi, lo)
-            _reduce(hi, lo, xs, ts, consts)
-            np.multiply(xs, tab.twiddle[0], out=hi)
-            np.multiply(xs, tab.twiddle[1], out=lo)
-            _reduce(hi, lo, xs, ts, consts)
-            second(tab.second, xs, hi, lo)
-            _reduce(hi, lo, xs, ts, consts)
-            # Canonical: negative values wrap as uint64, so adding q maps
-            # them below q and leaves every other value above itself.
-            o = out[r : r + m].reshape(xs.shape)
-            np.copyto(o.view(np.int64), xs, casting="unsafe")
-            wrapped = hi.view(_U64)
-            np.add(o, consts[4], out=wrapped)
-            np.minimum(o, wrapped, out=o)
+        out_tiles = out.reshape(rows, level, n2, n1)
+        for start, stop, tab, consts, chunk in self._direction(inverse):
+            width = stop - start
+            chunk = min(rows, chunk)
+            x = np.empty((chunk, width, n2, n1))
+            tmp = np.empty_like(x)
+            halves = np.empty((2,) + x.shape)
+            for r in range(0, rows, chunk):
+                m = min(chunk, rows - r)
+                xs, ts, hi, lo = x[:m], tmp[:m], halves[0, :m], halves[1, :m]
+                np.copyto(
+                    xs.reshape(m, width, n), src[r : r + m, start:stop],
+                    casting="unsafe",
+                )
+                first(tab.first, xs, hi, lo)
+                _reduce(hi, lo, xs, ts, consts)
+                np.multiply(xs, tab.twiddle[0], out=hi)
+                np.multiply(xs, tab.twiddle[1], out=lo)
+                _reduce(hi, lo, xs, ts, consts)
+                second(tab.second, xs, hi, lo)
+                _reduce(hi, lo, xs, ts, consts)
+                # Canonical: negative values wrap as uint64, so adding q
+                # maps them below q and leaves every other value above
+                # itself.
+                o = out_tiles[r : r + m, start:stop]
+                np.copyto(o.view(np.int64), xs, casting="unsafe")
+                wrapped = hi.view(_U64)
+                np.add(o, consts[4], out=wrapped)
+                np.minimum(o, wrapped, out=o)
         return out.reshape(a.shape)
+
+
+def _moduli(primes: tuple[int, ...]) -> tuple[np.ndarray, ...]:
+    """``1/(2**15 q)``, ``2**15 q``, ``1/q`` and ``q`` as float64, then
+    ``q`` as uint64, one entry per prime."""
+    qs = np.array(primes, dtype=np.float64)
+    return (1 / (qs * _LIMB), qs * _LIMB, 1 / qs, qs, np.array(primes, dtype=_U64))
+
+
+def _tiles(primes: tuple[int, ...], shape: tuple[int, int]) -> tuple:
+    """:func:`_moduli` as ``(L, N2, N1)`` tiles."""
+    shape = (len(primes),) + shape
+    return tuple(
+        np.ascontiguousarray(np.broadcast_to(c.reshape(-1, 1, 1), shape))
+        for c in _moduli(primes)
+    )
+
+
+def _runs(offsets: list[int], n: int) -> list[tuple[int, int, int]]:
+    """``(start, stop, offset)`` of each run of consecutive stack offsets; a
+    run whose row holds more than :data:`CHUNK_ELEMS` values goes one prime
+    at a time."""
+    runs, start = [], 0
+    for i in range(1, len(offsets) + 1):
+        if i < len(offsets) and offsets[i] == offsets[i - 1] + 1:
+            continue
+        step = 1 if (i - start) * n > CHUNK_ELEMS else i - start
+        runs += [
+            (a, min(a + step, i), offsets[start] + a - start)
+            for a in range(start, i, step)
+        ]
+        start = i
+    return runs
 
 
 class MontgomeryBackend(KernelBackend):
@@ -227,8 +311,19 @@ class MontgomeryBackend(KernelBackend):
             with self._lock:
                 plan = self._plans.get(key)
                 if plan is None:
-                    plan = self._plans[key] = MontgomeryPlan(*key)
+                    plan = self._plans[key] = self._new_plan(*key)
         return plan
+
+    def _new_plan(self, n: int, primes: tuple[int, ...]) -> MontgomeryPlan:
+        """A plan viewing its declared chain's stack, else its own stack
+        (called under the lock)."""
+        chain = covering_chain(n, primes)
+        if chain is None or chain == primes:
+            return MontgomeryPlan(n, primes)
+        stack = self._plans.get((n, chain))
+        if stack is None:
+            stack = self._plans[(n, chain)] = MontgomeryPlan(n, chain)
+        return MontgomeryPlan(n, primes, stack)
 
     def _transform(self, n, primes, values, inverse: bool) -> np.ndarray:
         plan = self.plan(n, primes)

@@ -14,6 +14,10 @@ the FHE substrate; its hardware cost model (``LAT_NTT = log2(N) * N /
 * :class:`BatchedNttContext` — the per-chain tables of the element-wise
   kernels and the ring code: the ``(L, N)`` moduli and the Rescale
   inverses.
+* :func:`declare_chain` — a chain and its special prime, declared once
+  (by :class:`~repro.fhe.context.CkksContext`): the tables of every tuple
+  of its primes are views of one set per chain, here and in the kernel
+  backends' plans.
 * :func:`galois_permutation` — the NTT-domain Galois permutations, which
   depend only on the ring degree: one array per ``(N, g)``.
 
@@ -209,9 +213,19 @@ class BatchedNttContext:
     moduli, tiled, plus lazily built Rescale inverses and their Shoup
     quotients ``w' = floor(w * 2**32 / q)``.  Since q < 2**30, every Shoup
     product ``v * w'`` with ``v < 4q <= 2**32`` fits in uint64.
+
+    ``chain`` is the context of a declared chain ``(q_1 .. q_L, P)`` holding
+    every prime: a contiguous run of it (a prefix, one prime, ``P``) views
+    the chain's moduli tile, and ``(q_1 .. q_l, P)`` views the first ``l``
+    rows of the chain's ``P**-1 mod q_i`` tiles for its ModDown.
     """
 
-    def __init__(self, n: int, primes: tuple[int, ...]) -> None:
+    def __init__(
+        self,
+        n: int,
+        primes: tuple[int, ...],
+        chain: BatchedNttContext | None = None,
+    ) -> None:
         if not primes:
             raise ValueError("need at least one prime")
         self.n = n
@@ -223,8 +237,16 @@ class BatchedNttContext:
         # in numpy (1.5-2x slower per pass on this substrate); the hot
         # KeySwitch/Rescale element-wise kernels use these contiguous tiles
         # instead.  Values are identical, so outputs stay bit-identical.
-        self.qs_full = np.ascontiguousarray(np.broadcast_to(self.qs, (level, n)))
-        self.qs_full_i64 = self.qs_full.astype(np.int64)
+        # A contiguous run of a declared chain views the chain's tile.
+        start = None if chain is None else _run_start(chain.primes, self.primes)
+        if start is None:
+            self.qs_full = np.ascontiguousarray(
+                np.broadcast_to(self.qs, (level, n))
+            )
+        else:
+            self.qs_full = chain.qs_full[start : start + level]
+        self.qs_full_i64 = self.qs_full.view(np.int64)
+        self._chain = chain
         self._rescale_inverses: np.ndarray | None = None
         self._rescale_inv_tiled: tuple[np.ndarray, np.ndarray] | None = None
 
@@ -255,6 +277,10 @@ class BatchedNttContext:
         """:meth:`rescale_inverses` plus their Shoup quotients, tiled to
         contiguous ``(L-1, N)`` arrays for the division-free Rescale
         constant multiply."""
+        if self._rescale_inv_tiled is None and self._divides_by_chain_p():
+            self._rescale_inv_tiled = tuple(
+                t[: self.level - 1] for t in self._chain.rescale_inverses_tiled()
+            )
         if self._rescale_inv_tiled is None:
             inv = self.rescale_inverses()
             shoup = (inv << _SHOUP_SHIFT) // self.qs[:-1]
@@ -264,6 +290,53 @@ class BatchedNttContext:
                 np.ascontiguousarray(np.broadcast_to(shoup, shape)),
             )
         return self._rescale_inv_tiled
+
+    def _divides_by_chain_p(self) -> bool:
+        """Whether this is ``(q_1 .. q_l, P)`` of the declared chain, so its
+        Rescale (a ModDown) divides by the chain's last prime."""
+        chain = self._chain
+        return (
+            chain is not None
+            and self.level > 1
+            and self.primes[-1] == chain.primes[-1]
+            and self.primes[:-1] == chain.primes[: self.level - 1]
+        )
+
+
+def _run_start(chain: tuple[int, ...], primes: tuple[int, ...]) -> int | None:
+    """Where ``primes`` starts as a contiguous run of ``chain``, if it is one."""
+    start = chain.index(primes[0]) if primes[0] in chain else -1
+    if start < 0 or chain[start : start + len(primes)] != primes:
+        return None
+    return start
+
+
+# ---------------------------------------------------------------------------
+# Declared chains
+# ---------------------------------------------------------------------------
+
+#: Declared ``(n, chain + (P,))`` tuples, in declaration order.
+_CHAINS: dict[tuple[int, tuple[int, ...]], None] = {}
+
+
+def declare_chain(n: int, primes: tuple[int, ...]) -> None:
+    """Declare a chain followed by its special prime at ring degree ``n``.
+
+    The batched contexts here and the kernel backends' plans then hold one
+    table set for the whole tuple and serve every tuple of its primes
+    (prefixes, single primes, ``P``, ``(q_1 .. q_l, P)``) as views of it.
+    A tuple no declared chain covers keeps tables of its own.
+    """
+    _CHAINS[(n, tuple(int(q) for q in primes))] = None
+
+
+def covering_chain(n: int, primes: tuple[int, ...]) -> tuple[int, ...] | None:
+    """The first declared chain of degree ``n`` holding every prime of
+    ``primes``, or ``None``."""
+    for degree, chain in tuple(_CHAINS):
+        if degree == n and set(primes) <= set(chain):
+            return chain
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -291,7 +364,11 @@ def get_batched_ntt_context(n: int, primes: tuple[int, ...]) -> BatchedNttContex
     key = (n, tuple(primes))
     ctx = _BATCHED_REGISTRY.get(key)
     if ctx is None:
-        ctx = _BATCHED_REGISTRY[key] = BatchedNttContext(n, key[1])
+        chain = covering_chain(*key)
+        ctx = _BATCHED_REGISTRY[key] = BatchedNttContext(
+            n, key[1],
+            None if chain in (None, key[1]) else get_batched_ntt_context(n, chain),
+        )
     return ctx
 
 
@@ -316,13 +393,14 @@ def galois_permutation(n: int, galois_element: int) -> np.ndarray:
 
 
 def clear_caches() -> None:
-    """Drop every cached NTT context, Galois permutation and kernel-backend
-    plan — test helper.
+    """Drop every declared chain, cached NTT context, Galois permutation
+    and kernel-backend plan — test helper.
 
     Covers both the registries owned by this module and the
     per-backend precomputed plans owned by ``repro.fhe.kernels`` (imported
     lazily; kernels imports this module at load time).
     """
+    _CHAINS.clear()
     _NTT_REGISTRY.clear()
     _BATCHED_REGISTRY.clear()
     _GALOIS_REGISTRY.clear()
@@ -337,6 +415,7 @@ def registry_info() -> dict[str, object]:
     from . import kernels
 
     return {
+        "chains": list(_CHAINS),
         "ntt": sorted(_NTT_REGISTRY),
         "batched": sorted(_BATCHED_REGISTRY),
         "galois": sorted(_GALOIS_REGISTRY),

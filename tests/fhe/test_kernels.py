@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.fhe import kernels
+from repro.fhe import kernels, ntt
 from repro.fhe.modmath import generate_ntt_primes, is_prime, shoup_precompute
 
 _U64 = np.uint64
@@ -224,10 +224,82 @@ def test_montgomery_rejects_a_plan_past_its_bound(monkeypatch, n, wide):
     assert backend.plan_keys() == []
 
 
-def test_first_transforms_build_each_plan_table_once(monkeypatch):
-    """Threads making the first forward and inverse on a fresh plan at once
-    each get the reference's bits, from tables built once per direction."""
-    n, primes = 2048, tuple(generate_ntt_primes(28, 4, 2048))
+@pytest.mark.parametrize("direction", ["forward", "inverse"])
+@pytest.mark.parametrize("rows", [2, 25])
+def test_montgomery_matches_reference_one_prime_at_a_time(rows, direction):
+    """N=8192 with 8 primes: one row of the stack exceeds ``CHUNK_ELEMS``,
+    so the plan runs it one prime at a time, four rows per chunk."""
+    n = 8192
+    primes, stack = _stack(n, 28, 8, rows, seed=rows)
+    backend = kernels.MontgomeryBackend()
+    got = getattr(backend, direction)(n, primes, stack)
+    plan = backend.plan(n, primes)
+    assert plan.runs == [(i, i + 1, i) for i in range(8)]
+    assert [run[4] for run in plan._direction(direction == "inverse")] == [4] * 8
+    assert np.array_equal(got, getattr(REFERENCE, direction)(n, primes, stack))
+
+
+@pytest.fixture
+def declared(monkeypatch):
+    """A private registry of declared chains, so a test's declarations
+    leave no trace in other tests."""
+    monkeypatch.setattr(ntt, "_CHAINS", {})
+    return ntt.declare_chain
+
+
+@pytest.mark.parametrize("direction", ["forward", "inverse"])
+def test_declared_chain_plans_are_views_of_one_stack(declared, direction):
+    """A prefix, a single prime, ``P`` and ``(q_1 .. q_l, P)`` of a declared
+    chain match the reference from runs viewing the chain's one stack: no
+    plan but the chain's owns a table."""
+    n, rows, inverse = 2048, 3, direction == "inverse"
+    chain, stack = _stack(n, 28, 5, rows, seed=7)
+    declared(n, chain)
+    backend = kernels.MontgomeryBackend()
+    runs = {chain[:3]: 1, chain[2:3]: 1, chain[-1:]: 1, chain[:3] + chain[-1:]: 2}
+    for primes in runs:
+        values = stack[:, [chain.index(q) for q in primes]]
+        got = getattr(backend, direction)(n, primes, values)
+        assert np.array_equal(got, getattr(REFERENCE, direction)(n, primes, values))
+    owner = backend.plan(n, chain)
+    owned = {id(limb) for pair in owner.tables(inverse) for limb in pair}
+    for primes, count in runs.items():
+        plan = backend.plan(n, primes)
+        assert plan.stack is owner and len(plan.runs) == count
+        assert all(
+            id(limb.base) in owned
+            for run in plan._direction(inverse) for pair in run[2] for limb in pair
+        )
+    assert sorted(backend.plan_keys()) == sorted((n, p) for p in [chain, *runs])
+
+
+def test_clear_caches_drops_declared_stacks():
+    """``clear_caches`` drops every plan and declared chain; a context built
+    afterwards declares its chain again and encrypts bit-identically."""
+    from repro.fhe import CkksContext, clear_caches, registry_info, tiny_test_params
+
+    params = tiny_test_params(poly_degree=512, level=3)
+    values = np.linspace(-1, 1, params.slot_count)
+    with kernels.using_backend("montgomery"):
+        ctx = CkksContext(params, seed=5)
+        first = ctx.encrypt_values(values)
+        chain = ctx.chain_primes + (ctx.special_prime,)
+        assert (512, chain) in registry_info()["chains"]
+        clear_caches()
+        assert kernels.plans_info() == {}
+        assert registry_info()["chains"] == []
+        again = CkksContext(params, seed=5).encrypt_values(values)
+        assert kernels.plans_info()["montgomery"]
+    for a, b in zip(first.components, again.components):
+        assert np.array_equal(a.residues, b.residues)
+
+
+def test_first_transforms_build_each_plan_table_once(monkeypatch, declared):
+    """Threads making the first forward and inverse on a declared chain's
+    plan and on its prefix's plan at once each get the reference's bits,
+    from tables built once per direction."""
+    n, chain = 2048, tuple(generate_ntt_primes(28, 4, 2048))
+    declared(n, chain)
     builds = {"forward": 0, "inverse": 0}
     build = kernels.MontgomeryPlan._build
 
@@ -239,11 +311,14 @@ def test_first_transforms_build_each_plan_table_once(monkeypatch):
     monkeypatch.setattr(kernels.MontgomeryPlan, "_build", slow)
     backend = kernels.MontgomeryBackend()
     stacks = [_stack(n, 28, 4, rows, seed=rows)[1] for rows in (1, 3)]
-    jobs = [(d, s) for d in builds for s in stacks]
+    jobs = [
+        (d, primes, s[:, :len(primes)])
+        for d in builds for s in stacks for primes in (chain, chain[:2])
+    ]
     barrier = threading.Barrier(len(jobs))
     matched: list[bool] = []
 
-    def worker(direction, stack):
+    def worker(direction, primes, stack):
         barrier.wait(timeout=30)
         got = getattr(backend, direction)(n, primes, stack)
         expected = getattr(REFERENCE, direction)(n, primes, stack)
@@ -262,6 +337,7 @@ def test_first_transforms_build_each_plan_table_once(monkeypatch):
     assert not any(t.is_alive() for t in threads)
     assert matched == [True] * len(jobs)
     assert builds == {"forward": 1, "inverse": 1}
+    assert backend.plan(n, chain[:2]).stack is backend.plan(n, chain)
 
 
 # -- registry selection ------------------------------------------------------------

@@ -160,3 +160,34 @@ def test_registry_is_inspectable_and_clearable():
     assert info["ntt"] == [] and info["batched"] == []
     # Repopulates transparently after a clear.
     assert get_ntt_context(64, q) is get_ntt_context(64, q)
+
+
+def test_declared_chain_contexts_view_the_chain_tiles(monkeypatch):
+    """A contiguous run of a declared chain views the chain's moduli tile,
+    ``qs_full_i64`` views ``qs_full``, and each ``(q_1 .. q_l, P)``
+    context's ModDown inverses are the first ``l`` rows of the chain's;
+    every value equals that of a context built on its own."""
+    from repro.fhe import ntt
+
+    n = 64
+    chain = tuple(generate_ntt_primes(24, 5, n))
+    monkeypatch.setattr(ntt, "_CHAINS", {})
+    monkeypatch.setattr(ntt, "_BATCHED_REGISTRY", {})
+    ntt.declare_chain(n, chain)
+    full = ntt.get_batched_ntt_context(n, chain)
+    moddown = chain[:2] + chain[-1:]
+    for primes in (chain[:3], chain[1:2], chain[-1:], moddown):
+        ctx = ntt.get_batched_ntt_context(n, primes)
+        own = ntt.BatchedNttContext(n, primes)
+        assert np.array_equal(ctx.qs_full, own.qs_full)
+        assert np.array_equal(ctx.qs_full_i64, own.qs_full_i64)
+        assert np.shares_memory(ctx.qs_full_i64, ctx.qs_full)
+        assert np.shares_memory(ctx.qs_full, full.qs_full) == (primes != moddown)
+        if len(primes) > 1:
+            for got, want, tile in zip(
+                ctx.rescale_inverses_tiled(),
+                own.rescale_inverses_tiled(),
+                full.rescale_inverses_tiled(),
+            ):
+                assert np.array_equal(got, want)
+                assert np.shares_memory(got, tile) == (primes == moddown)

@@ -14,7 +14,9 @@ from repro.fhe import (
     OperationRecorder,
     clear_caches,
     fxhenn_mnist_params,
+    get_batched_ntt_context,
     kernels,
+    registry_info,
     tiny_test_params,
 )
 from repro.hecnn import fxhenn_mnist_model, synthetic_mnist_image, tiny_mnist_model
@@ -224,14 +226,25 @@ def _held_bytes(obj, owners: dict, seen: set) -> None:
         _held_bytes(item, owners, seen)
 
 
-@pytest.mark.parametrize("network,nbytes", [
-    ("mnist-n2048", 12_419_072),
-    ("tiny-n512", 3_104_768),
+def _held(objs) -> int:
+    """Bytes of the base arrays ``objs`` hold, each counted once."""
+    owners: dict = {}
+    for obj in objs:
+        _held_bytes(obj, owners, set())
+    return sum(a.nbytes for a in owners.values())
+
+
+@pytest.mark.parametrize("network,plan_bytes,context_bytes,limb_set", [
+    pytest.param("mnist-n2048", 2_490_368, 1_360_592, 114_688, id="mnist-n2048"),
+    pytest.param("tiny-n512", 622_592, 340_640, 28_672, id="tiny-n512"),
 ])
-def test_request_plan_bytes(network, nbytes):
-    """Table bytes the montgomery plans hold after set-up and one request,
-    each base array once.  A plan that keeps tables per batch height, or a
-    fused op that adds a prime tuple or a direction, moves this count."""
+def test_request_plan_bytes(network, plan_bytes, context_bytes, limb_set):
+    """Table bytes the montgomery plans and the batched NTT contexts hold
+    after set-up and one request, each base array once.  Every plan is a
+    view of the declared chain's stack, so each (prime, direction) limb set
+    (``limb_set`` bytes) is held once.  A plan that keeps tables per batch
+    height or per prime tuple, or a fused op that adds a direction, moves
+    these counts."""
     build, params, image = NETWORKS[network]
     clear_caches()
     with kernels.using_backend("montgomery") as backend:
@@ -239,10 +252,19 @@ def test_request_plan_bytes(network, nbytes):
         ctx = CkksContext(params, seed=1)
         model.provision_keys(ctx)
         model.infer(ctx, image())
-        owners: dict = {}
-        for key in backend.plan_keys():
-            _held_bytes(backend.plan(*key), owners, set())
-    assert sum(a.nbytes for a in owners.values()) == nbytes
+        plans = [backend.plan(*key) for key in backend.plan_keys()]
+    chain = ctx.chain_primes + (ctx.special_prime,)
+    assert {plan.stack.primes for plan in plans} == {chain}
+    assert _held(plans) == plan_bytes
+    used = {
+        (q, inverse)
+        for plan in plans for inverse in plan._views for q in plan.primes
+    }
+    assert _held(plan.stack._tables for plan in plans) == limb_set * len(used)
+    contexts = [
+        get_batched_ntt_context(*key) for key in registry_info()["batched"]
+    ]
+    assert _held(contexts) == context_bytes
 
 
 def test_mnist_n2048_provisioning_forward_rows():
