@@ -204,9 +204,11 @@ def test_bench_costs(benchmark, dev9, save_report):
     )
     save_report("bench_costs", f"{table}\n{alert_lines}")
 
-    # Acceptance: the books balance exactly on every axis and both
-    # alert lifecycles completed inside the session.
+    # Acceptance: the books balance exactly on every axis, each tenant
+    # was charged for exactly the requests it completed, and both alert
+    # lifecycles completed inside the session.
     assert costs.reconciled, reconciliation
+    assert costs.matches(report)
     for name in ("queue-depth-high", "deadline-burn"):
         assert counts[name] == {"fired": 1, "resolved": 1}, counts
     assert not session["active"]

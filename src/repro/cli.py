@@ -607,8 +607,10 @@ def cmd_costs(args: argparse.Namespace) -> int:
     and charging the cost model's DSE scan to the shared pool.  Fleet
     costs settle onto tenants by slot-time share: node-seconds from the
     session makespan, energy from accelerator-busy time at the device's
-    TDP.  The exact per-tenant == fleet reconciliation verdict decides
-    the exit status, so this command doubles as a CI smoke check.
+    TDP.  The exit status is the books' verdict: the exact per-tenant ==
+    fleet reconciliation, and per tenant, the requests charged equal the
+    requests completed (:meth:`~repro.serve.costs.CostReport.matches`),
+    so this command doubles as a CI smoke check.
     """
     import json
 
@@ -673,6 +675,8 @@ def cmd_costs(args: argparse.Namespace) -> int:
         costs = ledger.report()
 
     reconciliation = costs.reconciliation()
+    matched = costs.matches(report)
+    ok = costs.reconciled and matched
     if args.format == "json":
         payload = {
             "device": device.name,
@@ -687,10 +691,11 @@ def cmd_costs(args: argparse.Namespace) -> int:
             "expired": report.expired,
             "throughput_images_per_s": report.throughput_images_per_s,
             "costs": costs.as_dict(),
+            "charges_match_completions": matched,
             "alerts": engine.summary() if engine is not None else None,
         }
         print(json.dumps(payload, indent=2))
-        return 0 if costs.reconciled else 1
+        return 0 if ok else 1
 
     totals = costs.totals()
     rows = [
@@ -721,11 +726,13 @@ def cmd_costs(args: argparse.Namespace) -> int:
           f"({sum(reconciliation.values())}/{len(reconciliation)} axes"
           + (f"; leaking: {', '.join(failed)}" if failed else "")
           + ")")
+    print(f"charged requests: {'EXACT' if matched else 'LEAKED'} "
+          f"({totals['requests']:.0f} charged, {report.completed} completed)")
     print(f"top tenant node-second share: "
           f"{costs.top_share('node_seconds'):.1%}")
     if engine is not None:
         _print_alert_summary(engine)
-    return 0 if costs.reconciled else 1
+    return 0 if ok else 1
 
 
 def cmd_bench_throughput(args: argparse.Namespace) -> int:

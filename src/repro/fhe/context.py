@@ -72,7 +72,7 @@ class CkksContext:
         #: weight/bias/mask is encoded + transformed once per network.  A
         #: bounded LRU (rather than a bare dict) so long-lived serving
         #: contexts shared across many model instances cannot grow without
-        #: limit; one entry is one ``level * N`` uint64 plaintext.
+        #: limit; one entry is one ``level * N`` uint32 plaintext.
         self.plaintext_cache = LruCache(
             plaintext_cache_entries, name="plaintext"
         )

@@ -92,7 +92,7 @@ class KernelBackend:
     ) -> np.ndarray:
         """Apply ``a(X) -> a(X**g)`` to NTT-domain residues (a permutation)."""
         perm = self.context(n, primes).galois_permutation(galois_element)
-        return np.ascontiguousarray(np.asarray(values)[..., perm])
+        return np.ascontiguousarray(np.asarray(values)[..., perm], dtype=np.uint64)
 
     def modmul(
         self, n: int, primes: tuple[int, ...], a: np.ndarray, b: np.ndarray

@@ -60,12 +60,19 @@ class KeySwitchKey:
     ``(q_1..q_l, p)``, stored once as the NTT-domain stack
     ``stacked_ba[0] = b`` and ``stacked_ba[1] = a``, shaped
     ``(2, level, ext_level, N)`` so one broadcast multiply per digit covers
-    both key halves of the KeySwitch inner product.
+    both key halves of the KeySwitch inner product.  The stack is held in
+    32-bit words (every prime is below ``2**30``), whatever array built
+    the key; products with it name ``uint64``.
     """
 
     level: int
     basis: RnsBasis  # extended basis including the special prime (last)
     stacked_ba: np.ndarray
+
+    def __post_init__(self) -> None:
+        object.__setattr__(
+            self, "stacked_ba", self.stacked_ba.astype(np.uint32, copy=False)
+        )
 
     @property
     def b(self) -> tuple[RnsPolynomial, ...]:
@@ -166,7 +173,7 @@ class KeyGenerator:
         for q in q_chain:
             big_q *= q
         p = self.special_prime
-        stacked = np.empty((2, level, ext.level, ext.n), dtype=_U64)
+        stacked = np.empty((2, level, ext.level, ext.n), dtype=np.uint32)
         for i, q_i in enumerate(q_chain):
             q_hat = big_q // q_i
             d_i = q_hat * mod_inverse(q_hat % q_i, q_i)

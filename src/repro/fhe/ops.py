@@ -399,9 +399,10 @@ class Evaluator:
         if callable(values):
             values = values()
         # Stored NTT-resident, so every later PCmult/PCadd skips the forward
-        # transform as well as the encode.
+        # transform as well as the encode, and in 32-bit words.
+        poly = self.context.encoder.encode(values, scale, basis).to_ntt()
         pt = Plaintext(
-            poly=self.context.encoder.encode(values, scale, basis).to_ntt(),
+            poly=RnsPolynomial(basis, poly.residues.astype(np.uint32), is_ntt=True),
             scale=scale,
         )
         if cache_key is not None:
@@ -653,11 +654,15 @@ def _product_sum(pairs, ctx) -> np.ndarray:
     at the end and whenever the next term could pass ``2**64``.  ``pairs``
     may reuse one buffer for its ``a`` operands: each product is taken
     before the next pair is drawn.
+
+    Operands may be uint32 (keys and cached plaintexts), so each multiply
+    names ``dtype=np.uint64``: two uint32 operands would otherwise run the
+    uint32 loop and wrap, even into a uint64 ``out``.
     """
     budget = _U64_MAX // (max(ctx.primes) - 1) ** 2
     pairs = iter(pairs)
     a, b = next(pairs)
-    acc = np.multiply(a, b)
+    acc = np.multiply(a, b, dtype=np.uint64)
     prod = np.empty_like(acc)
     terms = 1
     for a, b in pairs:
@@ -666,7 +671,7 @@ def _product_sum(pairs, ctx) -> np.ndarray:
             # as one term.
             np.remainder(acc, ctx.qs_full, out=acc)
             terms = 1
-        np.multiply(a, b, out=prod)
+        np.multiply(a, b, out=prod, dtype=np.uint64)
         np.add(acc, prod, out=acc)
         terms += 1
     return np.remainder(acc, ctx.qs_full, out=acc)

@@ -23,6 +23,10 @@ from .modmath import centered_lift, centered_lift_fits, mod_inverse
 from .ntt import get_batched_ntt_context
 
 _U64 = np.uint64
+#: The at-rest word: every functional prime is below ``2**30``, so a
+#: canonical residue fits 32 bits (:data:`~repro.fhe.modmath
+#: .MAX_MODULUS_BITS`).
+_U32 = np.dtype(np.uint32)
 
 
 @dataclass(frozen=True)
@@ -85,7 +89,9 @@ class RnsPolynomial:
     basis:
         The RNS basis; ``residues.shape == (basis.level, basis.n)``.
     residues:
-        ``uint64`` array of residues, each row reduced modulo its prime.
+        Array of residues, each row reduced modulo its prime: ``uint32``
+        as held at rest (key-switching keys, cached plaintexts) and
+        ``uint64`` otherwise.  Every arithmetic result is ``uint64``.
     is_ntt:
         ``True`` if rows are in the NTT (evaluation) domain.
     """
@@ -93,7 +99,8 @@ class RnsPolynomial:
     __slots__ = ("basis", "residues", "is_ntt")
 
     def __init__(self, basis: RnsBasis, residues: np.ndarray, is_ntt: bool) -> None:
-        residues = np.asarray(residues, dtype=_U64)
+        if residues.dtype is not _U32:
+            residues = np.asarray(residues, dtype=_U64)
         if residues.shape != (basis.level, basis.n):
             raise ValueError(
                 f"expected residues of shape {(basis.level, basis.n)}, "
@@ -271,7 +278,7 @@ class RnsPolynomial:
         negate = idx >= n
         vals = self.residues
         negated = kernels.active_backend().modneg(n, self.basis.primes, vals)
-        rows = np.empty_like(vals)
+        rows = np.empty(vals.shape, dtype=_U64)
         rows[:, target] = np.where(negate[None, :], negated, vals)
         return RnsPolynomial(self.basis, rows, is_ntt=False)
 

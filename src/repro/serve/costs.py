@@ -31,14 +31,20 @@ integer sums reconcile bit-for-bit no matter the addition order:
 
 ``key_group=None`` requests charge the ``"(unkeyed)"`` bucket, so the
 books always balance even for the legacy single-key universe.
+
+Reconciliation compares the books with themselves, so it cannot see a
+charge that never arrived; :meth:`CostReport.matches` joins them with the
+serving report instead (per tenant, requests charged == completed).
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
 from ..obs.probes import record_tenant_cost
+from .records import ServeReport
 from .tenants import tenant_of_key_group
 
 #: Tenant bucket for requests outside the key-group universe.
@@ -320,6 +326,22 @@ class CostReport:
     @property
     def reconciled(self) -> bool:
         return all(self.reconciliation().values())
+
+    def matches(self, serve: ServeReport) -> bool:
+        """The books joined with the serving report they charged: per
+        tenant, the requests charged equal the results that completed.
+
+        :meth:`reconciliation` compares the books with themselves, so a
+        batch that never reaches the ledger leaves it exact; here it is a
+        tenant charged for fewer requests than it completed.  Requests
+        are the axis every loop charges alike: the cluster charges stage
+        compute as slot time, not ``finish - start``.
+        """
+        completed = Counter(
+            _tenant_of(r.key_group) for r in serve.results if r.completed
+        )
+        charged = {r.tenant: r.requests for r in self.tenants if r.requests}
+        return charged == dict(completed)
 
     def totals(self) -> dict[str, float]:
         """Fleet totals in human units."""

@@ -26,6 +26,7 @@ without running a live monitor.
 from __future__ import annotations
 
 import threading
+from bisect import bisect_left, insort
 from collections import deque
 from dataclasses import dataclass
 from typing import Any
@@ -125,37 +126,67 @@ def default_slos(
     )
 
 
-def _measure(
-    slo: Slo, window: list[tuple[str, float | None, float | None]]
-) -> tuple[float, int]:
-    """``(value, samples)`` of one objective over a terminal-request window."""
-    tail = window[-slo.window:]
-    if slo.objective in _LATENCY_PERCENTILE:
-        lats = sorted(
-            lat for outcome, lat, _ in tail
-            if lat is not None and outcome not in ("rejected", "expired")
-        )
-        p = _LATENCY_PERCENTILE[slo.objective]
-        return interpolated_percentile(lats, p), len(lats)
-    if slo.objective == "noise_headroom_bits":
-        # Worst headroom over the window; with no headroom samples the
-        # floor objective is vacuously met (value pinned to the
-        # threshold so the gauge stays finite and the verdict is ok).
-        bits = [h for _, _, h in tail if h is not None]
-        if not bits:
-            return slo.threshold, 0
-        return min(bits), len(bits)
-    if not tail:
-        return 0.0, 0
-    if slo.objective == "deadline_miss_rate":
-        bad = sum(1 for outcome, _, _ in tail if outcome == "expired")
-    else:  # reject_rate
-        bad = sum(1 for outcome, _, _ in tail if outcome == "rejected")
-    return bad / len(tail), len(tail)
+class _Tail:
+    """What the objectives read of a window's terminal requests: their
+    completed latencies and headroom bits, each kept sorted, and their
+    count and outcome counts."""
+
+    __slots__ = ("size", "expired", "rejected", "latencies", "bits")
+
+    def __init__(self) -> None:
+        self.size = self.expired = self.rejected = 0
+        self.latencies: list[float] = []
+        self.bits: list[float] = []
+
+    def add(
+        self, outcome: str, latency_s: float | None, bits: float | None,
+        sign: int,
+    ) -> None:
+        """Count one request in (``sign=1``) or out (``sign=-1``)."""
+        self.size += sign
+        if outcome == "expired":
+            self.expired += sign
+        elif outcome == "rejected":
+            self.rejected += sign
+        elif latency_s is not None:
+            _update(self.latencies, latency_s, sign)
+        if bits is not None:
+            _update(self.bits, bits, sign)
+
+    def measure(self, slo: Slo) -> tuple[float, int]:
+        """``(value, samples)`` of one objective over this window."""
+        if slo.objective in _LATENCY_PERCENTILE:
+            p = _LATENCY_PERCENTILE[slo.objective]
+            return interpolated_percentile(self.latencies, p), len(self.latencies)
+        if slo.objective == "noise_headroom_bits":
+            # Worst headroom over the window; with no headroom samples the
+            # floor objective is vacuously met (value pinned to the
+            # threshold so the gauge stays finite and the verdict is ok).
+            if not self.bits:
+                return slo.threshold, 0
+            return self.bits[0], len(self.bits)
+        if not self.size:
+            return 0.0, 0
+        if slo.objective == "deadline_miss_rate":
+            return self.expired / self.size, self.size
+        return self.rejected / self.size, self.size  # reject_rate
+
+
+def _update(ordered: list[float], value: float, sign: int) -> None:
+    """Insert ``value`` into, or remove one copy of it from, an ascending
+    list."""
+    if sign > 0:
+        insort(ordered, value)
+    else:
+        del ordered[bisect_left(ordered, value)]
 
 
 class SloMonitor:
-    """Sliding-window SLO evaluation over a live terminal-request stream."""
+    """Sliding-window SLO evaluation over a live terminal-request stream.
+
+    Each distinct window length keeps its :class:`_Tail` up to date as
+    requests arrive and age out, so :meth:`evaluate` reads sorted
+    latencies and counts instead of rescanning the window."""
 
     def __init__(self, slos: tuple[Slo, ...] | list[Slo] | None = None) -> None:
         self.slos = tuple(slos) if slos is not None else default_slos()
@@ -165,6 +196,7 @@ class SloMonitor:
         self._window: deque[tuple[str, float | None, float | None]] = deque(
             maxlen=span
         )
+        self._tails = {slo.window: _Tail() for slo in self.slos}
         self._lock = threading.Lock()
         self._violated: set[str] = set()
 
@@ -181,8 +213,14 @@ class SloMonitor:
         the deployment's precision floor); omit it for callers that do
         not track noise.
         """
+        entry = (outcome, latency_s, noise_headroom_bits)
         with self._lock:
-            self._window.append((outcome, latency_s, noise_headroom_bits))
+            held = len(self._window)
+            for length, tail in self._tails.items():
+                if held >= length:
+                    tail.add(*self._window[-length], sign=-1)
+                tail.add(*entry, sign=1)
+            self._window.append(entry)
 
     def observe_report(self, report: ServeReport) -> None:
         """Feed every terminal request of a finished report, in ID order."""
@@ -192,10 +230,9 @@ class SloMonitor:
     def evaluate(self) -> list[SloStatus]:
         """Measure every SLO; publish gauges and violation transitions."""
         with self._lock:
-            window = list(self._window)
+            measured = [self._tails[slo.window].measure(slo) for slo in self.slos]
         statuses = []
-        for slo in self.slos:
-            value, samples = _measure(slo, window)
+        for slo, (value, samples) in zip(self.slos, measured):
             if slo.objective in FLOOR_OBJECTIVES:
                 ok = value >= slo.threshold
             else:

@@ -226,3 +226,48 @@ def test_drop_to_basis():
     assert np.array_equal(dropped.residues, a.residues[:2])
     with pytest.raises(ValueError):
         a.drop_to_basis(RnsBasis(N, (PRIMES[1],)))
+
+
+# -- residues at rest ------------------------------------------------------------
+
+
+def test_uint32_residues_are_held_as_given():
+    """Residues at rest (keys, cached plaintexts) stay 32-bit words without
+    a copy; any other integer array is held as uint64."""
+    basis = _basis(2)
+    rows = np.ones((2, N), dtype=np.uint32)
+    assert RnsPolynomial(basis, rows, is_ntt=True).residues is rows
+    wide = RnsPolynomial(basis, rows.astype(np.int64), is_ntt=True)
+    assert wide.residues.dtype == np.uint64
+
+
+@pytest.mark.parametrize("bits", [28, 30])
+def test_no_residue_product_wraps_in_32_bits(bits):
+    """Products of uint32 operands at ``q - 1`` equal Python-int arithmetic
+    in every product path: ``(q - 1)**2`` passes ``2**32``, so a multiply
+    run in the operands' own word wraps, whatever the dtype of its ``out``.
+    The product sum runs past its uint64 budget, so its mid-sum fold runs
+    too."""
+    from repro.fhe import kernels
+    from repro.fhe.ops import _U64_MAX, _product_sum
+
+    q = generate_ntt_primes(bits, 1, N)[0]
+    basis = RnsBasis(N, (q,))
+    top = np.full((1, N), q - 1, dtype=np.uint32)
+    other = top.copy()
+    other[0, N // 2:] = np.random.default_rng(bits).integers(0, q, N // 2)
+
+    def expected(terms: int = 1) -> list[int]:
+        return [terms * (q - 1) * int(b) % q for b in other[0]]
+
+    terms = _U64_MAX // (q - 1) ** 2 + 2
+    total = _product_sum([(top, other)] * terms, basis.ntt())
+    assert total[0].tolist() == expected(terms)
+    assert total.dtype == np.uint64
+    for name in kernels.available_backends():
+        product = kernels.get_backend(name).modmul(N, (q,), top, other)
+        assert product[0].tolist() == expected(), name
+        assert product.dtype == np.uint64
+    poly = RnsPolynomial(basis, top, True) * RnsPolynomial(basis, other, True)
+    assert poly.residues[0].tolist() == expected()
+    assert poly.residues.dtype == np.uint64

@@ -167,3 +167,30 @@ def test_truncated_flag_bitmap_detected(ctx):
 
     with pytest.raises(SerializationError, match="flag|truncated"):
         ciphertext_from_bytes(data[: _HEADER.size])
+
+
+def test_cached_plaintext_serializes_as_its_uint64_twin(small_params):
+    """A cached plaintext holds 32-bit words, but the wire format keeps 8
+    bytes per residue: its bytes equal those of the same residues held as
+    uint64, and the wire sizes do not move."""
+    from repro.fhe import (
+        CkksContext, Evaluator, Plaintext, RnsPolynomial, plaintext_wire_size,
+    )
+
+    ctx = CkksContext(small_params, seed=5)
+    pt = Evaluator(ctx).encode_cached(
+        np.ones(4), level=None, scale=ctx.scale, cache_key="wire"
+    )
+    assert ctx.plaintext_cache.get(("wire", pt.level, pt.scale)) is pt
+    assert pt.poly.residues.dtype == np.uint32
+    twin = Plaintext(
+        poly=RnsPolynomial(pt.basis, pt.poly.residues.astype(np.uint64), True),
+        scale=pt.scale,
+    )
+    data = plaintext_to_bytes(pt)
+    assert data == plaintext_to_bytes(twin)
+    assert len(data) == plaintext_wire_size(512, 4) == 16_441
+    assert ciphertext_wire_size(512, 4) == 32_825
+    back = plaintext_from_bytes(data)
+    assert np.array_equal(back.poly.residues, pt.poly.residues)
+    assert back.poly.residues.dtype == np.uint64

@@ -267,6 +267,27 @@ def test_request_plan_bytes(network, plan_bytes, context_bytes, limb_set):
     assert _held(contexts) == context_bytes
 
 
+@pytest.mark.parametrize("network,key_bytes,cache_bytes", [
+    pytest.param("mnist-n2048", 14_450_688, 7_888_896, id="mnist-n2048"),
+    pytest.param("tiny-n512", 2_105_344, 200_704, id="tiny-n512"),
+])
+def test_request_key_and_cache_bytes(network, key_bytes, cache_bytes):
+    """Bytes the key-switching keys and the cached plaintexts hold after
+    set-up and one request: every residue at rest is a 32-bit word, half
+    the 64-bit word the arithmetic runs in."""
+    build, params, image = NETWORKS[network]
+    model = build(seed=0, params=params)
+    ctx = CkksContext(params, seed=1)
+    model.provision_keys(ctx)
+    model.infer(ctx, image())
+    keys = [*ctx.relin_keys.values(), *ctx.galois_keys.keys.values()]
+    cached = [pt.poly for pt in ctx.plaintext_cache._data.values()]
+    assert {key.stacked_ba.dtype for key in keys} == {np.dtype(np.uint32)}
+    assert {poly.residues.dtype for poly in cached} == {np.dtype(np.uint32)}
+    assert _held(keys) == key_bytes
+    assert _held(cached) == cache_bytes
+
+
 def test_mnist_n2048_provisioning_forward_rows():
     """46 keys at 4 extended levels: the secret is transformed once per
     extended level, not once per key."""

@@ -231,6 +231,7 @@ def test_scheduler_charges_reconcile_with_batches(cost_model):
     ledger.settle(node_seconds=report.makespan_s)
     costs = ledger.report()
     assert costs.reconciled
+    assert costs.matches(report)
     assert costs.totals()["requests"] == report.completed
     # Slot time is the batches' occupancy, batch-rounded to micro-units.
     assert abs(costs.fleet["slot_us"] - round(busy_s * _MICRO)) \
@@ -253,6 +254,7 @@ def test_cluster_service_charges_wire_with_stage_dual(mnist_plan2):
     costs = ledger.report()
     assert report.completed == 16
     assert costs.reconciled
+    assert costs.matches(report)
     checks = costs.reconciliation()
     assert checks["wire_stage"] is True  # topology dual present
     assert costs.fleet["wire_bytes"] > 0
@@ -275,5 +277,59 @@ def test_autoscaler_settles_billing_node_seconds():
     report = scaler.run(uniform_arrivals(24, 4.0))
     costs = ledger.report()
     assert costs.reconciled
+    assert costs.matches(report.serve)
     # The ledger's node total is exactly the billing integral.
     assert costs.fleet["node_us"] == round(report.node_seconds * _MICRO)
+
+
+def _serve_charged(loop, ledger, cost_model, plan):
+    """The serve report of one loop serving a zipf tenant stream, charging
+    ``ledger``."""
+    from repro.cluster import ClusterService
+    from repro.fpga import acu15eg
+    from repro.serve import AutoscalerConfig, FleetAutoscaler
+
+    requests = zipf_tenant_arrivals(300, 2000.0, tenant_count=4, seed=3)
+    if loop == "scheduler":
+        return SlotBatchScheduler(
+            cost_model, SchedulerConfig(batch_window_s=0.5), ledger=ledger
+        ).run(requests)
+    if loop == "cluster":
+        return ClusterService(plan, batch_capacity=8, ledger=ledger).run(
+            requests
+        )
+    return FleetAutoscaler(
+        acu15eg(),
+        policy=AutoscalerConfig(min_nodes=1, max_nodes=1),
+        config=SchedulerConfig(max_lanes=8),
+        ledger=ledger,
+    ).run(requests).serve
+
+
+@pytest.mark.parametrize("loop", ["scheduler", "cluster", "autoscale"])
+def test_a_dropped_charge_fails_the_join(
+    loop, cost_model, mnist_plan2, monkeypatch
+):
+    """Counter-example: the ledger skips the third batch it is charged.
+    The join with the serve report fails on every loop, while the books
+    alone still reconcile except on the cluster, whose per-stage wire
+    bytes no longer sum to the fleet's.  The fault-free run passes both."""
+    clean = CostLedger()
+    report = _serve_charged(loop, clean, cost_model, mnist_plan2)
+    assert clean.report().reconciled and clean.report().matches(report)
+
+    note_batch = CostLedger.note_batch
+    calls = []
+
+    def dropping(self, *args, **kwargs):
+        calls.append(args)
+        if len(calls) != 3:
+            note_batch(self, *args, **kwargs)
+
+    monkeypatch.setattr(CostLedger, "note_batch", dropping)
+    ledger = CostLedger()
+    report = _serve_charged(loop, ledger, cost_model, mnist_plan2)
+    costs = ledger.report()
+    assert len(calls) > 3
+    assert costs.reconciled is (loop != "cluster")
+    assert not costs.matches(report)

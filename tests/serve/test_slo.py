@@ -3,16 +3,21 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import obs
 from repro.obs.flight import FLIGHT
+from repro.obs.registry import interpolated_percentile
 from repro.serve import (
+    OBJECTIVES,
     Slo,
     SloMonitor,
     default_slos,
     evaluate_report,
 )
 from repro.serve.records import RequestResult, ServeReport
+from repro.serve.slo import _LATENCY_PERCENTILE
 
 
 def _report(latencies, rejected=0, expired=0) -> ServeReport:
@@ -256,3 +261,100 @@ def test_status_as_dict_round_trips_the_slo():
     d = status.as_dict()
     assert d["name"] == "p99" and d["window"] == 64
     assert d["ok"] is True and d["samples"] == 1
+
+
+def _measure(slo, window) -> tuple[float, int]:
+    """The oracle: one objective measured by rescanning the last
+    ``slo.window`` entries of a ``(outcome, latency_s, headroom_bits)``
+    window, as the monitor did before it kept per-window aggregates."""
+    tail = window[-slo.window:]
+    if slo.objective in _LATENCY_PERCENTILE:
+        lats = sorted(
+            lat for outcome, lat, _ in tail
+            if lat is not None and outcome not in ("rejected", "expired")
+        )
+        p = _LATENCY_PERCENTILE[slo.objective]
+        return interpolated_percentile(lats, p), len(lats)
+    if slo.objective == "noise_headroom_bits":
+        bits = [h for _, _, h in tail if h is not None]
+        if not bits:
+            return slo.threshold, 0
+        return min(bits), len(bits)
+    if not tail:
+        return 0.0, 0
+    bad = "expired" if slo.objective == "deadline_miss_rate" else "rejected"
+    return sum(1 for outcome, _, _ in tail if outcome == bad) / len(tail), \
+        len(tail)
+
+
+#: Terminal requests drawn from small value sets, so windows hold ties.
+_ENTRIES = st.tuples(
+    st.sampled_from(("batched", "lola", "cluster", "expired", "rejected")),
+    st.one_of(st.none(), st.sampled_from((0.5, 1.0, 2.5)), st.floats(0, 10)),
+    st.one_of(st.none(), st.sampled_from((-1.0, 0.0, 3.0)), st.floats(-9, 9)),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    entries=st.lists(_ENTRIES, max_size=60),
+    windows=st.lists(st.integers(1, 12), min_size=1, max_size=3),
+    every=st.integers(1, 5),
+)
+def test_window_aggregates_match_a_rescan(entries, windows, every):
+    """Every objective, over windows shorter than the monitor's span as
+    well as the span itself, reads what a rescan of the window reads, as
+    requests arrive and age out."""
+    slos = tuple(
+        Slo(f"{objective}-{i}", objective, 1.0, window)
+        for i, window in enumerate(windows)
+        for objective in OBJECTIVES
+    )
+    monitor = SloMonitor(slos)
+    span = max(windows)
+    for i in range(len(entries) + 1):
+        if i:
+            monitor.observe(*entries[i - 1])
+        if i % every == 0 or i == len(entries):
+            window = entries[max(0, i - span):i]
+            for status in monitor.evaluate():
+                assert (status.value, status.samples) == _measure(
+                    status.slo, window
+                ), status.slo
+
+
+def test_window_aggregates_survive_concurrent_observers():
+    """Threads sharing one monitor lose no update: after eight threads feed
+    it under a short switch interval, every objective still reads what a
+    rescan of the window reads."""
+    import sys
+    import threading
+
+    slos = tuple(
+        Slo(f"{objective}-{window}", objective, 1.0, window)
+        for window in (50, 200)
+        for objective in OBJECTIVES
+    )
+    monitor = SloMonitor(slos)
+    outcomes = ("batched", "expired", "rejected", "lola")
+
+    def feed(seed: int) -> None:
+        for i in range(400):
+            monitor.observe(outcomes[(seed + i) % 4], (seed * i) % 7 / 2,
+                            float((seed + i) % 5))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=feed, args=(s,)) for s in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    window = list(monitor._window)
+    assert len(window) == 200
+    for status in monitor.evaluate():
+        assert (status.value, status.samples) == _measure(status.slo, window)

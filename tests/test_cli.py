@@ -462,6 +462,7 @@ def test_costs_text_reconciles(capsys):
     ]) == 0
     out = capsys.readouterr().out
     assert "reconciliation: EXACT (6/6 axes)" in out
+    assert "charged requests: EXACT (300 charged, 300 completed)" in out
     assert "tenant-0000" in out
     assert "fleet totals:" in out
     assert "top tenant node-second share:" in out
@@ -474,12 +475,37 @@ def test_costs_json_payload(capsys):
     ]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["costs"]["reconciled"] is True
+    assert payload["charges_match_completions"] is True
     assert payload["tenant_count"] == 3
     assert len(payload["costs"]["tenants"]) == 3
     assert payload["costs"]["totals"]["dse_points"] > 0
     assert payload["completed"] + payload["rejected"] \
         + payload["expired"] == 300
     assert payload["alerts"] is None
+
+
+def test_costs_exit_code_fails_on_a_dropped_charge(monkeypatch, capsys):
+    """A batch the ledger never records leaves the books reconciled with
+    themselves, but the exit code still fails: tenants completed more
+    requests than they were charged for."""
+    from repro.serve import CostLedger
+
+    note_batch = CostLedger.note_batch
+    calls = []
+
+    def dropping(self, *args, **kwargs):
+        calls.append(args)
+        if len(calls) != 3:
+            note_batch(self, *args, **kwargs)
+
+    monkeypatch.setattr(CostLedger, "note_batch", dropping)
+    assert main([
+        "costs", "--requests", "300", "--rate", "2000", "--tenants", "3",
+        "--window", "0.1",
+    ]) == 1
+    out = capsys.readouterr().out
+    assert "reconciliation: EXACT (6/6 axes)" in out
+    assert "charged requests: LEAKED" in out
 
 
 def test_costs_with_alerts(tmp_path, capsys):
