@@ -13,10 +13,11 @@ One deterministic two-phase serving session on the virtual clock:
 
 Every request is charged to its tenant through :class:`CostLedger`
 (slot time, keygen, DSE, settled node-seconds and energy) and the
-record's headline invariant is the exact reconciliation verdict:
-per-tenant integer sums equal fleet totals on every axis.  The record
-is ``BENCH_costs.json``; ``check_regression.py`` gates the reconciled
-booleans, the deterministic alert counts, and the pinned tenant count.
+record's headline invariants are the exact reconciliation verdict
+(per-tenant integer sums equal fleet totals on every axis) and the join
+with the serve report (per tenant, requests charged equal requests
+completed).  The record is ``BENCH_costs.json``; ``check_regression.py``
+gates both, the deterministic alert counts, and the pinned tenant count.
 """
 
 from __future__ import annotations
@@ -164,6 +165,7 @@ def test_bench_costs(benchmark, dev9, save_report):
         "invariants": {
             "reconciled": costs.reconciled,
             "reconciliation": reconciliation,
+            "charges_match_completions": costs.matches(report),
             "all_requests_accounted": (
                 report.completed + report.rejected + report.expired
                 == BURST_REQUESTS + RELIEF_REQUESTS

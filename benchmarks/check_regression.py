@@ -136,11 +136,16 @@ _INVARIANTS: dict[str, tuple[str, ...]] = {
         "invariants.capacity_plan_matches_peak",
     ),
     # Exact reconciliation (per-tenant integer sums == fleet totals on
-    # every axis) and the deterministic alert lifecycles are correctness
-    # properties: a cost leak or a dead alert is a bug at any speed.
+    # every axis), the join with the serve report (per tenant, requests
+    # charged == requests completed, which fails on a batch that never
+    # reached the ledger even while the books still reconcile) and the
+    # deterministic alert lifecycles are correctness properties: a cost
+    # leak or a dead alert is a bug at any speed.
     "BENCH_costs": (
         "invariants.reconciled",
+        "invariants.charges_match_completions",
         "invariants.reconciliation.slot_seconds",
+        "invariants.reconciliation.wire_bytes",
         "invariants.reconciliation.keygen_count",
         "invariants.reconciliation.dse_points",
         "invariants.reconciliation.node_seconds",

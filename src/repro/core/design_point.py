@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ..fpga.arrays import Floats, Ints, maximum, minimum, require
 from ..fpga.buffers import buffer_tile_words, layer_buffer_demand, offchip_slowdown
 from ..fpga.device import FpgaDevice
 from ..fpga.modules import dsp_const, layer_latency_cycles
@@ -28,20 +29,25 @@ from ..optypes import MODULE_OPS, HeOp
 
 @dataclass(frozen=True)
 class OpParallelism:
-    """Intra-/inter-parallelism of one HE operation module type (Eq. 7)."""
+    """Intra-/inter-parallelism of one HE operation module type (Eq. 7).
 
-    p_intra: int = 1
-    p_inter: int = 1
+    Ints for one setting, or integer arrays for a grid of settings
+    (:meth:`DesignSpace.parallelism_grid`), which every model function
+    below evaluates elementwise.
+    """
+
+    p_intra: Ints = 1
+    p_inter: Ints = 1
 
     def __post_init__(self) -> None:
-        if self.p_intra < 1 or self.p_inter < 1:
-            raise ValueError("parallelism must be >= 1")
+        require(self.p_intra >= 1, "parallelism must be >= 1")
+        require(self.p_inter >= 1, "parallelism must be >= 1")
 
 
 _SERIAL = OpParallelism()
 
 
-def module_dsp(op: HeOp, nc_ntt: int, par: OpParallelism) -> int:
+def module_dsp(op: HeOp, nc_ntt: Ints, par: OpParallelism) -> Ints:
     """Eq. 7: DSP of one module's shared instance pool,
     ``P_intra * P_inter * Const_op^DSP``."""
     return par.p_intra * par.p_inter * dsp_const(op, nc_ntt)
@@ -99,16 +105,17 @@ def pipeline_cycles(
     trace: LayerTrace,
     op: HeOp,
     par: OpParallelism,
-    nc_ntt: int,
+    nc_ntt: Ints,
     poly_degree: int,
-) -> int:
+) -> Ints:
     """One layer's pre-slowdown cycles on one module's pipeline (Eqs. 1-3).
 
     The layer's elementwise chains run on the Rescale-anchored NKS pipeline
     (``op`` is ``RESCALE``); its KeySwitch units occupy ``L`` intervals each
     on the KeySwitch pipeline (Fig. 3).  The interval follows Eq. 3 with the
     module's intra-parallelism, and throughput scales with its
-    inter-parallelism.
+    inter-parallelism.  The trace's level and unit counts may be integer
+    arrays too: the DSE stacks every layer of one kind along an axis.
     """
     if op == HeOp.KEY_SWITCH:
         nks_units, ks_units = 0, trace.ks_units
@@ -128,16 +135,18 @@ def buffer_op(trace: LayerTrace) -> HeOp:
 def layer_buffers(
     trace: LayerTrace,
     par: OpParallelism,
-    nc_ntt: int,
+    nc_ntt: Ints,
     poly_degree: int,
     word_bits: int,
-    bram_budget: int | None,
-) -> tuple[int, int, float]:
+    bram_budget: Ints | None,
+) -> tuple[Ints, Ints, Floats]:
     """``(mandatory, occupied, on-chip fraction)`` of one layer's buffers
     when its :func:`buffer_op` pipeline runs at ``par`` (Eqs. 8-9).
 
     Ciphertext and key residency that does not fit beside the mandatory
-    blocks within ``bram_budget`` (``None``: unbounded) spills off chip.
+    blocks within ``bram_budget`` (``None``: unbounded) spills off chip;
+    an empty cache is wholly on chip.  Like :func:`pipeline_cycles`, this
+    takes stacked layers and arrays of settings and budgets.
     """
     mandatory, cacheable = layer_buffer_demand(
         kind=trace.kind,
@@ -151,8 +160,9 @@ def layer_buffers(
     if bram_budget is None:
         resident = cacheable
     else:
-        resident = max(0, min(cacheable, bram_budget - mandatory))
-    on_chip = resident / cacheable if cacheable else 1.0
+        resident = maximum(0, minimum(cacheable, bram_budget - mandatory))
+    empty = cacheable == 0
+    on_chip = (resident + empty) / (cacheable + empty)
     return mandatory, mandatory + resident, on_chip
 
 

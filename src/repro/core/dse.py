@@ -8,16 +8,16 @@ Objective::
 
 The problem is non-linear (ceil divisions, the dual-port BRAM step, the
 KeySwitch DSP table), so — like the paper — we search the whole space
-exhaustively.  Every term of the scalar model depends on ``nc_NTT`` and the
-parallelism of one module only: a layer's NKS cycles on the Rescale
-pipeline, its KS cycles on the KeySwitch pipeline, its buffers and off-chip
-slowdown on the pipeline that sizes them, and each module's DSP (Eq. 7).
-So the scalar functions run once per distinct ``(nc_NTT, p_intra,
-p_inter)`` of that module (at most 84 on the default space), and numpy
-broadcasting combines these small tables into per-point latency, DSP and
-BRAM arrays over the scan grid of :class:`DesignSpace`.  Only the winner,
-or for :func:`enumerate_feasible` each feasible point, is built as a
-:class:`DesignSolution`, by the same scalar model.
+exhaustively.  Every step of the model (Eqs. 1-9) is written once and
+takes broadcastable integer arrays as well as ints, so :func:`_price`
+calls each step once over the scan grid of :class:`DesignSpace`
+(``nc_NTT`` times one ``(P_intra, P_inter)`` axis per varied module):
+each module's DSP (Eq. 7) and, with every layer of one kind stacked along
+a leading axis, the NKS and KS pipeline cycles, the buffers and the
+off-chip slowdown.  Broadcasting combines them into per-point latency,
+DSP and BRAM arrays.  Only the winner, or for :func:`enumerate_feasible`
+each feasible point, is built as a :class:`DesignSolution`, by the same
+functions on ints.
 """
 
 from __future__ import annotations
@@ -34,7 +34,6 @@ from ..obs.tracing import trace_span
 from ..optypes import MODULE_OPS, HeOp
 from .design_point import (
     DesignSolution,
-    OpParallelism,
     bram_budget_blocks,
     buffer_op,
     dsp_budget,
@@ -43,12 +42,7 @@ from .design_point import (
     module_dsp,
     pipeline_cycles,
 )
-from .space import VARIED_OPS, DesignSpace
-
-#: One buffer-table entry: mandatory blocks, occupied blocks, slowdown.
-_BUFFERS = np.dtype(
-    [("mandatory", np.int64), ("blocks", np.int64), ("slowdown", np.float64)]
-)
+from .space import DesignSpace
 
 
 @dataclass(frozen=True)
@@ -73,73 +67,120 @@ class InfeasibleDesignError(RuntimeError):
     """No design point satisfies the device's resource constraints."""
 
 
+@dataclass(frozen=True)
+class _Layers:
+    """Every layer of one kind, its model fields stacked along a leading
+    axis: stands in for a :class:`LayerTrace` in :func:`pipeline_cycles`
+    and :func:`layer_buffers`, so one call prices them all."""
+
+    kind: str
+    level: np.ndarray
+    nks_units: np.ndarray
+    ks_units: np.ndarray
+
+    @classmethod
+    def of_kind(
+        cls, trace: NetworkTrace, kind: str, grid_ndim: int
+    ) -> "_Layers | None":
+        layers = [lt for lt in trace.layers if lt.kind == kind]
+        if not layers:
+            return None
+        columns = np.array(
+            [(lt.level, lt.nks_units, lt.ks_units) for lt in layers],
+            dtype=np.int64,
+        ).T.reshape((3, -1) + (1,) * grid_ndim)
+        return cls(kind, *columns)
+
+
+@dataclass(frozen=True)
+class _Priced:
+    """Every point of a space priced: objective and resource arrays shaped
+    :meth:`DesignSpace.shape`, and the BRAM budget per ``nc_NTT``."""
+
+    latency: np.ndarray
+    dsp: np.ndarray
+    bram_peak: np.ndarray
+    mandatory_peak: np.ndarray
+    bram_budget: np.ndarray
+
+
 def _price(
     trace: NetworkTrace,
     device: FpgaDevice,
     space: DesignSpace,
-    dsp_limit: int | None,
     bram_limit: int | None,
-) -> tuple[DseProgress, list[int], list[tuple]]:
-    """Price every point of ``space`` at once.
-
-    Returns the scan statistics (improvements not yet walked) and, for the
-    feasible points in scan order, their scan indices and objective keys
-    ``(latency, DSP, BRAM peak)``.
-    """
+) -> _Priced:
+    """Price every point of ``space`` at once: each model step is one call
+    over the whole grid, per layer kind."""
     n, word_bits = trace.poly_degree, trace.prime_bits
-    budgets = {
-        nc: bram_budget_blocks(device, n, nc, bram_limit)
-        for nc in space.nc_ntt_choices
-    }
-
-    def table(op: HeOp, fn, dtype=np.int64) -> np.ndarray:
-        """``fn(nc_ntt, parallelism)`` once per setting of ``op``'s module,
-        shaped to broadcast over the scan grid."""
-        shape = [len(space.nc_ntt_choices)] + [1] * len(VARIED_OPS)
-        choices: tuple[OpParallelism, ...] = (OpParallelism(),)
-        if op in VARIED_OPS:
-            choices = space.parallelisms
-            shape[1 + VARIED_OPS.index(op)] = len(choices)
-        rows = [fn(nc, par) for nc in space.nc_ntt_choices for par in choices]
-        return np.array(rows, dtype=dtype).reshape(shape)
-
-    dsp = sum(
-        table(op, lambda nc, par: module_dsp(op, nc, par)) for op in MODULE_OPS
-    )
+    nc = space.nc_ntt_grid()
+    par = {op: space.parallelism_grid(op) for op in MODULE_OPS}
+    budget = np.array(
+        [
+            bram_budget_blocks(device, n, choice, bram_limit)
+            for choice in space.nc_ntt_choices
+        ],
+        dtype=np.int64,
+    ).reshape(nc.shape)
+    dsp = sum(module_dsp(op, nc, par[op]) for op in MODULE_OPS)
     latency = bram_peak = mandatory_peak = 0
-    for lt in trace.layers:
-
-        def buffers(nc: int, par: OpParallelism) -> tuple[int, int, float]:
-            mandatory, blocks, on_chip = layer_buffers(
-                lt, par, nc, n, word_bits, budgets[nc]
-            )
-            return mandatory, blocks, offchip_slowdown(on_chip, lt.kind)
-
+    for kind in ("NKS", "KS"):
+        layers = _Layers.of_kind(trace, kind, nc.ndim)
+        if layers is None:
+            continue
         nks, ks = (
-            table(op, lambda nc, par: pipeline_cycles(lt, op, par, nc, n))
+            pipeline_cycles(layers, op, par[op], nc, n)
             for op in (HeOp.RESCALE, HeOp.KEY_SWITCH)
         )
-        buffer = table(buffer_op(lt), buffers, dtype=_BUFFERS)
-        latency = latency + layer_cycles(nks, ks, buffer["slowdown"])
-        bram_peak = np.maximum(bram_peak, buffer["blocks"])
-        mandatory_peak = np.maximum(mandatory_peak, buffer["mandatory"])
-
+        mandatory, blocks, on_chip = layer_buffers(
+            layers, par[buffer_op(layers)], nc, n, word_bits, budget
+        )
+        cycles, blocks, mandatory = np.broadcast_arrays(
+            layer_cycles(nks, ks, offchip_slowdown(on_chip, kind)),
+            blocks,
+            mandatory,
+        )
+        # Reduce over the stacked layers: latency adds up, BRAM is reused.
+        latency = latency + cycles.sum(axis=0)
+        bram_peak = np.maximum(bram_peak, blocks.max(axis=0))
+        mandatory_peak = np.maximum(mandatory_peak, mandatory.max(axis=0))
     grid = space.shape()
-    over_dsp = np.broadcast_to(dsp > dsp_budget(device, dsp_limit), grid)
-    budget = np.array(
-        [budgets[nc] for nc in space.nc_ntt_choices], dtype=np.int64
-    ).reshape((-1,) + (1,) * len(VARIED_OPS))
-    index = np.flatnonzero(~over_dsp & (mandatory_peak <= budget))
+    return _Priced(
+        *(
+            np.broadcast_to(values, grid)
+            for values in (latency, dsp, bram_peak, mandatory_peak)
+        ),
+        bram_budget=budget,
+    )
+
+
+def _scan(
+    priced: _Priced, device: FpgaDevice, dsp_limit: int | None
+) -> tuple[DseProgress, list[int], list[tuple]]:
+    """The scan statistics (improvements not yet walked), the feasible
+    points' scan indices in scan order, and the incumbent candidates.
+
+    A candidate is a feasible point whose latency is at most every earlier
+    feasible point's, the only kind that can improve on the incumbent:
+    ``(rank among the feasible, scan index, (latency, DSP, BRAM peak))``.
+    """
+    over_dsp = priced.dsp > dsp_budget(device, dsp_limit)
+    index = np.flatnonzero(
+        ~over_dsp & (priced.mandatory_peak <= priced.bram_budget)
+    )
+    latency = priced.latency.ravel()[index]
+    rank = np.flatnonzero(latency <= np.minimum.accumulate(latency))
     keys = zip(*(
-        np.broadcast_to(values, grid).ravel()[index].tolist()
-        for values in (latency, dsp, bram_peak)
+        values.ravel()[index[rank]].tolist()
+        for values in (priced.latency, priced.dsp, priced.bram_peak)
     ))
     stats = DseProgress(
-        scanned=space.size(),
+        scanned=over_dsp.size,
         dsp_pruned=int(over_dsp.sum()),
         feasible=len(index),
     )
-    return stats, index.tolist(), list(keys)
+    candidates = zip(rank.tolist(), index[rank].tolist(), keys)
+    return stats, index.tolist(), list(candidates)
 
 
 def explore(
@@ -165,9 +206,11 @@ def explore(
     with trace_span(
         "dse.explore", category="dse", network=trace.name, device=device.name
     ) as span:
-        stats, index, keys = _price(trace, device, space, dsp_limit, bram_limit)
+        stats, _, candidates = _scan(
+            _price(trace, device, space, bram_limit), device, dsp_limit
+        )
         best = None
-        for rank, (i, key) in enumerate(zip(index, keys)):
+        for rank, i, key in candidates:
             if best is None or key < best[1]:
                 best = (i, key)
                 stats.note_incumbent(key[0], scanned=i + 1, feasible=rank + 1)
@@ -203,7 +246,9 @@ def enumerate_feasible(
     counters, exactly as :func:`explore` does.
     """
     space = space or DesignSpace()
-    stats, index, _ = _price(trace, device, space, dsp_limit, bram_limit)
+    stats, index, _ = _scan(
+        _price(trace, device, space, bram_limit), device, dsp_limit
+    )
     stats.publish()
     return [
         DesignSolution.evaluate(

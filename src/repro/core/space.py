@@ -42,18 +42,36 @@ class DesignSpace:
             raise ValueError("parallelism bounds must be >= 1")
 
     @cached_property
-    def parallelisms(self) -> tuple[OpParallelism, ...]:
-        """One varied module's choices, intra-major."""
-        return tuple(
-            OpParallelism(p_intra, p_inter)
-            for p_intra in range(1, self.max_intra + 1)
-            for p_inter in range(1, self.max_inter + 1)
+    def _choices(self) -> tuple[np.ndarray, np.ndarray]:
+        """``P_intra`` and ``P_inter`` of one varied module's choices,
+        intra-major."""
+        intra, inter = np.divmod(
+            np.arange(self.max_intra * self.max_inter), self.max_inter
         )
+        return intra + 1, inter + 1
+
+    def nc_ntt_grid(self) -> np.ndarray:
+        """``nc_NTT`` of every scan-grid point, shaped to broadcast over
+        :meth:`shape`."""
+        return np.array(self.nc_ntt_choices, dtype=np.int64).reshape(
+            (-1,) + (1,) * len(VARIED_OPS)
+        )
+
+    def parallelism_grid(self, op: HeOp) -> OpParallelism:
+        """``op``'s parallelism at every scan-grid point, as integer arrays
+        shaped to broadcast over :meth:`shape` (serial ints for a module
+        the search does not vary)."""
+        if op not in VARIED_OPS:
+            return OpParallelism()
+        shape = [1] * (1 + len(VARIED_OPS))
+        shape[1 + VARIED_OPS.index(op)] = -1
+        intra, inter = self._choices
+        return OpParallelism(intra.reshape(shape), inter.reshape(shape))
 
     def shape(self) -> tuple[int, ...]:
         """The scan grid: ``nc_NTT`` outermost, then one axis of
-        :attr:`parallelisms` per module of :data:`VARIED_OPS`.  The scan
-        walks it in row-major order."""
+        ``(P_intra, P_inter)`` choices, intra-major, per module of
+        :data:`VARIED_OPS`.  The scan walks it in row-major order."""
         per_op = self.max_intra * self.max_inter
         return (len(self.nc_ntt_choices),) + (per_op,) * len(VARIED_OPS)
 
@@ -63,10 +81,11 @@ class DesignSpace:
     def point(self, index: int) -> DesignPoint:
         """The design point at position ``index`` of the scan."""
         nc, *choices = np.unravel_index(index, self.shape())
+        intra, inter = self._choices
         return DesignPoint(
             nc_ntt=self.nc_ntt_choices[nc],
             ops={
-                op: self.parallelisms[c]
+                op: OpParallelism(int(intra[c]), int(inter[c]))
                 for op, c in zip(VARIED_OPS, choices)
             },
         )

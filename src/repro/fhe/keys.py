@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .modmath import mod_inverse
+from .modmath import batched_mod_add, batched_mod_mul
 from .poly import RnsBasis, RnsPolynomial
 from .sampling import (
     GALOIS, RELIN, SECRET, key_stream, sample_gaussian, sample_ternary,
@@ -168,19 +168,16 @@ class KeyGenerator:
         if s is None:
             s = self._extended_secrets[level] = self.secret_key.to_basis(ext)
         s_prime = _signed_to_basis(target_signed, ext).to_ntt()
-        q_chain = self.chain_primes[:level]
-        big_q = 1
-        for q in q_chain:
-            big_q *= q
         p = self.special_prime
         stacked = np.empty((2, level, ext.level, ext.n), dtype=np.uint32)
-        for i, q_i in enumerate(q_chain):
-            q_hat = big_q // q_i
-            d_i = q_hat * mod_inverse(q_hat % q_i, q_i)
+        for i, q_i in enumerate(self.chain_primes[:level]):
             a_i = sample_uniform(ext, rng)
             e_i = sample_gaussian(ext, rng, self.error_std).to_ntt()
-            gadget = s_prime.scalar_multiply(p * d_i)
-            stacked[0, i] = (-(a_i * s) + e_i + gadget).residues
+            stacked[0, i] = (-(a_i * s) + e_i).residues
+            # ``p * D_i`` is ``p mod q_i`` modulo q_i and 0 modulo every
+            # other prime of the extended basis: the gadget is one row.
+            gadget = batched_mod_mul(s_prime.residues[i], p % q_i, q_i)
+            stacked[0, i, i] = batched_mod_add(stacked[0, i, i], gadget, q_i)
             stacked[1, i] = a_i.residues
         return KeySwitchKey(level=level, basis=ext, stacked_ba=stacked)
 

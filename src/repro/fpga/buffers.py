@@ -13,12 +13,18 @@ Implements the paper's Sec. VI-A buffer management:
 * off-chip spill: when the layer's working set cannot be held on chip, the
   non-burst DRAM accesses of the NTT slow the layer down dramatically
   (Table III); :func:`offchip_slowdown` models the measured penalties.
+
+``nc_NTT``, the level, the parallelism and the on-chip fraction may be
+broadcastable arrays, as in :mod:`.modules`.
 """
 
 from __future__ import annotations
 
 import math
 
+import numpy as np
+
+from .arrays import Floats, Ints, per_distinct
 from .device import BRAM_BLOCK_BITS
 from . import calibration as cal
 
@@ -28,7 +34,7 @@ def poly_buffer_blocks(poly_degree: int, word_bits: int) -> int:
     return math.ceil(poly_degree * word_bits / BRAM_BLOCK_BITS)
 
 
-def bn_buffer_blocks(poly_degree: int, word_bits: int, nc_ntt: int) -> int:
+def bn_buffer_blocks(poly_degree: int, word_bits: int, nc_ntt: Ints) -> Ints:
     """Blocks of one NTT-partitioned polynomial buffer (one ``Bn`` unit).
 
     The dual-port banking rule doubles the block count beyond 4 NTT cores
@@ -48,13 +54,13 @@ def buffer_tile_words(poly_degree: int, nc_ntt: int) -> int:
 
 def layer_buffer_demand(
     kind: str,
-    level: int,
+    level: Ints,
     poly_degree: int,
     word_bits: int,
-    p_intra: int,
-    p_inter: int,
-    nc_ntt: int,
-) -> tuple[int, int]:
+    p_intra: Ints,
+    p_inter: Ints,
+    nc_ntt: Ints,
+) -> tuple[Ints, Ints]:
     """Per-layer buffer demand split into (mandatory, cacheable) blocks.
 
     **Mandatory** blocks are the module working buffers of Eq. 8-9 — the
@@ -77,14 +83,17 @@ def layer_buffer_demand(
 
     bn_count = cal.BUFFER_BN_CONST[kind] * p_intra
     if kind == "KS":
-        bn_count += cal.BUFFER_BN_KS_EXTRA
-    bn_count *= p_inter
+        bn_count = bn_count + cal.BUFFER_BN_KS_EXTRA
+    bn_count = bn_count * p_inter
     bb_count = cal.BUFFER_BB_CONST[kind] * p_inter
     mandatory = bn_count * bn_unit + bb_count * bb_unit
 
     residency_polys = 2 * level * cal.RESIDENT_CTS[kind]
     if kind == "KS":
-        residency_polys += cal.KS_KEY_STAGING_POLYS * (level + 1) * p_inter
+        residency_polys = (
+            residency_polys
+            + cal.KS_KEY_STAGING_POLYS * (level + 1) * p_inter
+        )
     cacheable = residency_polys * bb_unit
     return mandatory, cacheable
 
@@ -100,7 +109,7 @@ def layer_buffer_demand(
 COLD_SPILL_EXPONENT = 2.7
 
 
-def offchip_slowdown(on_chip_fraction: float, kind: str) -> float:
+def offchip_slowdown(on_chip_fraction: Floats, kind: str) -> Floats:
     """Latency multiplier when part of the working set spills to DRAM.
 
     Endpoints calibrated from Table III (LoLa-MNIST on ACU9EG): with zero
@@ -110,7 +119,15 @@ def offchip_slowdown(on_chip_fraction: float, kind: str) -> float:
     intermediates *and* key material through non-burst accesses.  Between
     the endpoints the curve decays exponentially with the on-chip fraction
     (see :data:`COLD_SPILL_EXPONENT`).
+
+    An array of fractions is priced one distinct fraction at a time with
+    Python's float ``**``: numpy's SIMD ``power`` can differ from it in
+    the last bit, and the latency's ceil can turn that bit into a cycle.
     """
+    if isinstance(on_chip_fraction, np.ndarray):
+        return per_distinct(
+            lambda f: offchip_slowdown(f, kind), on_chip_fraction, np.float64
+        )
     if not 0.0 <= on_chip_fraction <= 1.0:
         raise ValueError("fraction must be within [0, 1]")
     penalty = {"NKS": 15.9, "KS": 139.6}[kind]

@@ -32,7 +32,10 @@ Fits (ACU9EG: 2,520 DSP, 912 BRAM blocks):
 
 from __future__ import annotations
 
+import numpy as np
+
 from ..optypes import HeOp
+from .arrays import Ints, maximum, per_distinct
 
 #: The reference configuration Table I was measured at.
 TABLE1_POLY_DEGREE = 8192
@@ -104,8 +107,13 @@ def rescale_ntt_passes(level: int) -> int:
     return RESCALE_NTT_PASSES_PER_LEVEL * level
 
 
-def dsp_keyswitch(nc_ntt: int) -> int:
-    """KeySwitch DSP for an nc_NTT value, interpolating the measured table."""
+def dsp_keyswitch(nc_ntt: Ints) -> Ints:
+    """KeySwitch DSP for an nc_NTT value, interpolating the measured table.
+
+    An array of nc_NTT values is looked up one distinct value at a time.
+    """
+    if isinstance(nc_ntt, np.ndarray):
+        return per_distinct(dsp_keyswitch, nc_ntt, np.int64)
     if nc_ntt in DSP_KEYSWITCH_TABLE:
         return DSP_KEYSWITCH_TABLE[nc_ntt]
     points = sorted(DSP_KEYSWITCH_TABLE)
@@ -123,8 +131,8 @@ def dsp_keyswitch(nc_ntt: int) -> int:
     )
 
 
-def dual_port_factor(nc_ntt: int) -> int:
+def dual_port_factor(nc_ntt: Ints) -> Ints:
     """BRAM bank-duplication factor: a dual-port BRAM serves two NTT cores,
     so up to 4 cores share the baseline banking; beyond that the data must
     be partitioned into proportionally more blocks (Table I discussion)."""
-    return max(1, nc_ntt // 4)
+    return maximum(1, nc_ntt // 4)

@@ -9,34 +9,40 @@ BRAM36K blocks.  Two granularities are exposed:
   latency (Eqs. 1-2) used by the design space exploration, where NKS work
   units occupy one interval each and KeySwitch units occupy ``L`` intervals
   (Fig. 3).
+
+The pipeline model and ``Const_op^DSP`` take ``nc_NTT``, the level, the
+unit counts and the parallelism as Python ints or as broadcastable integer
+arrays (:mod:`.arrays`); the DSE prices its whole grid in one call.
 """
 
 from __future__ import annotations
 
-import math
-
 from ..optypes import HeOp, module_for
 from . import calibration as cal
+from .arrays import Ints, ceil_div, maximum, require
 
 
-def lat_ntt_cycles(poly_degree: int, nc_ntt: int) -> int:
-    """Eq. 4: ``LAT_NTT = log2(N) * N / (2 * nc_NTT)`` cycles."""
-    if nc_ntt < 1:
-        raise ValueError("nc_ntt must be >= 1")
-    return math.ceil(math.log2(poly_degree) * poly_degree / (2 * nc_ntt))
+def lat_ntt_cycles(poly_degree: int, nc_ntt: Ints) -> Ints:
+    """Eq. 4: ``LAT_NTT = log2(N) * N / (2 * nc_NTT)`` cycles, rounded up.
+
+    ``N`` is a power of two, so the division is exact in integers.
+    """
+    require(nc_ntt >= 1, "nc_ntt must be >= 1")
+    log_n = int(poly_degree).bit_length() - 1
+    require(poly_degree == 1 << log_n, "poly_degree must be a power of two")
+    return ceil_div(log_n * poly_degree, 2 * nc_ntt)
 
 
 def lat_basic_cycles(poly_degree: int, lanes: int) -> int:
     """Eq. 5: ``LAT_basic = N / p`` cycles for elementwise basic modules."""
-    if lanes < 1:
-        raise ValueError("lanes must be >= 1")
-    return math.ceil(poly_degree / lanes)
+    require(lanes >= 1, "lanes must be >= 1")
+    return ceil_div(poly_degree, lanes)
 
 
 def pipeline_interval_cycles(
-    poly_degree: int, level: int, p_intra: int, nc_ntt: int,
+    poly_degree: int, level: Ints, p_intra: Ints, nc_ntt: Ints,
     elementwise_lanes: int | None = None,
-) -> int:
+) -> Ints:
     """Eq. 3: ``PI = ceil(L / P_intra) * LAT_b``.
 
     ``LAT_b`` (Eq. 6) is the slowest basic module; the paper balances the
@@ -44,17 +50,16 @@ def pipeline_interval_cycles(
     "in order for each basic module to have a similar latency"), so the NTT
     dominates unless the caller pins ``elementwise_lanes`` low.
     """
-    if p_intra < 1:
-        raise ValueError("p_intra must be >= 1")
+    require(p_intra >= 1, "p_intra must be >= 1")
     lat_ntt = lat_ntt_cycles(poly_degree, nc_ntt)
     if elementwise_lanes is None:
         lat_b = lat_ntt
     else:
-        lat_b = max(lat_ntt, lat_basic_cycles(poly_degree, elementwise_lanes))
-    return math.ceil(level / p_intra) * lat_b
+        lat_b = maximum(lat_ntt, lat_basic_cycles(poly_degree, elementwise_lanes))
+    return ceil_div(level, p_intra) * lat_b
 
 
-def dsp_const(op: HeOp, nc_ntt: int) -> int:
+def dsp_const(op: HeOp, nc_ntt: Ints) -> Ints:
     """``Const_op^DSP`` — DSP slices of one unparallelized module."""
     op = module_for(op)
     if op == HeOp.RESCALE:
@@ -100,14 +105,14 @@ def standalone_latency_seconds(
 
 
 def layer_latency_cycles(
-    nks_units: int,
-    ks_units: int,
-    level: int,
+    nks_units: Ints,
+    ks_units: Ints,
+    level: Ints,
     poly_degree: int,
-    p_intra: int,
-    p_inter: int,
-    nc_ntt: int,
-) -> int:
+    p_intra: Ints,
+    p_inter: Ints,
+    nc_ntt: Ints,
+) -> Ints:
     """Eqs. 1-2: pipelined layer latency.
 
     ``LAT_NKS = N_in * PI / P_inter`` for the elementwise work units and
@@ -116,4 +121,4 @@ def layer_latency_cycles(
     """
     pi = pipeline_interval_cycles(poly_degree, level, p_intra, nc_ntt)
     units = nks_units + ks_units * level
-    return math.ceil(units * pi / p_inter)
+    return ceil_div(units * pi, p_inter)

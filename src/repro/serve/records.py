@@ -13,7 +13,7 @@ from functools import cached_property
 from typing import Any
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RequestResult:
     """Terminal record of one request.
 
@@ -70,7 +70,7 @@ class RequestResult:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BatchRecord:
     """One accelerator dispatch: a slot batch or a LoLa degradation run."""
 

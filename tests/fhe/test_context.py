@@ -2,10 +2,17 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
 from repro.fhe import CkksContext, fxhenn_cifar10_params, tiny_test_params
+from repro.fhe.keys import KeyGenerator, _signed_to_basis
+from repro.fhe.modmath import mod_inverse
+from repro.fhe.sampling import (
+    GALOIS, RELIN, key_stream, sample_gaussian, sample_uniform,
+)
 from repro.hecnn import tiny_mnist_model
 
 
@@ -128,3 +135,58 @@ def test_noise_budget_survives_depth(small_params):
     values = np.linspace(-1, 1, 16)
     ct = ctx.encrypt_values(values, level=1)
     assert np.allclose(ctx.decrypt_values(ct)[:16], values, atol=1e-3)
+
+
+def _full_gadget_stack(keygen, target_signed, level, rng):
+    """A key-switching stack by the full-width formula: ``b_i = -a_i*s +
+    e_i + p*D_i*s'`` on every row of ``(q_1 .. q_l, p)``, with the RNS
+    gadget ``D_i = (Q/q_i) * [(Q/q_i)^-1]_{q_i}`` in big integers."""
+    ext = keygen.extended_basis(level)
+    s = keygen.secret_key.to_basis(ext)
+    s_prime = _signed_to_basis(target_signed, ext).to_ntt()
+    q_chain = keygen.chain_primes[:level]
+    big_q = math.prod(q_chain)
+    b_rows, a_rows = [], []
+    for q_i in q_chain:
+        q_hat = big_q // q_i
+        d_i = q_hat * mod_inverse(q_hat % q_i, q_i)
+        a_i = sample_uniform(ext, rng)
+        e_i = sample_gaussian(ext, rng, keygen.error_std).to_ntt()
+        gadget = s_prime.scalar_multiply(keygen.special_prime * d_i)
+        b_rows.append((-(a_i * s) + e_i + gadget).residues)
+        a_rows.append(a_i.residues)
+    return np.stack([np.stack(b_rows), np.stack(a_rows)])
+
+
+def test_kswitch_keys_equal_the_full_gadget_formula(monkeypatch):
+    """Every relinearization and Galois key, at every level, equals the
+    full-width gadget formula bit for bit: adding ``(p mod q_i) * s'`` to
+    row ``i`` alone is exact."""
+    params = tiny_test_params(poly_degree=512, level=7)
+    targets: dict[int, np.ndarray] = {}
+    generate = KeyGenerator._generate_kswitch_key
+
+    def spy(self, target_signed, level, rng):
+        key = generate(self, target_signed, level, rng)
+        targets[id(key)] = target_signed
+        return key
+
+    monkeypatch.setattr(KeyGenerator, "_generate_kswitch_key", spy)
+    ctx = CkksContext(params, seed=11)
+    levels = range(1, params.level + 1)
+    ctx.ensure_relin_keys(list(levels))
+    ctx.ensure_rotation_keys([(3, level) for level in levels])
+    keygen = ctx.keygen
+    galois_element = pow(5, 3, 2 * params.poly_degree)
+    streams = [
+        (ctx.relin_keys[level], key_stream(11, RELIN, level))
+        for level in levels
+    ] + [
+        (ctx.galois_keys.get(3, level),
+         key_stream(11, GALOIS, galois_element, level))
+        for level in levels
+    ]
+    for key, rng in streams:
+        expected = _full_gadget_stack(keygen, targets[id(key)], key.level, rng)
+        assert key.stacked_ba.dtype == np.uint32
+        assert np.array_equal(key.stacked_ba, expected), key.level

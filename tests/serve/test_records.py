@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, fields, replace
 
 import pytest
 
 from repro.serve import (
     BatchRecord,
+    InferenceRequest,
     RequestResult,
     SchedulerConfig,
     ServeReport,
@@ -120,3 +121,22 @@ def test_scheduler_report_json_round_trip(cost_model):
     assert summary["latency"]["p95"] == pytest.approx(
         report.latency_percentiles()["p95"]
     )
+
+
+def test_per_request_records_carry_no_instance_dict():
+    """A replay holds one request, one result and a share of a batch per
+    request: slotted, they carry no ``__dict__``, and stay frozen."""
+    records = (
+        InferenceRequest(request_id=0, arrival_s=0.5, deadline_s=1.0,
+                         key_group="t0:k0"),
+        RequestResult(request_id=0, outcome="batched", arrival_s=0.5,
+                      start_s=0.6, finish_s=0.9, batch_id=0),
+        BatchRecord(batch_id=0, mode="batched", lanes=1, capacity=4,
+                    start_s=0.6, finish_s=0.9),
+    )
+    for record in records:
+        assert not hasattr(record, "__dict__"), type(record)
+        assert type(record).__slots__
+        with pytest.raises(FrozenInstanceError):
+            setattr(record, fields(record)[0].name, 1)
+        assert replace(record) == record

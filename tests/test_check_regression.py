@@ -8,6 +8,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 REPO = Path(__file__).resolve().parents[1]
 SCRIPT = REPO / "benchmarks" / "check_regression.py"
 BASELINES = REPO / "benchmarks" / "baselines"
@@ -137,6 +139,28 @@ def test_noise_record_identity_is_pinned(tmp_path):
     proc = _run("--only", "BENCH_noise", "--fresh-dir", str(fresh))
     assert proc.returncode == 1
     assert "FAIL BENCH_noise:networks.1.log_qp" in proc.stdout
+
+
+@pytest.mark.parametrize("path", [
+    ("charges_match_completions",),
+    ("reconciliation", "wire_bytes"),
+])
+def test_cost_books_join_and_wire_reconciliation_are_gated(tmp_path, path):
+    """A dropped charge breaks the join with the serve report while the
+    books can still reconcile; either field false fails the gate."""
+    fresh = tmp_path / "fresh"
+    fresh.mkdir()
+    record = json.loads((BASELINES / "BENCH_costs.json").read_text())
+    node = record["invariants"]
+    for key in path[:-1]:
+        node = node[key]
+    assert node[path[-1]] is True
+    node[path[-1]] = False
+    (fresh / "BENCH_costs.json").write_text(json.dumps(record))
+    proc = _run("--only", "BENCH_costs", "--fresh-dir", str(fresh))
+    assert proc.returncode == 1, proc.stdout + proc.stderr
+    assert "invariant BROKEN" in proc.stdout
+    assert ".".join(("invariants",) + path) in proc.stdout
 
 
 def test_missing_fresh_record_is_a_hard_error(tmp_path):
